@@ -3,8 +3,10 @@
 The discrete problem is A v = lambda M v with A the Dirichlet-eliminated
 stiffness matrix (symmetric positive definite) and M the mass matrix.  The
 smallest eigenvalues are computed by shift-invert Lanczos at shift zero
-(ARPACK through scipy, with a sparse factorization of A and full
-reorthogonalization) started from a seeded deterministic vector.  Tiny
+(ARPACK through scipy, with full reorthogonalization) started from a seeded
+deterministic vector.  The shift-invert operator applies one sparse LU of A
+from SuperLU in symmetric mode: minimum degree ordering on A + A^T and no
+pivoting, since A is SPD.  Tiny
 problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
 first nonzero coefficient is positive.
@@ -101,8 +103,27 @@ def _m_orthonormalize(vectors: np.ndarray, M) -> None:
         v /= nrm
 
 
+def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of an SPD matrix for repeated solves.
+
+    SuperLU runs in symmetric mode with minimum degree ordering on A + A^T
+    and a pivot threshold of zero, so every nonzero diagonal entry is taken
+    as the pivot: an SPD matrix is factored without row interchanges.  An
+    exactly singular matrix raises SolverError.
+    """
+    try:
+        return scipy.sparse.linalg.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+
+
 def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0) -> EigenPairSet:
     """Compute the m smallest eigenpairs of A v = lambda M v.
+
+    A^-1 is applied through ``factorize_spd``: symmetric-mode SuperLU,
+    minimum degree on A + A^T, no pivoting because A is SPD.
 
     Parameters
     ----------
@@ -126,10 +147,13 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0) -> EigenPairS
         values = dense_vals[:m].copy()
         vectors = dense_vecs[:, :m].copy()
     else:
+        lu = factorize_spd(Amat)
+        OPinv = scipy.sparse.linalg.LinearOperator(
+            Amat.shape, matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
         try:
             values, vectors = scipy.sparse.linalg.eigsh(
-                Amat, k=m, M=Mmat, sigma=0.0, which="LM",
+                Amat, k=m, M=Mmat, sigma=0.0, which="LM", OPinv=OPinv,
                 v0=v0, maxiter=max(50 * m, 100))
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise SolverError(

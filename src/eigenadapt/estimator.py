@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .eigen import ClusterSelection, EigenPairSet
+from .errors import MeshError
 from .fem import FeSpace, shape_values
 
 _EDGE_ENDS = ((1, 2), (2, 0), (0, 1))  # local edge e is opposite corner e
@@ -86,7 +87,7 @@ def _neighbor_corner_map(space: FeSpace):
         pos2[valid, e] = np.argmax(nb_tris == vb, axis=1)
         if not (np.all(np.take_along_axis(nb_tris, pos1[valid, e][:, None], 1)[:, 0] == va[:, 0])
                 and np.all(np.take_along_axis(nb_tris, pos2[valid, e][:, None], 1)[:, 0] == vb[:, 0])):
-            raise AssertionError("neighbor tables inconsistent with vertex sharing")
+            raise MeshError("neighbor tables inconsistent with vertex sharing")
     return pos1, pos2
 
 

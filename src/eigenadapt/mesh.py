@@ -48,8 +48,10 @@ class MarkSet:
 
     @staticmethod
     def from_iterable(indices) -> "MarkSet":
-        arr = np.unique(np.asarray(list(indices), dtype=np.int64))
-        return MarkSet(arr)
+        """Sorted unique indices from an array or any iterable of ints."""
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        return MarkSet(np.unique(np.asarray(indices, dtype=np.int64)))
 
 
 @dataclass

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .eigen import ClusterSelection, EigenPairSet, solve_smallest
+from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
 from .errors import SolverError
 from .estimator import eta_pointwise
 from .fem import FeFunction, FeSpace, assemble, build_space, shape_values
@@ -120,11 +119,7 @@ def poisson_ritz(space: FeSpace, source) -> FeFunction:
     """
     A, _ = assemble(space)
     b = _quadrature_rhs(space, source)[space.free]
-    try:
-        lu = scipy.sparse.linalg.splu(A.matrix.tocsc())
-        r_free = lu.solve(b)
-    except RuntimeError as exc:
-        raise SolverError(f"stiffness solve failed: {exc}") from exc
+    r_free = factorize_spd(A.matrix).solve(b)
     coeffs = np.zeros(space.is_dirichlet.size)
     coeffs[space.free] = r_free
     return FeFunction(space=space, coeffs=coeffs)

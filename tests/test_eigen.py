@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from eigenadapt.eigen import (
     ClusterSelection,
@@ -11,9 +12,10 @@ from eigenadapt.eigen import (
     separation_diagnostic,
     solve_smallest,
 )
+from eigenadapt.errors import SolverError
 from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import uniform_refine
+from eigenadapt.mesh import MarkSet, refine, uniform_refine
 
 PI2 = np.pi * np.pi
 
@@ -39,6 +41,31 @@ def test_matches_dense_oracle(square_ops):
     pairs = solve_smallest(A, M, 5)
     dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
     np.testing.assert_allclose(pairs.values, dense[:5], rtol=1e-8)
+
+
+def test_matches_dense_oracle_graded_p2():
+    # nested discs around the reentrant corner give a mesh graded by 32x
+    tri = initial_mesh(builtin_domain("omega1"), 4)
+    for k in range(10):
+        c = tri.coords[tri.tris].mean(axis=1)
+        near = np.hypot(c[:, 0] - 0.5, c[:, 1] - 0.5) < 0.4 * 0.85 ** k
+        tri = refine(tri, MarkSet.from_iterable(np.nonzero(near)[0]), "bisec_lg1")
+    A, M = assemble(build_space(tri, 2))
+    assert 2000 <= A.shape[0] <= 3000
+    pairs = solve_smallest(A, M, 8)
+    dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                              subset_by_index=[0, 7])
+    np.testing.assert_allclose(pairs.values, dense, rtol=1e-10)
+    assert np.all(pairs.residuals <= 1e-9)
+
+
+def test_singular_stiffness_is_a_solver_error():
+    diag = np.ones(40)
+    diag[7] = 0.0
+    A = scipy.sparse.diags(diag).tocsr()
+    M = scipy.sparse.identity(40, format="csr")
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_smallest(A, M, 3)
 
 
 def test_orthonormality_residuals_and_order(lshape_p1):

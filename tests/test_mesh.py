@@ -187,9 +187,13 @@ def test_assign_refinement_edges_longest():
 
 
 def test_markset_dedupes_and_sorts():
-    ms = MarkSet.from_iterable([5, 1, 5, 3, 1])
-    np.testing.assert_array_equal(ms.elements, [1, 3, 5])
-    assert len(ms) == 3
+    for indices in ([5, 1, 5, 3, 1], np.array([5, 1, 5, 3, 1]), {5, 1, 3},
+                    range(1, 6, 2)):
+        ms = MarkSet.from_iterable(indices)
+        np.testing.assert_array_equal(ms.elements, [1, 3, 5])
+        assert ms.elements.dtype == np.int64
+        assert len(ms) == 3
+    assert len(MarkSet.from_iterable(np.empty(0, dtype=np.int64))) == 0
 
 
 @settings(max_examples=25, deadline=None)
