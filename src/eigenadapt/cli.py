@@ -66,24 +66,19 @@ def render_mesh_svg(tri, path) -> None:
         return f"{v:.6g}"
 
     stroke = 0.002 * max(w, h)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">',
-        f'<g transform="translate(0,{fmt(y0 + y0 + h)}) scale(1,-1)" '
-        f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}" '
-        'stroke-linejoin="round">',
-    ]
-    for v0, v1, v2 in tri.tris:
-        p0, p1, p2 = tri.coords[v0], tri.coords[v1], tri.coords[v2]
-        lines.append(
-            f'<path d="M{fmt(p0[0])} {fmt(p0[1])}'
-            f'L{fmt(p1[0])} {fmt(p1[1])}'
-            f'L{fmt(p2[0])} {fmt(p2[1])}Z"/>')
-    lines.append("</g>")
-    lines.append("</svg>")
+    # each vertex is formatted once, not once per triangle that holds it
+    pts = [f"{fmt(x)} {fmt(y)}" for x, y in tri.coords.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">\n'
+            f'<g transform="translate(0,{fmt(y0 + y0 + h)}) scale(1,-1)" '
+            f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}" '
+            'stroke-linejoin="round">\n')
+        fh.writelines(f'<path d="M{pts[a]}L{pts[b]}L{pts[c]}Z"/>\n'
+                      for a, b, c in tri.tris.tolist())
+        fh.write("</g>\n</svg>\n")
 
 
 def preset_configs(name: str):

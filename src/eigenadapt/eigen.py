@@ -119,7 +119,8 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
 
 
-def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0) -> EigenPairSet:
+def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
+                   lu=None) -> EigenPairSet:
     """Compute the m smallest eigenpairs of A v = lambda M v.
 
     A^-1 is applied through ``factorize_spd``: symmetric-mode SuperLU,
@@ -135,6 +136,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0) -> EigenPairS
         Acceptance threshold for the relative residuals.
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
+    lu : SuperLU, optional
+        ``factorize_spd`` factor of A to reuse; factored here when omitted.
     """
     Amat = getattr(A, "matrix", A).tocsc()
     Mmat = getattr(M, "matrix", M).tocsc()
@@ -147,7 +150,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0) -> EigenPairS
         values = dense_vals[:m].copy()
         vectors = dense_vecs[:, :m].copy()
     else:
-        lu = factorize_spd(Amat)
+        if lu is None:
+            lu = factorize_spd(Amat)
         OPinv = scipy.sparse.linalg.LinearOperator(
             Amat.shape, matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)

@@ -4,16 +4,23 @@ A triangulation stores, per triangle, the vertex triple ordered so that the
 refinement edge is opposite local vertex 0 (the peak).  Bisection inserts the
 midpoint of the refinement edge, which becomes the peak of both children; the
 two remaining edges of the parent become the children's refinement edges.
-Conformity is restored by recursively bisecting the neighbor across the
-refinement edge first whenever its own refinement edge differs (compatible
-chains), so the mesh never contains hanging nodes.
+
+Refinement works on numbered edges, in whole-array steps (Funken, Praetorius
+and Wissgott, CMAM 11 (2011)).  The refinement edge of every marked triangle
+is marked; the marking is closed to a fixed point under the rule "a triangle
+with any marked edge marks its refinement edge"; then every triangle with
+marked edges is bisected once, twice or three times by its pattern, all in
+one step.  The closed marking is the least conforming refinement that
+bisects every marked triangle (Stevenson, Math. Comp. 77 (2008)), so the mesh
+never contains hanging nodes.
 
 Two refinement strategies are exposed:
 
 - ``nvb``:        plain newest vertex bisection with conformity closure
-- ``bisec_lg1``:  newest vertex bisection followed by a grading closure that
-                  bounds the generation difference of edge-adjacent triangles
-                  by ``MAX_ADJACENT_GEN_DIFF``
+- ``bisec_lg1``:  newest vertex bisection followed by a grading closure: the
+                  same step runs on every triangle with an edge neighbor more
+                  than ``MAX_ADJACENT_GEN_DIFF`` generations finer, until
+                  there is none
 
 Slit domains are handled transparently: the two sides of a slit use distinct
 vertex indices, so slit faces are boundary edges to the mesh kernel and never
@@ -22,7 +29,7 @@ pair up during refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -155,6 +162,18 @@ class Triangulation:
                              idx.copy(), idx.copy(), root_area)
 
 
+# local edge e of a triangle joins the two vertices other than e; edge 0 is
+# the refinement edge
+_LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
+
+
+def _edge_keys(tris, nv: int) -> np.ndarray:
+    """(nt, 3) keys lo * nv + hi of the local edges; equal keys, same edge."""
+    a = tris[:, _LOCAL_EDGES[:, 0]]
+    b = tris[:, _LOCAL_EDGES[:, 1]]
+    return np.minimum(a, b) * nv + np.maximum(a, b)
+
+
 def triangle_areas(coords, tris) -> np.ndarray:
     """Signed areas of the triangles (positive for CCW ordering)."""
     p0 = coords[tris[:, 0]]
@@ -166,12 +185,11 @@ def triangle_areas(coords, tris) -> np.ndarray:
 def build_neighbors(tris) -> np.ndarray:
     """Neighbor table from connectivity; raises on nonconforming input."""
     nt = tris.shape[0]
-    # edge opposite local vertex e, rows ordered (t, e) flattened
-    edges = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=1)
-    flat = np.sort(edges.reshape(-1, 2), axis=1)
-    order = np.lexsort((flat[:, 1], flat[:, 0]))
-    se = flat[order]
-    same = np.all(se[1:] == se[:-1], axis=1)
+    # edge keys, rows ordered (t, e) flattened
+    key = _edge_keys(tris, int(tris.max(initial=-1)) + 1).ravel()
+    order = np.argsort(key)
+    sk = key[order]
+    same = sk[1:] == sk[:-1]
     if np.any(same[1:] & same[:-1]):
         raise MeshError("an edge is shared by more than two triangles")
     nbr = np.full(nt * 3, -1, dtype=np.int64)
@@ -182,160 +200,83 @@ def build_neighbors(tris) -> np.ndarray:
     return nbr.reshape(nt, 3)
 
 
-class _RefineState:
-    """Growable mesh arrays used while a refinement pass is running."""
+def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
+    """One closure-and-bisection pass; ``parent`` of the result indexes ``tri``."""
+    tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
+    # number the edges; an edge seen once lies on the boundary
+    keys, edge, count = np.unique(_edge_keys(tris, nv), return_inverse=True,
+                                  return_counts=True)
+    edge = edge.reshape(nt, 3)
+    split = np.zeros(keys.size, dtype=bool)
+    split[edge[elems, 0]] = True
+    # closure: a triangle with any marked edge marks its refinement edge
+    while True:
+        s = split[edge]
+        grow = edge[(s[:, 1] | s[:, 2]) & ~s[:, 0], 0]
+        if grow.size == 0:
+            break
+        split[grow] = True
+    new = np.nonzero(split)[0]
+    mid = np.full(keys.size, -1, dtype=np.int64)
+    mid[new] = nv + np.arange(new.size)
+    lo, hi = np.divmod(keys[new], nv)
+    coords = np.vstack([tri.coords, 0.5 * (tri.coords[lo] + tri.coords[hi])])
+    dirichlet = np.concatenate([tri.dirichlet, count[new] == 1])
 
-    __slots__ = ("coords", "dirichlet", "tris", "gen", "neighbors",
-                 "parent", "root", "root_area", "alive")
-
-    def __init__(self, tri: Triangulation):
-        self.coords = [tuple(p) for p in tri.coords]
-        self.dirichlet = [bool(b) for b in tri.dirichlet]
-        self.tris = [list(t) for t in tri.tris]
-        self.gen = [int(g) for g in tri.gen]
-        self.neighbors = [list(nb) for nb in tri.neighbors]
-        self.parent = list(range(tri.n_elements))
-        self.root = [int(r) for r in tri.root]
-        self.root_area = [float(a) for a in tri.root_area]
-        # alive[t]: index t still holds the (unbisected) input element t
-        self.alive = [True] * tri.n_elements
-
-    def freeze(self) -> Triangulation:
-        coords = np.array(self.coords, dtype=np.float64)
-        tris = np.array(self.tris, dtype=np.int64)
-        return Triangulation(
-            coords,
-            tris,
-            np.array(self.gen, dtype=np.int64),
-            np.array(self.dirichlet, dtype=bool),
-            np.array(self.neighbors, dtype=np.int64),
-            np.array(self.parent, dtype=np.int64),
-            np.array(self.root, dtype=np.int64),
-            np.array(self.root_area, dtype=np.float64),
-        )
-
-
-def _replace_neighbor(st: _RefineState, who: int, old: int, new: int) -> None:
-    if who == -1:
-        return
-    row = st.neighbors[who]
-    row[row.index(old)] = new
-
-
-def _mark_dead(st: _RefineState, t: int) -> None:
-    if t < len(st.alive):
-        st.alive[t] = False
-
-
-def _bisect_pair(st: _RefineState, t: int) -> None:
-    """Bisect t across its refinement edge, together with the compatible
-    neighbor when there is one.  Caller guarantees compatibility."""
-    v0, v1, v2 = st.tris[t]
-    nb = st.neighbors[t][0]
-    x1, y1 = st.coords[v1]
-    x2, y2 = st.coords[v2]
-    m = len(st.coords)
-    st.coords.append((0.5 * (x1 + x2), 0.5 * (y1 + y2)))
-    st.dirichlet.append(nb == -1)
-
-    n0, n1, n2 = st.neighbors[t]
-    g = st.gen[t] + 1
-    par, rt, ra = st.parent[t], st.root[t], st.root_area[t]
-    tB = len(st.tris)
-    _mark_dead(st, t)
-    # child A keeps index t: (m, v0, v1); child B is appended: (m, v2, v0)
-    st.tris[t] = [m, v0, v1]
-    st.gen[t] = g
-    st.tris.append([m, v2, v0])
-    st.gen.append(g)
-    st.parent.append(par)
-    st.root.append(rt)
-    st.root_area.append(ra)
-
-    if nb == -1:
-        st.neighbors[t] = [n2, -1, tB]
-        st.neighbors.append([n1, t, -1])
-        _replace_neighbor(st, n1, t, tB)
-        return
-
-    w0, w1, w2 = st.tris[nb]
-    if w1 != v2 or w2 != v1:
-        raise MeshError("refinement edge is not mutually shared; mesh is inconsistent")
-    u0, u1, u2 = st.neighbors[nb]
-    gq = st.gen[nb] + 1
-    parq, rtq, raq = st.parent[nb], st.root[nb], st.root_area[nb]
-    q = len(st.tris)
-    _mark_dead(st, nb)
-    st.tris[nb] = [m, w0, w1]
-    st.gen[nb] = gq
-    st.tris.append([m, w2, w0])
-    st.gen.append(gq)
-    st.parent.append(parq)
-    st.root.append(rtq)
-    st.root_area.append(raq)
-
-    st.neighbors[t] = [n2, q, tB]
-    st.neighbors.append([n1, t, nb])       # t's child B
-    st.neighbors[nb] = [u2, tB, q]
-    st.neighbors.append([u1, nb, t])       # nb's child B
-    _replace_neighbor(st, n1, t, tB)
-    _replace_neighbor(st, u1, nb, q)
-
-
-def _bisect_compatible(st: _RefineState, t: int) -> None:
-    """Bisect t, first refining neighbors along the compatibility chain."""
-    stack = [t]
-    while stack:
-        top = stack[-1]
-        nb = st.neighbors[top][0]
-        if nb != -1 and st.neighbors[nb][0] != top:
-            stack.append(nb)
-            if len(stack) > len(st.tris) + 4:
-                raise MeshError("compatibility chain failed to terminate")
-            continue
-        stack.pop()
-        _bisect_pair(st, top)
-
-
-def _enforce_grading(st: _RefineState, max_diff: int) -> None:
-    """Bisect coarse triangles until adjacent generations differ by <= max_diff."""
-    for _pass in range(_GRADING_PASS_CAP):
-        gen, nbs = st.gen, st.neighbors
-        coarse = set()
-        for t in range(len(st.tris)):
-            gt = gen[t]
-            for nb in nbs[t]:
-                if nb != -1 and gt - gen[nb] > max_diff:
-                    coarse.add(nb)
-        if not coarse:
-            return
-        for c in sorted(coarse):
-            # a closure chain may have bisected c already; re-check first
-            if any(x != -1 and gen[x] - gen[c] > max_diff for x in nbs[c]):
-                _bisect_compatible(st, c)
-    raise MeshError("grading closure failed to terminate")
+    # bisect (v0, v1, v2) into A = (m0, v0, v1) and B = (m0, v2, v0); A is
+    # split again at m2 when edge 2 is marked, B at m1 when edge 1 is
+    v0, v1, v2 = tris.T
+    m0, m1, m2 = mid[edge].T
+    s0, s1, s2 = split[edge].T
+    kids = np.stack([
+        np.where(s2[:, None], np.column_stack([m2, m0, v0]),
+                 np.where(s0[:, None], np.column_stack([m0, v0, v1]), tris)),
+        np.column_stack([m2, v1, m0]),
+        np.where(s1[:, None], np.column_stack([m1, m0, v2]),
+                 np.column_stack([m0, v2, v0])),
+        np.column_stack([m1, v0, m0]),
+    ], axis=1)
+    depth = np.column_stack([np.add(s0, s2, dtype=np.int64), np.full(nt, 2),
+                             1 + s1, np.full(nt, 2)])
+    keep = np.column_stack([np.ones(nt, dtype=bool), s2, s0, s1])
+    parent = np.nonzero(keep)[0]
+    out_tris = kids[keep]
+    return Triangulation(
+        coords, out_tris, tri.gen[parent] + depth[keep], dirichlet,
+        build_neighbors(out_tris), parent, tri.root[parent],
+        tri.root_area[parent])
 
 
 def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triangulation:
     """Refine a triangulation by newest vertex bisection.
 
-    Every marked triangle is bisected at least once; additional bisections
-    restore conformity, and for ``bisec_lg1`` also the generation grading.
-    The input mesh is left untouched.  Deterministic: marked triangles are
-    processed in ascending index order.
+    The refinement edge of every marked triangle is marked, and the marking
+    is closed under "a triangle with any marked edge marks its refinement
+    edge".  Each triangle is then bisected once, twice or three times by the
+    pattern of its marked edges, which gives the least conforming refinement
+    that bisects every marked triangle.  For ``bisec_lg1`` the same step runs
+    again on the triangles with an edge neighbor more than
+    ``MAX_ADJACENT_GEN_DIFF`` generations finer, until there are none.
+    The input mesh is left untouched, and the result depends only on the
+    marked set, not on its order.
     """
     if strategy not in REFINE_STRATEGIES:
         raise MeshError(f"unknown refinement strategy {strategy!r}")
     elems = np.asarray(marked.elements, dtype=np.int64)
     if elems.size and (elems.min() < 0 or elems.max() >= tri.n_elements):
         raise MeshError("marked set contains out-of-range element indices")
-    st = _RefineState(tri)
-    for t in elems:
-        if st.alive[t]:
-            _bisect_compatible(st, int(t))
-    if strategy == "bisec_lg1":
-        _enforce_grading(st, MAX_ADJACENT_GEN_DIFF)
-    return st.freeze()
+    out = _bisect(tri, elems)
+    if strategy == "nvb":
+        return out
+    for _pass in range(_GRADING_PASS_CAP):
+        nb = out.neighbors
+        finer = (nb >= 0) & (out.gen[nb] - out.gen[:, None] > MAX_ADJACENT_GEN_DIFF)
+        coarse = np.nonzero(finer.any(axis=1))[0]
+        if coarse.size == 0:
+            return out
+        step = _bisect(out, coarse)
+        out = replace(step, parent=out.parent[step.parent])
+    raise MeshError("grading closure failed to terminate")
 
 
 def uniform_refine(tri: Triangulation) -> Triangulation:
@@ -407,19 +348,11 @@ def check_mesh(tri: Triangulation) -> None:
     areas = triangle_areas(tri.coords, tri.tris)
     if np.any(areas <= 0.0):
         raise MeshError("non-positive triangle area")
+    # build_neighbors writes only in-range, mutual pairs, so equality with
+    # its table also proves the stored one is in range and mutual
     rebuilt = build_neighbors(tri.tris)
     if not np.array_equal(rebuilt, tri.neighbors):
         raise MeshError("stored neighbor table does not match connectivity")
-    nt = tri.n_elements
-    for t in range(nt):
-        for e in range(3):
-            nb = tri.neighbors[t, e]
-            if nb == -1:
-                continue
-            if nb < 0 or nb >= nt:
-                raise MeshError("neighbor index out of range")
-            if t not in tri.neighbors[nb]:
-                raise MeshError("neighbor table is not mutual")
     flagged = np.zeros(tri.n_vertices, dtype=bool)
     bmask = tri.neighbors < 0
     for e in range(3):

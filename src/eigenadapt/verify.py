@@ -111,24 +111,27 @@ def _quadrature_rhs(space: FeSpace, source) -> np.ndarray:
     return b
 
 
-def poisson_ritz(space: FeSpace, source) -> FeFunction:
+def poisson_ritz(space: FeSpace, source, lu=None) -> FeFunction:
     """Solve a(r, w) = (source, w) for all interior test functions w.
 
-    ``source`` is a vectorized callable f(x, y).  The returned function has
-    zero Dirichlet values.
+    ``source`` is a vectorized callable f(x, y).  ``lu`` is a
+    ``factorize_spd`` factor of the space's stiffness matrix; without it the
+    matrix is assembled and factored here.  The returned function has zero
+    Dirichlet values.
     """
-    A, _ = assemble(space)
+    if lu is None:
+        lu = factorize_spd(assemble(space)[0].matrix)
     b = _quadrature_rhs(space, source)[space.free]
-    r_free = factorize_spd(A.matrix).solve(b)
+    r_free = lu.solve(b)
     coeffs = np.zeros(space.is_dirichlet.size)
     coeffs[space.free] = r_free
     return FeFunction(space=space, coeffs=coeffs)
 
 
-def ritz_project(space: FeSpace, pair: SquareEigenpair) -> FeFunction:
+def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> FeFunction:
     """Ritz projection of an analytic eigenpair: a(r, w) = lam (u, w)."""
     lam = pair.lam
-    return poisson_ritz(space, lambda x, y: lam * pair(x, y))
+    return poisson_ritz(space, lambda x, y: lam * pair(x, y), lu)
 
 
 def cluster_project(space: FeSpace, r: FeFunction, pairs: EigenPairSet,
@@ -235,15 +238,16 @@ def reliability_efficiency_report(
     for level in range(levels):
         space = build_space(tri, degree)
         A, M = assemble(space)
+        lu = factorize_spd(A.matrix)
         m = min(cluster.hi + 3, space.free.size)
-        pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed)
+        pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed, lu=lu)
         if pairs.m_converged < cluster.hi:
             raise SolverError("space too small for the requested cluster")
         rep = eta_pointwise(space, pairs, cluster)
         errs = []
         for j in range(cluster.lo, cluster.hi + 1):
             u = modes[j - 1]
-            r = ritz_project(space, u)
+            r = ritz_project(space, u, lu)
             lam_u = cluster_project(space, r, pairs, cluster, M)
             errs.append(linf_error(u, lam_u, samples_per_element))
         err_max, err_sum = max(errs), sum(errs)

@@ -1,5 +1,6 @@
 """CLI driver tests: subcommands, artifacts, exit codes."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -32,6 +33,19 @@ def test_svg_two_triangles(tmp_path):
     for p in paths:
         d = p.get("d")
         assert d.startswith("M") and d.endswith("Z") and d.count("L") == 2
+    assert out.read_text(encoding="utf-8") == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">\n'
+        '<g transform="translate(0,1) scale(1,-1)" fill="none" stroke="#000" '
+        'stroke-width="0.002" stroke-linejoin="round">\n'
+        '<path d="M0 0L1 0L0 1Z"/>\n'
+        '<path d="M1 1L0 1L1 0Z"/>\n'
+        '</g>\n'
+        '</svg>\n')
+    # rounded, negative coordinates: the bytes the per-vertex formatter wrote
+    render_mesh_svg(initial_mesh(builtin_domain("omega3"), 6), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0e92df99dc4d9ee500a0864f25516eff7ef3370a3632a9321c364c3a9a377e29")
 
 
 def test_svg_lshape_via_cli(tmp_path, capsys):

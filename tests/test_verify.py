@@ -173,3 +173,25 @@ def test_reliability_report_smoke(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "level,ndof,eta,err_linf_1,ratio_rel,ratio_eff"
     assert len(lines) == 4
+
+
+def test_reliability_report_assembles_and_factors_once_per_level(monkeypatch):
+    import eigenadapt.eigen as eigen_mod
+    import eigenadapt.verify as verify_mod
+
+    calls = {"assemble": 0, "factorize_spd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify_mod, "assemble",
+                        counted("assemble", verify_mod.assemble))
+    factor = counted("factorize_spd", eigen_mod.factorize_spd)
+    monkeypatch.setattr(verify_mod, "factorize_spd", factor)
+    monkeypatch.setattr(eigen_mod, "factorize_spd", factor)
+    reliability_efficiency_report(ClusterSelection(2, 3), levels=4, n0=4,
+                                  samples_per_element=4)
+    assert calls == {"assemble": 4, "factorize_spd": 4}
