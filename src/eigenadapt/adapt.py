@@ -272,7 +272,9 @@ def run(config: AdaptConfig) -> AdaptHistory:
         t_estimate = (time.monotonic() - t0) * 1e3
 
         if tri.tris.shape[0] > snapshot_threshold:
-            snapshots.append((level, tri))
+            # the history keeps copies that share the mesh arrays but not
+            # the edge data cached on tri for this level's estimators
+            snapshots.append((level, dataclasses.replace(tri)))
             while snapshot_threshold < tri.tris.shape[0]:
                 snapshot_threshold *= 4
         if tips.size:
@@ -325,26 +327,44 @@ def run(config: AdaptConfig) -> AdaptHistory:
 
 
 def fit_rate(history: AdaptHistory, which: str = None,
-             window: tuple[int, int] | None = None,
+             window: tuple[int | None, int | None] | None = None,
              min_dof: int = 1000) -> float:
-    """Least-squares slope of log10(eta) against log10(ndof).
-
-    ``window`` restricts to an inclusive level range; otherwise all levels
-    with at least ``min_dof`` free dofs enter.  Requires >= 3 usable levels.
-    """
+    """Least-squares slope of log10(eta) against log10(ndof); see
+    :func:`fit_rate_levels` for ``window`` and ``min_dof``."""
     if which is None:
         which = history.config.estimator
-    n = history.ndofs()
-    e = history.etas(which)
-    if window is not None:
-        keep = np.array([window[0] <= r.level <= window[1] for r in history.rows])
+    levels = [r.level for r in history.rows]
+    return fit_rate_levels(levels, history.ndofs(), history.etas(which),
+                           window, min_dof)[0]
+
+
+def fit_rate_levels(levels, ndof, eta,
+                    window: tuple[int | None, int | None] | None = None,
+                    min_dof: int = 1000) -> tuple[float, np.ndarray]:
+    """Rate fit over per-level arrays; returns the slope and the mask of
+    the levels that entered.
+
+    ``window`` restricts to an inclusive level range whose ends may be None
+    (open); without it, all levels with at least ``min_dof`` free dofs
+    enter.  Levels with a non-finite or non-positive eta never enter.
+    Raises ValueError unless >= 3 levels are usable.
+    """
+    levels, ndof, eta = (np.asarray(a, dtype=np.float64)
+                         for a in (levels, ndof, eta))
+    if window is None:
+        keep = ndof >= min_dof
     else:
-        keep = n >= min_dof
-    keep &= np.isfinite(e) & (e > 0.0)
+        first, last = window
+        keep = np.ones(levels.size, dtype=bool)
+        if first is not None:
+            keep &= levels >= first
+        if last is not None:
+            keep &= levels <= last
+    keep &= np.isfinite(eta) & (eta > 0.0)
     if np.count_nonzero(keep) < 3:
         raise ValueError(
-            f"rate fit needs >= 3 levels, have {np.count_nonzero(keep)}")
-    return fit_loglog_slope(n[keep], e[keep])
+            f"rate fit needs >= 3 usable levels, have {np.count_nonzero(keep)}")
+    return fit_loglog_slope(ndof[keep], eta[keep]), keep
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

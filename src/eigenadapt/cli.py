@@ -206,25 +206,20 @@ def cmd_preset(args) -> int:
 def cmd_rate(args) -> int:
     import numpy as np
 
-    from .adapt import fit_loglog_slope, read_history_csv
+    from .adapt import fit_rate_levels, read_history_csv
 
-    field_col = {"pointwise": "eta_pointwise", "energy": "eta_energy"}
-    col = field_col[args.field]
+    col = {"pointwise": "eta_pointwise", "energy": "eta_energy"}[args.field]
     _, rows = read_history_csv(args.history)
-    levels = np.array([int(r["level"]) for r in rows])
     ndof = np.array([int(r["ndof"]) for r in rows])
-    eta = np.array([float(r[col]) for r in rows])
-    keep = np.isfinite(eta) & (eta > 0.0)
-    if args.from_level is not None:
-        keep &= levels >= args.from_level
-    if args.to_level is not None:
-        keep &= levels <= args.to_level
-    if args.from_level is None and args.to_level is None:
-        keep &= ndof >= args.min_dof
-    if np.count_nonzero(keep) < 3:
-        raise ConfigError(
-            f"rate fit needs >= 3 usable levels, have {np.count_nonzero(keep)}")
-    slope = fit_loglog_slope(ndof[keep], eta[keep])
+    window = None
+    if args.from_level is not None or args.to_level is not None:
+        window = (args.from_level, args.to_level)
+    try:
+        slope, keep = fit_rate_levels(
+            [int(r["level"]) for r in rows], ndof,
+            [float(r[col]) for r in rows], window, args.min_dof)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"{args.field} slope {slope:+.4f} over {np.count_nonzero(keep)} "
           f"levels (N {ndof[keep].min()}..{ndof[keep].max()})")
     return 0

@@ -128,8 +128,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
 
     Parameters
     ----------
-    A, M : SymmetricSparseOperator or scipy sparse matrix
-        Constrained (free-dof) stiffness and mass operators.
+    A, M : scipy sparse matrices
+        Constrained (free-dof) stiffness and mass matrices.
     m : int
         Number of pairs, 1 <= m <= dimension.
     tol : float
@@ -139,8 +139,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     lu : SuperLU, optional
         ``factorize_spd`` factor of A to reuse; factored here when omitted.
     """
-    Amat = getattr(A, "matrix", A).tocsc()
-    Mmat = getattr(M, "matrix", M).tocsc()
+    Amat = A.tocsc()
+    Mmat = M.tocsc()
     n = Amat.shape[0]
     if m < 1 or m > n:
         raise ValueError(f"cannot compute {m} pairs on a dimension-{n} problem")

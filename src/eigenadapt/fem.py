@@ -6,8 +6,12 @@ no numerical quadrature.  Homogeneous Dirichlet conditions are imposed by
 eliminating constrained rows and columns, never by penalties.
 
 P2 local dof order is (v0, v1, v2, e0, e1, e2) where edge dof ``e_m`` sits
-on the edge opposite vertex ``m``.  Edge dofs are keyed by the sorted vertex
-index pair of their edge, so the two sides of a slit get independent dofs.
+on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
+numbering (``Triangulation.edges``, keyed by the sorted vertex index pair),
+so the two sides of a slit get independent dofs.
+
+Gradients, Laplacians and values take one coefficient vector or an
+(ndof, k) block of them; the estimators evaluate a whole cluster at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .mesh import Triangulation
+from .mesh import LOCAL_EDGES, Triangulation
 
 # reference P1 mass matrix over the element area
 _M1_REF = np.array([[2.0, 1.0, 1.0],
@@ -72,46 +76,38 @@ class FeSpace:
 @dataclass
 class FeFunction:
     """Coefficient vector over all dofs of a space (Dirichlet entries zero
-    for conforming functions; raw coefficient vectors are also accepted)."""
+    for conforming functions; raw coefficient vectors are also accepted).
+    An (ndof, k) block holds k functions at once."""
 
     space: FeSpace
     coeffs: np.ndarray
 
 
 def barycentric_gradients(tri: Triangulation) -> np.ndarray:
-    p = tri.coords[tri.tris]                     # (nt, 3, 2)
-    g = np.empty_like(p)
-    inv_two_area = 1.0 / (2.0 * tri.areas)
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        g[:, i, 0] = -e[:, 1] * inv_two_area
-        g[:, i, 1] = e[:, 0] * inv_two_area
-    return g
+    """grad(lambda_i) is the inward normal of edge i over its height."""
+    t = tri.edge_tangents()
+    inv_two_area = (1.0 / (2.0 * tri.areas))[:, None, None]
+    return np.stack([-t[..., 1], t[..., 0]], axis=-1) * inv_two_area
 
 
 def build_space(tri: Triangulation, degree: int) -> FeSpace:
     """Construct a P1 or P2 space with its Dirichlet partition."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    nt = tri.n_elements
     if degree == 1:
         elem_dofs = tri.tris.copy()
         dof_coords = tri.coords.copy()
         is_dirichlet = tri.dirichlet.copy()
     else:
-        edges = np.stack([tri.tris[:, [1, 2]], tri.tris[:, [2, 0]],
-                          tri.tris[:, [0, 1]]], axis=1).reshape(-1, 2)
-        edges_sorted = np.sort(edges, axis=1)
-        uniq, inverse = np.unique(edges_sorted, axis=0, return_inverse=True)
+        # edge dofs follow the mesh's edge numbering; an edge held by one
+        # triangle lies on the boundary
+        keys, edge, count = tri.edges
         nv = tri.n_vertices
-        elem_dofs = np.concatenate(
-            [tri.tris, nv + inverse.reshape(nt, 3)], axis=1)
-        mid = 0.5 * (tri.coords[uniq[:, 0]] + tri.coords[uniq[:, 1]])
+        lo, hi = np.divmod(keys, nv)
+        elem_dofs = np.concatenate([tri.tris, nv + edge], axis=1)
+        mid = 0.5 * (tri.coords[lo] + tri.coords[hi])
         dof_coords = np.concatenate([tri.coords, mid], axis=0)
-        edge_dirichlet = np.zeros(uniq.shape[0], dtype=bool)
-        boundary_flat = (tri.neighbors.reshape(-1) == -1)
-        edge_dirichlet[inverse[boundary_flat]] = True
-        is_dirichlet = np.concatenate([tri.dirichlet, edge_dirichlet])
+        is_dirichlet = np.concatenate([tri.dirichlet, count == 1])
     free = np.nonzero(~is_dirichlet)[0].astype(np.int64)
     full_to_free = np.full(dof_coords.shape[0], -1, dtype=np.int64)
     full_to_free[free] = np.arange(free.size)
@@ -149,7 +145,7 @@ def local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
                 K[:, i, 3 + m] = vim
                 K[:, 3 + m, i] = vim
     for m in range(3):
-        a, b = ((1, 2), (2, 0), (0, 1))[m]
+        a, b = LOCAL_EDGES[m]
         K[:, 3 + m, 3 + m] = a83 * (d[:, a, a] + d[:, b, b] + d[:, a, b])
         for n in range(m + 1, 3):
             r = 3 - m - n
@@ -158,27 +154,6 @@ def local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
             K[:, 3 + n, 3 + m] = vmn
     M = area[:, None, None] * _M2_REF
     return K, M
-
-
-@dataclass
-class SymmetricSparseOperator:
-    """Sparse symmetric matrix in CSR form with a constraint marker."""
-
-    matrix: scipy.sparse.csr_matrix
-    constrained: bool
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def write_matrix_market(self, path) -> None:
-        scipy.io.mmwrite(str(path), self.matrix, symmetry="symmetric")
 
 
 def _scatter(space: FeSpace, local: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -192,11 +167,11 @@ def _scatter(space: FeSpace, local: np.ndarray) -> scipy.sparse.csr_matrix:
 
 
 def assemble(space: FeSpace, constrained: bool = True
-             ) -> tuple[SymmetricSparseOperator, SymmetricSparseOperator]:
-    """Assemble stiffness A and mass M.
+             ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """Assemble stiffness A and mass M as CSR matrices.
 
     With ``constrained=True`` (default), rows and columns of Dirichlet dofs
-    are eliminated and the operators act on free dofs only.  Local matrices
+    are eliminated and the matrices act on free dofs only.  Local matrices
     are exactly symmetric and scattered pairwise, so ``A == A.T`` holds
     bit for bit.
     """
@@ -207,8 +182,12 @@ def assemble(space: FeSpace, constrained: bool = True
         f = space.free
         A = A[f][:, f].tocsr()
         M = M[f][:, f].tocsr()
-    return (SymmetricSparseOperator(A, constrained),
-            SymmetricSparseOperator(M, constrained))
+    return A, M
+
+
+def write_matrix_market(A, path) -> None:
+    """Write a symmetric sparse matrix in Matrix Market format."""
+    scipy.io.mmwrite(str(path), A, symmetry="symmetric")
 
 
 def shape_values(degree: int, bary) -> np.ndarray:
@@ -231,24 +210,35 @@ def shape_values(degree: int, bary) -> np.ndarray:
     return out
 
 
+def shape_derivatives(degree: int, bary) -> np.ndarray:
+    """Table of d phi_j / d lambda_i at barycentric points.
+
+    The result appends axes (nd, 3) to the leading shape of bary; the
+    gradient of phi_j on an element is sum_i table[j, i] grad(lambda_i).
+    """
+    bary = np.asarray(bary, dtype=np.float64)
+    if degree == 1:
+        return np.broadcast_to(np.eye(3), bary.shape[:-1] + (3, 3))
+    out = np.zeros(bary.shape[:-1] + (6, 3))
+    for i in range(3):
+        out[..., i, i] = 4.0 * bary[..., i] - 1.0
+    for m, (a, b) in enumerate(LOCAL_EDGES):
+        # psi_m = 4 l_a l_b
+        out[..., 3 + m, a] = 4.0 * bary[..., b]
+        out[..., 3 + m, b] = 4.0 * bary[..., a]
+    return out
+
+
 def evaluate(f: FeFunction, elem: int, bary) -> float:
     """Value of f at a barycentric point of one element."""
     vals = shape_values(f.space.degree, bary)
     return float(vals @ f.coeffs[f.space.elem_dofs[elem]])
 
+
 def evaluate_gradient(f: FeFunction, elem: int, bary) -> np.ndarray:
     """Gradient of f at a barycentric point of one element."""
-    bary = np.asarray(bary, dtype=np.float64)
-    g = f.space.bary_grads[elem]            # (3, 2)
-    c = f.coeffs[f.space.elem_dofs[elem]]
-    if f.space.degree == 1:
-        return (c[:, None] * g).sum(axis=0)
-    grads = np.empty((6, 2))
-    for i in range(3):
-        grads[i] = (4.0 * bary[i] - 1.0) * g[i]
-    for m, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        grads[3 + m] = 4.0 * (bary[b] * g[a] + bary[a] * g[b])
-    return (c[:, None] * grads).sum(axis=0)
+    table = shape_derivatives(f.space.degree, bary)
+    return f.coeffs[f.space.elem_dofs[elem]] @ (table @ f.space.bary_grads[elem])
 
 
 def values_at_bary(f: FeFunction, bary) -> np.ndarray:
@@ -258,45 +248,37 @@ def values_at_bary(f: FeFunction, bary) -> np.ndarray:
 
 
 def corner_gradients(f: FeFunction) -> np.ndarray:
-    """Gradient of f at the three corners of every element, shape (nt, 3, 2).
+    """Gradient of f at the three corners of every element.
 
-    For P1 the gradient is constant, so the three corner values coincide.
+    The shape is (nt, 3, 2) for a coefficient vector and (nt, 3, 2, k) for
+    an (ndof, k) block.  For P1 the gradient is constant, so the three
+    corner values coincide.
     """
     space = f.space
-    g = space.bary_grads                            # (nt, 3, 2)
-    c = f.coeffs[space.elem_dofs]                   # (nt, nd)
-    if space.degree == 1:
-        const = np.einsum("ti,tik->tk", c, g)
-        return np.repeat(const[:, None, :], 3, axis=1)
-    out = np.empty((space.tri.n_elements, 3, 2))
-    for corner in range(3):
-        acc = np.zeros((space.tri.n_elements, 2))
-        for i in range(3):
-            coef = 3.0 if i == corner else -1.0
-            acc += coef * c[:, i, None] * g[:, i]
-        for m, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            # grad psi_m = 4 (l_b grad l_a + l_a grad l_b); at a corner the
-            # barycentric coordinates are 0/1 indicators
-            if corner == b:
-                acc += 4.0 * c[:, 3 + m, None] * g[:, a]
-            elif corner == a:
-                acc += 4.0 * c[:, 3 + m, None] * g[:, b]
-        out[:, corner] = acc
-    return out
+    c = f.coeffs[space.elem_dofs]                   # (nt, nd[, k])
+    g = space.bary_grads[(...,) + (None,) * (c.ndim - 2)]
+    # a P1 gradient is constant: one evaluation serves all three corners
+    corners = np.eye(3)[:1] if space.degree == 1 else np.eye(3)
+    out = np.zeros(c.shape[:1] + (len(corners), 2) + c.shape[2:])
+    for acc, table in zip(out.swapaxes(0, 1),
+                          shape_derivatives(space.degree, corners)):
+        for j, i in zip(*np.nonzero(table)):
+            acc += table[j, i] * c[:, j, None] * g[:, i]
+    return np.repeat(out, 3, axis=1) if space.degree == 1 else out
 
 
 def element_laplacians(f: FeFunction) -> np.ndarray:
-    """Constant per-element Laplacian of f, shape (nt,).  Zero for P1."""
+    """Constant per-element Laplacian of f, shape (nt,) or (nt, k) for an
+    (ndof, k) block.  Zero for P1."""
     space = f.space
-    nt = space.tri.n_elements
-    if space.degree == 1:
-        return np.zeros(nt)
-    d = space.grad_products
     c = f.coeffs[space.elem_dofs]
-    lap = np.zeros(nt)
+    lap = np.zeros(c.shape[:1] + c.shape[2:])
+    if space.degree == 1:
+        return lap
+    d = space.grad_products[(...,) + (None,) * (c.ndim - 2)]
     for i in range(3):
         lap += 4.0 * c[:, i] * d[:, i, i]
-    for m, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+    for m, (a, b) in enumerate(LOCAL_EDGES):
         lap += 8.0 * c[:, 3 + m] * d[:, a, b]
     return lap
 
@@ -313,7 +295,8 @@ def interpolate(space: FeSpace, g) -> FeFunction:
 
 
 def from_free_vector(space: FeSpace, vec: np.ndarray) -> FeFunction:
-    """Expand a free-dof coefficient vector to a full FeFunction."""
-    coeffs = np.zeros(space.n_dofs)
+    """Expand free-dof coefficients, a vector or an (n_free, k) block, to a
+    full FeFunction."""
+    coeffs = np.zeros((space.n_dofs,) + vec.shape[1:])
     coeffs[space.free] = vec
     return FeFunction(space, coeffs)

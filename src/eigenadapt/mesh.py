@@ -127,6 +127,49 @@ class Triangulation:
         h.setflags(write=False)
         return h
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge numbering: the sorted keys ``lo * nv + hi`` of the edges, the
+        (nt, 3) edge index of every local edge, and the number of triangles
+        holding each edge (1 on the boundary)."""
+        keys, edge, count = np.unique(_edge_keys(self.tris, self.n_vertices),
+                                      return_inverse=True, return_counts=True)
+        return keys, edge.reshape(self.n_elements, 3), count
+
+    def edge_tangents(self) -> np.ndarray:
+        """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
+        e + 1 to corner e + 2 (mod 3), counterclockwise."""
+        p = self.coords[self.tris]
+        return p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """Lengths of the local edges, shape (nt, 3)."""
+        t = self.edge_tangents()
+        return np.hypot(t[..., 0], t[..., 1])
+
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        """Unit outward normals of the local edges, shape (nt, 3, 2)."""
+        t = self.edge_tangents()
+        # CCW triangle: rotating the edge tangent by -90 degrees points outward
+        return np.stack([t[..., 1], -t[..., 0]], axis=-1) \
+            / self.edge_lengths[..., None]
+
+    @cached_property
+    def neighbor_corners(self) -> np.ndarray:
+        """Local corners, in the neighbor across local edge e, of the two
+        endpoints of e in this triangle's order; shape (nt, 3, 2), -1 on
+        boundary edges."""
+        inner = self.neighbors >= 0
+        ends = self.tris[:, LOCAL_EDGES][inner]           # (k, 2)
+        hit = self.tris[self.neighbors[inner]][:, None, :] == ends[:, :, None]
+        if not np.all(hit.any(axis=2)):
+            raise MeshError("neighbor tables inconsistent with vertex sharing")
+        out = np.full((self.n_elements, 3, 2), -1, dtype=np.int8)
+        out[inner] = np.argmax(hit, axis=2)
+        return out
+
     @staticmethod
     def from_arrays(coords, tris, dirichlet=None, gen=None) -> "Triangulation":
         """Build a triangulation from raw coordinate and connectivity arrays.
@@ -148,12 +191,7 @@ class Triangulation:
         else:
             gen = np.asarray(gen, dtype=np.int64).copy()
         if dirichlet is None:
-            dirichlet = np.zeros(coords.shape[0], dtype=bool)
-            bmask = neighbors < 0
-            for e in range(3):
-                be = np.nonzero(bmask[:, e])[0]
-                dirichlet[tris[be, (e + 1) % 3]] = True
-                dirichlet[tris[be, (e + 2) % 3]] = True
+            dirichlet = _boundary_vertices(coords.shape[0], tris, neighbors)
         else:
             dirichlet = np.asarray(dirichlet, dtype=bool).copy()
         idx = np.arange(nt, dtype=np.int64)
@@ -164,14 +202,21 @@ class Triangulation:
 
 # local edge e of a triangle joins the two vertices other than e; edge 0 is
 # the refinement edge
-_LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
+LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 
 
 def _edge_keys(tris, nv: int) -> np.ndarray:
     """(nt, 3) keys lo * nv + hi of the local edges; equal keys, same edge."""
-    a = tris[:, _LOCAL_EDGES[:, 0]]
-    b = tris[:, _LOCAL_EDGES[:, 1]]
+    a = tris[:, LOCAL_EDGES[:, 0]]
+    b = tris[:, LOCAL_EDGES[:, 1]]
     return np.minimum(a, b) * nv + np.maximum(a, b)
+
+
+def _boundary_vertices(nv: int, tris, neighbors) -> np.ndarray:
+    """(nv,) flags of the endpoints of edges without a neighbor."""
+    flags = np.zeros(nv, dtype=bool)
+    flags[tris[:, LOCAL_EDGES][neighbors < 0]] = True
+    return flags
 
 
 def triangle_areas(coords, tris) -> np.ndarray:
@@ -203,10 +248,8 @@ def build_neighbors(tris) -> np.ndarray:
 def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
     """One closure-and-bisection pass; ``parent`` of the result indexes ``tri``."""
     tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
-    # number the edges; an edge seen once lies on the boundary
-    keys, edge, count = np.unique(_edge_keys(tris, nv), return_inverse=True,
-                                  return_counts=True)
-    edge = edge.reshape(nt, 3)
+    # an edge held by one triangle lies on the boundary
+    keys, edge, count = tri.edges
     split = np.zeros(keys.size, dtype=bool)
     split[edge[elems, 0]] = True
     # closure: a triangle with any marked edge marks its refinement edge
@@ -353,12 +396,7 @@ def check_mesh(tri: Triangulation) -> None:
     rebuilt = build_neighbors(tri.tris)
     if not np.array_equal(rebuilt, tri.neighbors):
         raise MeshError("stored neighbor table does not match connectivity")
-    flagged = np.zeros(tri.n_vertices, dtype=bool)
-    bmask = tri.neighbors < 0
-    for e in range(3):
-        be = np.nonzero(bmask[:, e])[0]
-        flagged[tri.tris[be, (e + 1) % 3]] = True
-        flagged[tri.tris[be, (e + 2) % 3]] = True
+    flagged = _boundary_vertices(tri.n_vertices, tri.tris, tri.neighbors)
     if not np.array_equal(flagged, tri.dirichlet):
         raise MeshError("dirichlet flags do not match boundary edges")
     law = tri.root_area * np.exp2(-tri.gen.astype(np.float64))

@@ -20,7 +20,8 @@ import numpy as np
 from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
 from .errors import SolverError
 from .estimator import eta_pointwise
-from .fem import FeFunction, FeSpace, assemble, build_space, shape_values
+from .fem import (FeFunction, FeSpace, assemble, build_space, from_free_vector,
+                  shape_values)
 from .geometry import builtin_domain, initial_mesh
 from .mesh import Triangulation, uniform_refine
 
@@ -120,12 +121,9 @@ def poisson_ritz(space: FeSpace, source, lu=None) -> FeFunction:
     Dirichlet values.
     """
     if lu is None:
-        lu = factorize_spd(assemble(space)[0].matrix)
+        lu = factorize_spd(assemble(space)[0])
     b = _quadrature_rhs(space, source)[space.free]
-    r_free = lu.solve(b)
-    coeffs = np.zeros(space.is_dirichlet.size)
-    coeffs[space.free] = r_free
-    return FeFunction(space=space, coeffs=coeffs)
+    return from_free_vector(space, lu.solve(b))
 
 
 def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> FeFunction:
@@ -139,16 +137,13 @@ def cluster_project(space: FeSpace, r: FeFunction, pairs: EigenPairSet,
     """M-orthogonal projection of r onto the span of the cluster vectors."""
     if cluster.hi > pairs.m_converged:
         raise ValueError("cluster references unconverged pairs")
-    Mmat = getattr(M, "matrix", M)
     r_free = r.coeffs[space.free]
-    Mr = Mmat @ r_free
+    Mr = M @ r_free
     out = np.zeros_like(r_free)
     for i in cluster.indices:
         v = pairs.vectors[:, i]
         out += (v @ Mr) * v
-    coeffs = np.zeros(space.is_dirichlet.size)
-    coeffs[space.free] = out
-    return FeFunction(space=space, coeffs=coeffs)
+    return from_free_vector(space, out)
 
 
 def _bary_lattice(order: int) -> np.ndarray:
@@ -187,7 +182,7 @@ def energy_error_sq(space: FeSpace, pair: SquareEigenpair,
     """
     A, _ = assemble(space)
     rf = r.coeffs[space.free]
-    return float(pair.lam - rf @ (A.matrix @ rf))
+    return float(pair.lam - rf @ (A @ rf))
 
 
 @dataclass
@@ -238,7 +233,7 @@ def reliability_efficiency_report(
     for level in range(levels):
         space = build_space(tri, degree)
         A, M = assemble(space)
-        lu = factorize_spd(A.matrix)
+        lu = factorize_spd(A)
         m = min(cluster.hi + 3, space.free.size)
         pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed, lu=lu)
         if pairs.m_converged < cluster.hi:

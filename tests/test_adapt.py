@@ -1,5 +1,6 @@
 """Adaptive loop driver, config grammar, history, and rate fitting tests."""
 
+import functools
 import json
 import math
 
@@ -21,7 +22,7 @@ from eigenadapt.adapt import (
 )
 from eigenadapt.errors import ConfigError
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import MarkSet
+from eigenadapt.mesh import MarkSet, Triangulation
 
 # frozen reference decay of the pointwise estimator on the L-shape run
 # (levels 0, 4, 8, 12, 16): dof counts and global estimator values
@@ -282,3 +283,26 @@ def test_tip_min_h_recorded_on_slit_domain():
     first = hist.tip_min_h[0]
     # the slit tips only ever get finer
     assert all(f <= i for f, i in zip(final, first))
+
+
+def test_edge_data_built_once_per_mesh(monkeypatch):
+    built = {name: [] for name in ("edges", "edge_normals", "edge_lengths",
+                                   "neighbor_corners")}
+    for name, calls in built.items():
+        def counted(self, orig=Triangulation.__dict__[name].func, calls=calls):
+            calls.append(self)
+            return orig(self)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Triangulation, name)
+        monkeypatch.setattr(Triangulation, name, prop)
+    # both estimators on a 2-member cluster; P2 numbers its edge dofs with
+    # the same edge numbering that refinement uses
+    history = run(_small_config(degree=2, record_secondary_estimator=True,
+                                max_dof=1500))
+    levels = len(history.rows)
+    assert levels >= 3
+    for name, calls in built.items():
+        # the list holds every mesh, so distinct meshes have distinct ids
+        assert len({id(t) for t in calls}) == len(calls), name
+    for name in ("edge_normals", "edge_lengths", "neighbor_corners"):
+        assert len(built[name]) == levels, name

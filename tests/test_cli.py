@@ -128,6 +128,26 @@ def test_rate_on_written_history(tmp_path, capsys):
     assert slope < -0.5
 
 
+def test_rate_prints_the_fit_rate_slope(tmp_path, capsys):
+    from eigenadapt.adapt import AdaptConfig, fit_rate
+    from eigenadapt.cli import execute_run
+
+    config = AdaptConfig(domain="unit_square", n=8, cluster_lo=1,
+                         cluster_hi=2, max_dof=2000)
+    history = execute_run(config, tmp_path / "run")
+    assert len(history.rows) >= 5
+    hist = str(tmp_path / "run" / "history.csv")
+    cases = [(["--min-dof", "100"], {"min_dof": 100}),
+             (["--from-level", "1", "--to-level", "4"], {"window": (1, 4)}),
+             (["--from-level", "2"], {"window": (2, None)})]
+    for flags, kw in cases:
+        capsys.readouterr()
+        assert main(["rate", "--history", hist, "--field", "pointwise",
+                     *flags]) == 0
+        printed = capsys.readouterr().out.split("slope")[1].split()[0]
+        assert printed == f"{fit_rate(history, 'pointwise', **kw):+.4f}"
+
+
 def test_rate_rejects_short_history(tmp_path, capsys):
     hist = tmp_path / "history.csv"
     hist.write_text(

@@ -1,11 +1,12 @@
 """Pointwise and energy estimator tests: hand values, golden values, oracles."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from eigenadapt.eigen import ClusterSelection
+from eigenadapt.eigen import ClusterSelection, solve_smallest
 from eigenadapt.errors import MeshError
 from eigenadapt.estimator import (
     eta_energy,
@@ -16,6 +17,7 @@ from eigenadapt.estimator import (
 )
 from eigenadapt.fem import (
     FeFunction,
+    assemble,
     build_space,
     element_laplacians,
     evaluate_gradient,
@@ -281,3 +283,97 @@ def test_report_csv_roundtrip(tmp_path, square_p2):
     np.testing.assert_allclose(data["eta_elem_part"], rep.elem_part, rtol=1e-15)
     np.testing.assert_allclose(data["eta_jump_part"], rep.jump_part, rtol=1e-15)
     np.testing.assert_allclose(data["h"], space.tri.h, rtol=1e-15)
+
+
+def _report_digest(rep):
+    """Digest of eta, elem_part and jump_part at 12 significant digits."""
+    text = ";".join(",".join(f"{v:.11e}" for v in arr)
+                    for arr in (rep.eta, rep.elem_part, rep.jump_part))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _estimator_digests():
+    """Report digests over domains, degrees, estimators and cluster sizes,
+    for solved eigenpairs and for random coefficient blocks."""
+    out = {}
+    rng = np.random.default_rng(7)
+    estimators = (("pointwise", eta_pointwise, eta_pointwise_functions),
+                  ("energy", eta_energy, eta_energy_functions))
+    for domain in ("omega1", "omega2"):
+        tri = initial_mesh(builtin_domain(domain), 8)
+        for degree in (1, 2):
+            space = build_space(tri, degree)
+            A, M = assemble(space)
+            pairs = solve_smallest(A, M, 4, seed=0)
+            lams = rng.uniform(1.0, 50.0, 3)
+            coeffs = rng.standard_normal((3, space.n_dofs))
+            for lo, hi in ((1, 1), (2, 3), (1, 3)):
+                clu = ClusterSelection(lo, hi)
+                for name, solved, given in estimators:
+                    key = f"{domain}_p{degree}_{name}_{lo}{hi}"
+                    out[key + "_solved"] = _report_digest(
+                        solved(space, pairs, clu))
+                    out[key + "_random"] = _report_digest(
+                        given(space, lams[:clu.size], list(coeffs[:clu.size])))
+    return out
+
+
+# Recorded with the estimator this package had before it moved onto fem's
+# block evaluation (per-member loops and its own gradient, Laplacian and
+# shape-function code); the reports must not change.  The "_solved" entries
+# also hold the eigensolver's last digits, so another BLAS or SuperLU build
+# may move them without any estimator change.
+RECORDED_ESTIMATOR_DIGESTS = {
+    "omega1_p1_pointwise_11_solved": "2f5abc2ad78ad984",
+    "omega1_p1_pointwise_11_random": "47fada85c8481ca6",
+    "omega1_p1_energy_11_solved": "e3842651dac279e9",
+    "omega1_p1_energy_11_random": "1950e9a0a80173b8",
+    "omega1_p1_pointwise_23_solved": "c1aad76dd4291807",
+    "omega1_p1_pointwise_23_random": "5e626e5f02874872",
+    "omega1_p1_energy_23_solved": "71eb0eb508ceab79",
+    "omega1_p1_energy_23_random": "29854430c3fb0440",
+    "omega1_p1_pointwise_13_solved": "7447eb724821ef58",
+    "omega1_p1_pointwise_13_random": "6736e9e3bbc2e8e9",
+    "omega1_p1_energy_13_solved": "0ea116636f53b1e2",
+    "omega1_p1_energy_13_random": "f2b018c4437c5ab0",
+    "omega1_p2_pointwise_11_solved": "01a127dc9eedb56a",
+    "omega1_p2_pointwise_11_random": "5c80c745e2c593b7",
+    "omega1_p2_energy_11_solved": "fa9924b28266ab32",
+    "omega1_p2_energy_11_random": "9a6ff762bce0aa16",
+    "omega1_p2_pointwise_23_solved": "970005ba45e71e72",
+    "omega1_p2_pointwise_23_random": "7f19dc8dfac048fe",
+    "omega1_p2_energy_23_solved": "5728e7c4f1069e99",
+    "omega1_p2_energy_23_random": "f523a1903e9d7c85",
+    "omega1_p2_pointwise_13_solved": "cf9cccc17097da2d",
+    "omega1_p2_pointwise_13_random": "16773c943ecc6c2d",
+    "omega1_p2_energy_13_solved": "64caf374f63affe9",
+    "omega1_p2_energy_13_random": "7dcc03926859249e",
+    "omega2_p1_pointwise_11_solved": "ef28495064eeca63",
+    "omega2_p1_pointwise_11_random": "64235ec76866c52d",
+    "omega2_p1_energy_11_solved": "757e8ceb76e13d8d",
+    "omega2_p1_energy_11_random": "f908c659eb30a97c",
+    "omega2_p1_pointwise_23_solved": "ea8895bb334160c4",
+    "omega2_p1_pointwise_23_random": "90db780ff967d1bd",
+    "omega2_p1_energy_23_solved": "2b356dde9f8873c3",
+    "omega2_p1_energy_23_random": "e60649ec150b3ed9",
+    "omega2_p1_pointwise_13_solved": "a4efb5f15c070596",
+    "omega2_p1_pointwise_13_random": "456831cc21b5c0c9",
+    "omega2_p1_energy_13_solved": "d86c33660f0ac4f0",
+    "omega2_p1_energy_13_random": "6b570102c2794024",
+    "omega2_p2_pointwise_11_solved": "9b6567eed312b50d",
+    "omega2_p2_pointwise_11_random": "1956536a49f013d6",
+    "omega2_p2_energy_11_solved": "82346f3c5b231b97",
+    "omega2_p2_energy_11_random": "94212ea351a2cf91",
+    "omega2_p2_pointwise_23_solved": "f4c8af33734fd0d3",
+    "omega2_p2_pointwise_23_random": "4566dc95b56050ad",
+    "omega2_p2_energy_23_solved": "7b5e6a3acce41bc5",
+    "omega2_p2_energy_23_random": "f7be8097dedb6a6b",
+    "omega2_p2_pointwise_13_solved": "297351c9be68ab62",
+    "omega2_p2_pointwise_13_random": "5363ec0dd9399799",
+    "omega2_p2_energy_13_solved": "ca23a47889eed668",
+    "omega2_p2_energy_13_random": "85d13b19b59b5d81",
+}
+
+
+def test_estimators_match_recorded_digests():
+    assert _estimator_digests() == RECORDED_ESTIMATOR_DIGESTS

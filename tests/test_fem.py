@@ -17,6 +17,7 @@ from eigenadapt.fem import (
     local_matrices,
     shape_values,
     values_at_bary,
+    write_matrix_market,
 )
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import Triangulation, assign_refinement_edges
@@ -73,16 +74,16 @@ def test_quadratic_form_exactness_p1():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 4), 1)
     A, M = assemble(space, constrained=False)
     u = FeFunction(space, space.dof_coords[:, 0].copy())
-    np.testing.assert_allclose(u.coeffs @ A.matvec(u.coeffs), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(u.coeffs @ M.matvec(u.coeffs), 1.0 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 3.0, rtol=1e-14)
 
 
 def test_quadratic_form_exactness_p2():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
     A, M = assemble(space, constrained=False)
     u = FeFunction(space, space.dof_coords[:, 0] ** 2)
-    np.testing.assert_allclose(u.coeffs @ A.matvec(u.coeffs), 4.0 / 3.0, rtol=1e-14)
-    np.testing.assert_allclose(u.coeffs @ M.matvec(u.coeffs), 1.0 / 5.0, rtol=1e-14)
+    np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 4.0 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 5.0, rtol=1e-14)
 
 
 def test_patch_test_linear():
@@ -90,7 +91,7 @@ def test_patch_test_linear():
     space = build_space(initial_mesh(builtin_domain("omega1"), 4), 1)
     A, _ = assemble(space, constrained=False)
     c = 2.0 * space.dof_coords[:, 0] - 3.0 * space.dof_coords[:, 1] + 1.0
-    resid = A.matvec(c)
+    resid = A @ c
     np.testing.assert_allclose(resid[space.free], 0.0, atol=1e-13)
 
 
@@ -197,6 +198,35 @@ def test_matrix_market_export(tmp_path):
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 1)
     A, _ = assemble(space)
     path = tmp_path / "stiffness.mtx"
-    A.write_matrix_market(path)
+    write_matrix_market(A, path)
     back = scipy.io.mmread(path)
     np.testing.assert_allclose(back.toarray(), A.toarray(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_block_evaluation_matches_single_vectors(degree):
+    space = build_space(initial_mesh(builtin_domain("omega2"), 4), degree)
+    block = np.random.default_rng(3).standard_normal((space.n_dofs, 3))
+    cg = corner_gradients(FeFunction(space, block))
+    lap = element_laplacians(FeFunction(space, block))
+    assert cg.shape == (space.tri.n_elements, 3, 2, 3)
+    for k in range(3):
+        single = FeFunction(space, block[:, k].copy())
+        np.testing.assert_array_equal(cg[..., k], corner_gradients(single))
+        np.testing.assert_array_equal(lap[:, k], element_laplacians(single))
+    full = from_free_vector(space, block[space.free])
+    np.testing.assert_array_equal(full.coeffs[space.free], block[space.free])
+    assert np.all(full.coeffs[space.is_dirichlet] == 0.0)
+
+
+def test_p2_edge_dofs_in_sorted_vertex_pair_order():
+    space = build_space(initial_mesh(builtin_domain("omega2"), 4), 2)
+    tris = space.tri.tris
+    pairs = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    nv = space.tri.n_vertices
+    np.testing.assert_array_equal(space.elem_dofs[:, 3:],
+                                  nv + inverse.reshape(-1, 3))
+    np.testing.assert_array_equal(
+        space.dof_coords[nv:], 0.5 * (space.tri.coords[uniq[:, 0]]
+                                      + space.tri.coords[uniq[:, 1]]))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigenadapt.estimator import EstimatorReport
 from eigenadapt.marking import mark_doerfler, mark_max
@@ -84,6 +84,18 @@ def test_doerfler_value_bulk_broader_on_flat_input():
     assert set(sq.elements) <= set(val.elements)
 
 
+@pytest.mark.parametrize("bulk", ["squared", "value"])
+def test_doerfler_independent_of_eta_scale(bulk):
+    eta = np.array([4.0, 3.0, 2.0, 1.0, 0.5])
+    base = mark_doerfler(_report(eta), 0.5, bulk=bulk).elements
+    assert len(base) >= 1
+    for s in (1e-170, 1e160):
+        with np.errstate(over="ignore"):  # the report's eta_l2 overflows
+            rep = _report(eta * s)
+        np.testing.assert_array_equal(
+            mark_doerfler(rep, 0.5, bulk=bulk).elements, base)
+
+
 etas = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=40)
 
 
@@ -101,16 +113,19 @@ def test_max_monotone_in_theta(eta, t1, t2):
 
 @settings(max_examples=200, deadline=None)
 @given(etas, st.floats(0.01, 1.0), st.sampled_from(["squared", "value"]))
+# eta^2 underflows here, so raw squared masses give a zero target
+@example(eta=[3.8176439498489916e-162], theta=0.25, bulk="squared")
 def test_doerfler_bulk_and_minimality(eta, theta, bulk):
     rep = _report(eta)
     ms = mark_doerfler(rep, theta, bulk=bulk)
     vals = rep.eta
-    mass = vals ** 2 if bulk == "squared" else vals
-    frac = theta ** 2 if bulk == "squared" else theta
-    total = float(mass.sum())
-    if total == 0.0:
+    if vals.max() == 0.0:
         assert len(ms) == 0
         return
+    x = vals / vals.max()
+    mass = x ** 2 if bulk == "squared" else x
+    frac = theta ** 2 if bulk == "squared" else theta
+    total = float(mass.sum())
     got = float(mass[ms.elements].sum())
     target = frac * total
     assert got >= target - 1e-9 * total

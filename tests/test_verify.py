@@ -113,7 +113,7 @@ def test_cluster_project_identities(square_cluster, rng):
     twice = cluster_project(space, once, pairs, clu, M)
     np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-12)
     for outside in (0, 3):
-        comp = pairs.vectors[:, outside] @ (M.matrix @ once.coeffs[space.free])
+        comp = pairs.vectors[:, outside] @ (M @ once.coeffs[space.free])
         assert abs(comp) <= 1e-12
 
 
