@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import time
@@ -27,6 +28,8 @@ from .fem import assemble, build_space
 from .geometry import initial_mesh, resolve_domain, slit_tips
 from .marking import mark_doerfler, mark_max
 from .mesh import REFINE_STRATEGIES, MarkSet, Triangulation, refine
+
+log = logging.getLogger(__name__)
 
 ESTIMATOR_KINDS = ("pointwise", "energy")
 MARKING_KINDS = ("max", "doerfler")
@@ -205,6 +208,14 @@ def refine_marked(tri: Triangulation, marked: MarkSet, strategy: str,
     return refine(cur, MarkSet.from_iterable(kids), strategy=strategy)
 
 
+def _cluster_cuts_multiplicity(cluster: ClusterSelection,
+                              groups: list[list[int]]) -> bool:
+    """True when a group of numerically multiple eigenvalues (0-based
+    indices) lies partly inside and partly outside the cluster."""
+    return any(0 < sum(cluster.lo - 1 <= i < cluster.hi for i in g) < len(g)
+               for g in groups)
+
+
 def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
     """Smallest h among elements with a vertex within TIP_RADIUS of each tip."""
     out = []
@@ -319,6 +330,12 @@ def run(config: AdaptConfig) -> AdaptHistory:
     if pairs is not None and pairs.m_converged > cluster.hi:
         separation = separation_diagnostic(pairs, cluster)
         multiplicity = multiplicity_groups(pairs.values)
+        if _cluster_cuts_multiplicity(cluster, multiplicity):
+            log.warning(
+                "cluster %d..%d splits a numerically multiple eigenvalue "
+                "(1-based groups %s); the estimator depends on the basis "
+                "the solver returns inside it", cluster.lo, cluster.hi,
+                [[i + 1 for i in g] for g in multiplicity])
 
     return AdaptHistory(
         config=config, rows=rows, stop_reason=stop_reason, failure=failure,
@@ -446,6 +463,12 @@ def summary_dict(history: AdaptHistory) -> dict:
             "gap_above": sep.gap_above, "source": sep.source,
         },
         "multiplicity_groups": history.multiplicity,
+        "cluster_cuts_multiplicity": _cluster_cuts_multiplicity(
+            ClusterSelection(history.config.cluster_lo,
+                             history.config.cluster_hi),
+            history.multiplicity),
+        "ndof_over_budget": (None if final is None
+                             else final.ndof - history.config.max_dof),
         "snapshot_levels": [lv for lv, _ in history.snapshots],
         "tips": [
             {"x": float(t[0]), "y": float(t[1]),

@@ -4,10 +4,12 @@ The discrete problem is A v = lambda M v with A the Dirichlet-eliminated
 stiffness matrix (symmetric positive definite) and M the mass matrix.  The
 smallest eigenvalues are computed by shift-invert Lanczos at shift zero
 (ARPACK through scipy, with full reorthogonalization) started from a seeded
-deterministic vector.  The shift-invert operator applies one sparse LU of A
-from SuperLU in symmetric mode: minimum degree ordering on A + A^T and no
-pivoting, since A is SPD.  Tiny
-problems where the Lanczos basis cannot be built fall back to a dense
+deterministic vector.  The shift-invert operator applies one sparse LU of A:
+the dofs are pre-ordered by reverse Cuthill-McKee, then SuperLU factors in
+symmetric mode with minimum degree ordering on A + A^T and no pivoting,
+since A is SPD.  ARPACK stops at a Ritz accuracy of ``_LANCZOS_TOL_MARGIN``
+times the residual tolerance the solve accepts, not at machine precision.
+Tiny problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
 first nonzero coefficient is positive.
 """
@@ -24,6 +26,8 @@ from .errors import SolverError
 
 _ORTHO_TOL = 1e-10
 _SIGN_EPS = 1e-12
+# ARPACK's Ritz tolerance as a fraction of the accepted relative residual
+_LANCZOS_TOL_MARGIN = 1e-3
 
 
 @dataclass
@@ -103,28 +107,55 @@ def _m_orthonormalize(vectors: np.ndarray, M) -> None:
         v /= nrm
 
 
-def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
+@dataclass(frozen=True)
+class SpdFactor:
+    """SuperLU factor of A[perm][:, perm]; ``solve`` works in A's numbering."""
+
+    lu: scipy.sparse.linalg.SuperLU
+    perm: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for a vector or an (n, k) block."""
+        x = np.empty_like(b, dtype=np.float64)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
+
+
+def factorize_spd(A) -> SpdFactor:
     """Sparse LU of an SPD matrix for repeated solves.
 
-    SuperLU runs in symmetric mode with minimum degree ordering on A + A^T
-    and a pivot threshold of zero, so every nonzero diagonal entry is taken
-    as the pivot: an SPD matrix is factored without row interchanges.  An
-    exactly singular matrix raises SolverError.
+    The unknowns are first renumbered by reverse Cuthill-McKee: minimum
+    degree alone factors and solves several times slower on some numberings
+    at equal fill, because its tie-breaking follows the input order.
+    SuperLU then runs in symmetric mode with minimum degree ordering on
+    A + A^T and a pivot threshold of zero, so every nonzero diagonal entry
+    is taken as the pivot: an SPD matrix is factored without row
+    interchanges.  An exactly singular matrix raises SolverError.
     """
+    # csgraph takes ~15 ms to import; only the solve phase pays for it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    Acsr = A.tocsr()
+    perm = reverse_cuthill_mckee(Acsr, symmetric_mode=True)
     try:
-        return scipy.sparse.linalg.splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(
+            Acsr[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
+    return SpdFactor(lu, perm)
 
 
 def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
                    lu=None) -> EigenPairSet:
     """Compute the m smallest eigenpairs of A v = lambda M v.
 
-    A^-1 is applied through ``factorize_spd``: symmetric-mode SuperLU,
-    minimum degree on A + A^T, no pivoting because A is SPD.
+    A^-1 is applied through ``factorize_spd``: reverse Cuthill-McKee
+    pre-order, then symmetric-mode SuperLU with minimum degree on A + A^T
+    and no pivoting because A is SPD.  ARPACK stops once its Ritz values
+    are accurate to ``_LANCZOS_TOL_MARGIN * tol`` relative, which leaves the
+    residuals far below ``tol``; the residuals are then recomputed, and any
+    one above ``tol`` raises SolverError.
 
     Parameters
     ----------
@@ -136,7 +167,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         Acceptance threshold for the relative residuals.
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
-    lu : SuperLU, optional
+    lu : SpdFactor, optional
         ``factorize_spd`` factor of A to reuse; factored here when omitted.
     """
     Amat = A.tocsc()
@@ -158,7 +189,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         try:
             values, vectors = scipy.sparse.linalg.eigsh(
                 Amat, k=m, M=Mmat, sigma=0.0, which="LM", OPinv=OPinv,
-                v0=v0, maxiter=max(50 * m, 100))
+                v0=v0, maxiter=max(50 * m, 100), tol=_LANCZOS_TOL_MARGIN * tol)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise SolverError(
                 f"Lanczos failed to converge for {m} pairs on dimension {n}: "

@@ -22,6 +22,7 @@ properties of the mesh.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -128,6 +129,20 @@ def _jump_endpoint_values(tri: Triangulation, cg: np.ndarray) -> np.ndarray:
     return jumps
 
 
+def _unit_scaled(coeff_list) -> tuple[np.ndarray, float]:
+    """The (ndof, k) coefficient block divided by a power of two that brings
+    its largest modulus into [1, 2), and that power.
+
+    Both estimators square quantities linear in the coefficients; on the
+    scaled block those squares neither overflow nor underflow, and since
+    the scale is a power of two every result scales back exactly.
+    """
+    coeffs = np.stack(coeff_list, axis=1)
+    exponent = int(np.frexp(np.max(np.abs(coeffs), initial=0.0))[1])
+    scale = math.ldexp(1.0, exponent - 1)
+    return coeffs / scale, scale
+
+
 def _check_cluster(pairs: EigenPairSet, cluster: ClusterSelection) -> None:
     if cluster.hi > pairs.m_converged:
         raise ValueError(
@@ -144,7 +159,8 @@ def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
     (k, ndof) array.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
-    f = FeFunction(space, np.stack(coeff_list, axis=1))     # (ndof, k)
+    coeffs, scale = _unit_scaled(coeff_list)
+    f = FeFunction(space, coeffs)                           # (ndof, k)
     cg = corner_gradients(f)
     h = space.tri.h
     if space.degree == 1:
@@ -157,9 +173,10 @@ def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
     jump_part = h * jump_sum
     eta = elem_part + jump_part
     return EstimatorReport(
-        kind="pointwise", eta=eta, elem_part=elem_part, jump_part=jump_part,
-        eta_max=float(eta.max()), eta_l2=float(np.sqrt(np.sum(eta * eta))),
-        cluster=cluster, degree=space.degree)
+        kind="pointwise", eta=eta * scale, elem_part=elem_part * scale,
+        jump_part=jump_part * scale, eta_max=float(eta.max()) * scale,
+        eta_l2=float(np.sqrt(np.sum(eta * eta))) * scale, cluster=cluster,
+        degree=space.degree)
 
 
 def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
@@ -171,7 +188,8 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
     (k, ndof) array.
     """
     lam = np.asarray(lambdas, dtype=np.float64)
-    f = FeFunction(space, np.stack(coeff_list, axis=1))     # (ndof, k)
+    coeffs, scale = _unit_scaled(coeff_list)
+    f = FeFunction(space, coeffs)                           # (ndof, k)
     h = space.tri.h
     c = f.coeffs[space.elem_dofs]
     ref = _M1_REF if space.degree == 1 else _M2_REF
@@ -189,9 +207,9 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
     eta_sq = elem_sq + jump_sq
     eta = np.sqrt(eta_sq)
     return EstimatorReport(
-        kind="energy", eta=eta, elem_part=np.sqrt(elem_sq),
-        jump_part=np.sqrt(jump_sq), eta_max=float(eta.max()),
-        eta_l2=float(np.sqrt(np.sum(eta_sq))), cluster=cluster,
+        kind="energy", eta=eta * scale, elem_part=np.sqrt(elem_sq) * scale,
+        jump_part=np.sqrt(jump_sq) * scale, eta_max=float(eta.max()) * scale,
+        eta_l2=float(np.sqrt(np.sum(eta_sq))) * scale, cluster=cluster,
         degree=space.degree)
 
 

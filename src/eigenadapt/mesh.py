@@ -41,8 +41,6 @@ REFINE_STRATEGIES = ("nvb", "bisec_lg1")
 # grading bound enforced by the bisec_lg1 strategy
 MAX_ADJACENT_GEN_DIFF = 2
 
-_GRADING_PASS_CAP = 100000
-
 
 @dataclass(frozen=True)
 class MarkSet:
@@ -300,6 +298,13 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triang
     that bisects every marked triangle.  For ``bisec_lg1`` the same step runs
     again on the triangles with an edge neighbor more than
     ``MAX_ADJACENT_GEN_DIFF`` generations finer, until there are none.
+    Grading lifts coarse triangles toward their finer neighbors, so it has
+    no need to refine past the finest generation it started from; on
+    generations that no bisection history produces, the conformity closure
+    can refine the fine side instead, without end.  So MeshError("grading
+    closure failed to terminate") is raised as soon as a pass makes the
+    finest generation more than ``MAX_ADJACENT_GEN_DIFF`` finer than at the
+    start of the closure; with generations bounded, the closure always ends.
     The input mesh is left untouched, and the result depends only on the
     marked set, not on its order.
     """
@@ -311,15 +316,17 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triang
     out = _bisect(tri, elems)
     if strategy == "nvb":
         return out
-    for _pass in range(_GRADING_PASS_CAP):
+    gen_cap = int(out.gen.max(initial=0)) + MAX_ADJACENT_GEN_DIFF
+    while True:
         nb = out.neighbors
         finer = (nb >= 0) & (out.gen[nb] - out.gen[:, None] > MAX_ADJACENT_GEN_DIFF)
         coarse = np.nonzero(finer.any(axis=1))[0]
         if coarse.size == 0:
             return out
         step = _bisect(out, coarse)
+        if step.gen.max() > gen_cap:
+            raise MeshError("grading closure failed to terminate")
         out = replace(step, parent=out.parent[step.parent])
-    raise MeshError("grading closure failed to terminate")
 
 
 def uniform_refine(tri: Triangulation) -> Triangulation:

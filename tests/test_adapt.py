@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenadapt import adapt
 from eigenadapt.adapt import (
     AdaptConfig,
     AdaptHistory,
@@ -249,6 +250,34 @@ def test_summary_json(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json(hist, path)
     assert json.loads(path.read_text()) == json.loads(text)
+
+
+def test_summary_flags_cluster_cutting_a_multiple_eigenvalue(caplog,
+                                                            monkeypatch):
+    # refining for cluster 1..3 keeps 5 pi^2 numerically double on the
+    # square: the pair (lambda_2, lambda_3) lies whole inside the cluster
+    with caplog.at_level("WARNING", logger="eigenadapt.adapt"):
+        whole = run(_small_config(cluster_hi=3))
+    assert whole.multiplicity == [[1, 2]]
+    assert summary_dict(whole)["cluster_cuts_multiplicity"] is False
+    assert caplog.text == ""
+    # cluster 1..2 with the same final pair would cut it
+    monkeypatch.setattr(adapt, "multiplicity_groups", lambda values: [[1, 2]])
+    with caplog.at_level("WARNING", logger="eigenadapt.adapt"):
+        cut = run(_small_config())
+    assert summary_dict(cut)["cluster_cuts_multiplicity"] is True
+    assert "cluster 1..2 splits a numerically multiple eigenvalue" in caplog.text
+    assert "[[2, 3]]" in caplog.text
+
+
+def test_summary_reports_dof_overshoot():
+    hist = run(_small_config())
+    summary = summary_dict(hist)
+    assert hist.stop_reason == "max_dof"
+    assert summary["ndof_over_budget"] == hist.rows[-1].ndof - 300
+    assert summary["ndof_over_budget"] >= 0
+    below = summary_dict(run(_small_config(eta_target=1e9)))
+    assert below["ndof_over_budget"] == below["final"]["ndof"] - 300 < 0
 
 
 def test_snapshots_thin_out():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from eigenadapt.eigen import (
     ClusterSelection,
     EigenPairSet,
+    factorize_spd,
     multiplicity_groups,
     separation_diagnostic,
     solve_smallest,
@@ -66,6 +68,34 @@ def test_singular_stiffness_is_a_solver_error():
     M = scipy.sparse.identity(40, format="csr")
     with pytest.raises(SolverError, match="factorization failed"):
         solve_smallest(A, M, 3)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_factor_solves_in_callers_numbering(lshape_mesh, degree):
+    A, _ = assemble(build_space(lshape_mesh, degree))
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((A.shape[0], 3))
+    factor = factorize_spd(A)
+    for rhs in (b[:, 0], b):
+        ref = scipy.sparse.linalg.spsolve(A.tocsc(), rhs)
+        x = factor.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain, n, degree, m", [
+    ("omega1", 8, 1, 16), ("unit_square", 4, 2, 5), ("omega2", 8, 1, 6)],
+    ids=["lshape_p1", "square_p2", "omega2_pair"])
+def test_default_tolerance_reaches_roundoff(domain, n, degree, m):
+    # ARPACK stops at a fraction of eig_tol; what it returns must still be
+    # accurate to roundoff, not merely to eig_tol
+    tri = initial_mesh(builtin_domain(domain), n)
+    A, M = assemble(build_space(tri, degree))
+    pairs = solve_smallest(A, M, m)
+    dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                              subset_by_index=[0, m - 1])
+    assert np.all(pairs.residuals <= 1e-14)
+    np.testing.assert_allclose(pairs.values, dense, rtol=1e-12, atol=0.0)
 
 
 def test_orthonormality_residuals_and_order(lshape_p1):

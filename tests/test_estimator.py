@@ -273,6 +273,23 @@ def test_slit_edges_carry_no_jump(rng):
     assert np.any(touches_twin & ~allowed)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("estimator", [eta_pointwise_functions,
+                                       eta_energy_functions])
+def test_global_norms_scale_without_overflow(degree, estimator):
+    # both estimators are linear in the coefficients; squaring them must not
+    # overflow at 1e160 or underflow at 1e-170
+    space = build_space(initial_mesh(builtin_domain("unit_square"), 2), degree)
+    c = np.random.default_rng(3).standard_normal((2, space.n_dofs))
+    base = estimator(space, [20.0, 50.0], c)
+    for s in (1e-170, 1.0, 1e160):
+        rep = estimator(space, [20.0, 50.0], s * c)
+        for name in ("eta_l2", "eta_max"):
+            assert abs(getattr(rep, name) - s * getattr(base, name)) \
+                <= 1e-14 * s * getattr(base, name)
+        np.testing.assert_allclose(rep.eta, s * base.eta, rtol=1e-14, atol=0.0)
+
+
 def test_report_csv_roundtrip(tmp_path, square_p2):
     space, pairs = square_p2
     rep = eta_pointwise(space, pairs, ClusterSelection(1, 1))
@@ -322,7 +339,10 @@ def _estimator_digests():
 # block evaluation (per-member loops and its own gradient, Laplacian and
 # shape-function code); the reports must not change.  The "_solved" entries
 # also hold the eigensolver's last digits, so another BLAS or SuperLU build
-# may move them without any estimator change.
+# may move them without any estimator change; 13 of them were re-recorded
+# when the factorization gained its reverse Cuthill-McKee pre-order and
+# Lanczos its residual-derived stopping tolerance (eigenvalues moved by at
+# most 1.6e-15 relative, eta by at most 5.8e-13 of its maximum).
 RECORDED_ESTIMATOR_DIGESTS = {
     "omega1_p1_pointwise_11_solved": "2f5abc2ad78ad984",
     "omega1_p1_pointwise_11_random": "47fada85c8481ca6",
@@ -336,11 +356,11 @@ RECORDED_ESTIMATOR_DIGESTS = {
     "omega1_p1_pointwise_13_random": "6736e9e3bbc2e8e9",
     "omega1_p1_energy_13_solved": "0ea116636f53b1e2",
     "omega1_p1_energy_13_random": "f2b018c4437c5ab0",
-    "omega1_p2_pointwise_11_solved": "01a127dc9eedb56a",
+    "omega1_p2_pointwise_11_solved": "1de423290ba9d387",
     "omega1_p2_pointwise_11_random": "5c80c745e2c593b7",
-    "omega1_p2_energy_11_solved": "fa9924b28266ab32",
+    "omega1_p2_energy_11_solved": "ee413dcaaac832f7",
     "omega1_p2_energy_11_random": "9a6ff762bce0aa16",
-    "omega1_p2_pointwise_23_solved": "970005ba45e71e72",
+    "omega1_p2_pointwise_23_solved": "4efbdbf0d7208787",
     "omega1_p2_pointwise_23_random": "7f19dc8dfac048fe",
     "omega1_p2_energy_23_solved": "5728e7c4f1069e99",
     "omega1_p2_energy_23_random": "f523a1903e9d7c85",
@@ -348,29 +368,29 @@ RECORDED_ESTIMATOR_DIGESTS = {
     "omega1_p2_pointwise_13_random": "16773c943ecc6c2d",
     "omega1_p2_energy_13_solved": "64caf374f63affe9",
     "omega1_p2_energy_13_random": "7dcc03926859249e",
-    "omega2_p1_pointwise_11_solved": "ef28495064eeca63",
+    "omega2_p1_pointwise_11_solved": "7f3e845846c4188a",
     "omega2_p1_pointwise_11_random": "64235ec76866c52d",
     "omega2_p1_energy_11_solved": "757e8ceb76e13d8d",
     "omega2_p1_energy_11_random": "f908c659eb30a97c",
-    "omega2_p1_pointwise_23_solved": "ea8895bb334160c4",
+    "omega2_p1_pointwise_23_solved": "569115b631de7ff7",
     "omega2_p1_pointwise_23_random": "90db780ff967d1bd",
     "omega2_p1_energy_23_solved": "2b356dde9f8873c3",
     "omega2_p1_energy_23_random": "e60649ec150b3ed9",
-    "omega2_p1_pointwise_13_solved": "a4efb5f15c070596",
+    "omega2_p1_pointwise_13_solved": "386ecf66f33c586e",
     "omega2_p1_pointwise_13_random": "456831cc21b5c0c9",
-    "omega2_p1_energy_13_solved": "d86c33660f0ac4f0",
+    "omega2_p1_energy_13_solved": "ea84a68d06eb2cc4",
     "omega2_p1_energy_13_random": "6b570102c2794024",
-    "omega2_p2_pointwise_11_solved": "9b6567eed312b50d",
+    "omega2_p2_pointwise_11_solved": "07681663655ff8ea",
     "omega2_p2_pointwise_11_random": "1956536a49f013d6",
-    "omega2_p2_energy_11_solved": "82346f3c5b231b97",
+    "omega2_p2_energy_11_solved": "e3043c5ddc03df11",
     "omega2_p2_energy_11_random": "94212ea351a2cf91",
-    "omega2_p2_pointwise_23_solved": "f4c8af33734fd0d3",
+    "omega2_p2_pointwise_23_solved": "54d83390dadd4bb6",
     "omega2_p2_pointwise_23_random": "4566dc95b56050ad",
-    "omega2_p2_energy_23_solved": "7b5e6a3acce41bc5",
+    "omega2_p2_energy_23_solved": "e0dbb221d2940b31",
     "omega2_p2_energy_23_random": "f7be8097dedb6a6b",
-    "omega2_p2_pointwise_13_solved": "297351c9be68ab62",
+    "omega2_p2_pointwise_13_solved": "11687b1ee0c66184",
     "omega2_p2_pointwise_13_random": "5363ec0dd9399799",
-    "omega2_p2_energy_13_solved": "ca23a47889eed668",
+    "omega2_p2_energy_13_solved": "5a06edcca0312717",
     "omega2_p2_energy_13_random": "85d13b19b59b5d81",
 }
 

@@ -2,12 +2,19 @@
 
 import dataclasses
 import hashlib
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
+import eigenadapt
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import (
     MarkSet,
@@ -293,6 +300,47 @@ def _delaunay_square(seed, n_interior):
     tri = Triangulation.from_arrays(pts, tris)
     # fix the root numbering independently of the Delaunay library's order
     return Triangulation.from_arrays(pts, tris[_canonical_order(tri)])
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_grading_closure_runaway_raises_fast():
+    # Generations 3 left of x = 0.5 and 0 to its right are not NVB
+    # generations: grading the coarse side makes the conformity closure
+    # bisect the fine side, without end.  The child runs under a 1 GiB
+    # address-space limit, so a closure that runs away fails in seconds
+    # with MemoryError instead of exhausting the machine.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        sys.path.insert(0, sys.argv[1])
+        from test_mesh import _delaunay_square
+        from eigenadapt.mesh import MarkSet, MeshError, Triangulation, refine
+        tri = _delaunay_square(5, 60)
+        left = tri.coords[tri.tris].mean(axis=1)[:, 0] < 0.5
+        tri = Triangulation.from_arrays(tri.coords, tri.tris,
+                                        gen=np.where(left, 3, 0))
+        try:
+            out = refine(tri, MarkSet.from_iterable([]), "bisec_lg1")
+            print("terminated", out.n_elements)
+        except MeshError as exc:
+            print("MeshError", exc)
+    """)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(pathlib.Path(eigenadapt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    here = str(pathlib.Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", code, here], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == \
+        "MeshError grading closure failed to terminate"
 
 
 def _recorded_refine_digests():
