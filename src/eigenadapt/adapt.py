@@ -92,6 +92,8 @@ class AdaptConfig:
             raise ConfigError(f"eta_target must be >= 0, got {self.eta_target}")
         if self.eig_tol <= 0.0:
             raise ConfigError(f"eig_tol must be > 0, got {self.eig_tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "AdaptConfig":

@@ -23,7 +23,6 @@ properties of the mesh.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -234,11 +233,3 @@ def eta_energy(space: FeSpace, pairs: EigenPairSet,
     lams, coeffs = _cluster_block(space, pairs, cluster)
     return eta_energy_functions(space, lams, coeffs, (cluster.lo, cluster.hi))
 
-
-def write_report_csv(report: EstimatorReport, h: np.ndarray, path: str | os.PathLike) -> None:
-    """Dump per-element estimator values as CSV."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("element,h,eta,eta_elem_part,eta_jump_part\n")
-        for t in range(report.eta.size):
-            f.write(f"{t},{h[t]:.17g},{report.eta[t]:.17g},"
-                    f"{report.elem_part[t]:.17g},{report.jump_part[t]:.17g}\n")

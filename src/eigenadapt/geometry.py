@@ -7,9 +7,14 @@ that run along lattice lines are realized by duplicating the mesh vertices
 strictly inside the slit, one copy per side, so the two sides are decoupled
 topologically while the slit tip stays a single shared vertex.
 
-All geometric predicates used during construction (point in polygon, point
-on segment, lattice membership) are evaluated in exact rational arithmetic;
-floating point enters only through the final coordinate arrays.
+Construction is whole-array work on the integer lattice.  Because polygon
+edges and slits are axis-aligned, every predicate it needs is exact without
+rational arithmetic: the point-in-polygon test of a square center is an
+integer test in units of half a spacing, and "on a segment" is a bounding
+box test, i.e. float comparisons, which never round.  Node coordinates are
+i / n, a correctly rounded quotient.  Exact fractions remain only where
+outside input is checked: in ``validate_domain`` and in deciding whether a
+given polygon vertex or slit endpoint lies on the 1/n lattice.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeometryError
-from .mesh import Triangulation, assign_refinement_edges
+from .mesh import Triangulation, _edge_keys, assign_refinement_edges, triangle_areas
 
 BUILTIN_DOMAINS = ("omega1", "omega2", "omega3", "unit_square")
 
@@ -165,15 +170,35 @@ def validate_domain(spec: DomainSpec) -> None:
                 raise GeometryError(f"slits {si} and {sj} intersect")
 
 
+def _on_segments(pts, segs) -> np.ndarray:
+    """(m, k) flags: point i lies on the closed axis-aligned segment j.
+
+    Such a segment is its own bounding box, so the test is four float
+    comparisons, which are exact."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 1, 2)
+    segs = np.asarray(segs, dtype=np.float64).reshape(1, -1, 2, 2)
+    lo, hi = segs.min(axis=2), segs.max(axis=2)
+    return np.all((lo <= pts) & (pts <= hi), axis=2)
+
+
+def _polygon_edges(spec: DomainSpec) -> np.ndarray:
+    poly = np.asarray(spec.polygon, dtype=np.float64)
+    return np.stack([poly, np.roll(poly, -1, axis=0)], axis=1)
+
+
+def _lattice_index(p: Point, n: int) -> tuple[int, int] | None:
+    """Exact indices (i, j) with p == (i / n, j / n), or None off the lattice."""
+    q = [_fr(c) * n for c in p]
+    if any(c.denominator != 1 for c in q):
+        return None
+    return int(q[0]), int(q[1])
+
+
 def slit_tips(spec: DomainSpec) -> list[Point]:
     """Slit endpoints strictly inside the polygon (the singular tips)."""
-    poly = [(_fr(x), _fr(y)) for x, y in spec.polygon]
-    tips = []
-    for p, q in spec.slits:
-        for r in (p, q):
-            if not _on_polygon_boundary((_fr(r[0]), _fr(r[1])), poly):
-                tips.append(r)
-    return tips
+    ends = [r for slit in spec.slits for r in slit]
+    on = _on_segments(ends, _polygon_edges(spec)).any(axis=1)
+    return [r for r, b in zip(ends, on) if not b]
 
 
 def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
@@ -188,124 +213,95 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     if n < 1:
         raise GeometryError("n must be a positive integer")
     validate_domain(spec)
-    s = Fraction(1, n)
-    poly = [(_fr(x), _fr(y)) for x, y in spec.polygon]
-    for x, y in poly:
-        if (x / s).denominator != 1 or (y / s).denominator != 1:
-            raise GeometryError(f"polygon vertex ({x}, {y}) is not on the 1/{n} lattice")
+    ij = []
+    for x, y in spec.polygon:
+        idx = _lattice_index((x, y), n)
+        if idx is None:
+            raise GeometryError(
+                f"polygon vertex ({_fr(x)}, {_fr(y)}) is not on the 1/{n} lattice")
+        ij.append(idx)
+    ij = np.array(ij, dtype=np.int64)
+    (imin, jmin), (imax, jmax) = ij.min(axis=0), ij.max(axis=0)
 
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    imin, imax = int(min(xs) / s), int(max(xs) / s)
-    jmin, jmax = int(min(ys) / s), int(max(ys) / s)
-
-    squares = []
-    used = set()
-    half = Fraction(1, 2)
-    for j in range(jmin, jmax):
-        for i in range(imin, imax):
-            center = ((i + half) * s, (j + half) * s)
-            if _point_in_polygon(center, poly):
-                squares.append((i, j))
-                used.update([(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)])
-    if not squares:
+    # even-odd test of the square centers (2i + 1, 2j + 1) against the
+    # vertical polygon edges, in integer units of half a spacing
+    v0, v1 = 2 * ij, 2 * np.roll(ij, -1, axis=0)
+    vert = v0[:, 0] == v1[:, 0]
+    ex, ey0, ey1 = v0[vert, 0], v0[vert, 1], v1[vert, 1]
+    cx = 2 * np.arange(imin, imax) + 1
+    cy = 2 * np.arange(jmin, jmax) + 1
+    spans = (ey0 > cy[:, None]) != (ey1 > cy[:, None])       # (rows, edges)
+    right = ex > cx[:, None]                                # (cols, edges)
+    inside = (spans.astype(np.int64) @ right.T.astype(np.int64)) % 2 == 1
+    sj, si = np.nonzero(inside)
+    if si.size == 0:
         raise GeometryError("no lattice square lies inside the polygon")
 
-    nodes = sorted(used, key=lambda ij: (ij[1], ij[0]))
-    index = {ij: k for k, ij in enumerate(nodes)}
-    coords = np.array([[float(i * s), float(j * s)] for i, j in nodes])
-
-    tris = []
-    for i, j in squares:
-        a, b = index[(i, j)], index[(i + 1, j)]
-        c, d = index[(i + 1, j + 1)], index[(i, j + 1)]
-        tris.append([a, b, d])   # below the diagonal d-b
-        tris.append([b, c, d])   # above the diagonal d-b
-    tris = np.array(tris, dtype=np.int64)
+    # nodes numbered in (j, i) order; a square's corners a, b, c, d run
+    # counterclockwise from its lower left
+    width = imax - imin + 1
+    a = sj * width + si
+    corners = np.stack([a, a + 1, a + width + 1, a + width], axis=1)
+    nodes, local = np.unique(corners, return_inverse=True)
+    a, b, c, d = local.reshape(-1, 4).T
+    # below and above the diagonal d-b
+    tris = np.stack([a, b, d, b, c, d], axis=1).reshape(-1, 3)
+    coords = np.column_stack([(imin + nodes % width) / n,
+                              (jmin + nodes // width) / n])
 
     # snap off-lattice slit endpoints onto the nearest lattice node
-    moved = {}
-    for p, q in spec.slits:
-        for r in (p, q):
-            rf = (_fr(r[0]), _fr(r[1]))
-            if (rf[0] / s).denominator == 1 and (rf[1] / s).denominator == 1:
-                continue
-            d2 = np.sum((coords - np.asarray(r)) ** 2, axis=1)
-            k = int(np.argmin(d2))
-            if d2[k] >= float(s * s) / 4.0:
-                raise GeometryError(
-                    f"slit endpoint {r} is too far from the lattice to snap")
-            if k in moved and moved[k] != r:
-                raise GeometryError("two slit endpoints snap to the same node")
-            moved[k] = r
-            coords[k] = r
-    if moved:
-        from .mesh import triangle_areas
-
-        if np.any(triangle_areas(coords, tris) <= 0.0):
-            raise GeometryError("snapping a slit endpoint flipped a triangle")
+    moved = np.zeros(len(coords), dtype=bool)
+    for r in (r for slit in spec.slits for r in slit):
+        if _lattice_index(r, n) is not None:
+            continue
+        d2 = np.sum((coords - np.asarray(r)) ** 2, axis=1)
+        k = int(np.argmin(d2))
+        if d2[k] >= 1.0 / (n * n) / 4.0:
+            raise GeometryError(
+                f"slit endpoint {r} is too far from the lattice to snap")
+        if moved[k]:
+            raise GeometryError("two slit endpoints snap to the same node")
+        moved[k] = True
+        coords[k] = r
+    if moved.any() and np.any(triangle_areas(coords, tris) <= 0.0):
+        raise GeometryError("snapping a slit endpoint flipped a triangle")
 
     tris = assign_refinement_edges(coords, tris)
+    dirichlet = _on_segments(coords, _polygon_edges(spec)).any(axis=1)
 
-    # resolve slits: duplicate interior chain vertices, one copy per side
-    dirichlet = np.zeros(len(coords), dtype=bool)
-    for k, (x, y) in enumerate(coords):
-        if _on_polygon_boundary((_fr(x), _fr(y)), poly):
-            dirichlet[k] = True
-
-    incident: dict[int, list[int]] = {}
-    for t, tri in enumerate(tris):
-        for v in tri:
-            incident.setdefault(int(v), []).append(t)
-    edge_set = set()
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_set.add((min(a, b), max(a, b)))
-
-    coords_list = [tuple(c) for c in coords]
-    dirichlet_list = list(dirichlet)
-    tris = tris.copy()
-
+    # resolve slits: the chain of lattice vertices on a slit, in order along
+    # it, is made Dirichlet, and each vertex strictly inside the chain gets a
+    # copy that replaces it in the triangles on the slit's right-hand side
+    nv = len(coords)
+    edge_keys = _edge_keys(tris, nv)
     for p, q in spec.slits:
-        pf = np.asarray(p, dtype=np.float64)
-        qf = np.asarray(q, dtype=np.float64)
-        pq = (_fr(q[0]) - _fr(p[0]), _fr(q[1]) - _fr(p[1]))
-        chain = []
-        for k, (x, y) in enumerate(coords_list[:len(coords)]):
-            pv = (_fr(x) - _fr(p[0]), _fr(y) - _fr(p[1]))
-            if pq[0] * pv[1] - pq[1] * pv[0] != 0:
-                continue
-            dot = pq[0] * pv[0] + pq[1] * pv[1]
-            if 0 <= dot <= pq[0] * pq[0] + pq[1] * pq[1]:
-                chain.append((dot, k))
-        chain.sort()
-        verts = [k for _, k in chain]
-        if len(verts) < 3:
+        pf, qf = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+        chain = np.flatnonzero(_on_segments(coords[:nv], [(pf, qf)])[:, 0])
+        if chain.size < 3:
             raise GeometryError(
                 f"lattice too coarse to resolve slit {p}-{q}: "
                 "need at least one interior slit vertex")
-        for a, b in zip(verts[:-1], verts[1:]):
-            if (min(a, b), max(a, b)) not in edge_set:
-                raise GeometryError(f"slit {p}-{q} is not aligned with mesh edges")
-        for k in verts:
-            dirichlet_list[k] = True
+        # the slit is axis-aligned, so this key is the offset from p, exact
+        offset = coords[chain] @ np.sign(qf - pf)
+        chain = chain[np.argsort(offset, kind="stable")]
+        lo, hi = np.sort([chain[:-1], chain[1:]], axis=0)
+        if not np.all(np.isin(lo * nv + hi, edge_keys)):
+            raise GeometryError(f"slit {p}-{q} is not aligned with mesh edges")
+        dirichlet[chain] = True
+        inner = chain[1:-1]
+        dup = np.arange(len(coords))
+        dup[inner] = len(coords) + np.arange(inner.size)
+        touch = np.isin(tris, inner).any(axis=1)
         normal = np.array([-(qf[1] - pf[1]), qf[0] - pf[0]])
-        for k in verts[1:-1]:
-            dup = len(coords_list)
-            coords_list.append(coords_list[k])
-            dirichlet_list.append(True)
-            for t in incident[k]:
-                centroid = np.mean([coords_list[v] for v in tris[t]], axis=0)
-                side = np.dot(centroid - pf, normal)
-                if side == 0.0:
-                    raise GeometryError("triangle centroid on slit line; "
-                                        "mesh cannot be split")
-                if side < 0.0:
-                    tris[t][tris[t] == k] = dup
+        side = (coords[tris].mean(axis=1) - pf) @ normal
+        if np.any(side[touch] == 0.0):
+            raise GeometryError("triangle centroid on slit line; "
+                                "mesh cannot be split")
+        tris = np.where((touch & (side < 0.0))[:, None], dup[tris], tris)
+        coords = np.vstack([coords, coords[inner]])
+        dirichlet = np.concatenate([dirichlet, np.ones(inner.size, dtype=bool)])
 
-    return Triangulation.from_arrays(
-        np.array(coords_list, dtype=np.float64), tris,
-        dirichlet=np.array(dirichlet_list, dtype=bool))
+    return Triangulation.from_arrays(coords, tris, dirichlet=dirichlet)
 
 
 def write_domain(spec: DomainSpec, path) -> None:

@@ -178,7 +178,9 @@ class Triangulation:
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
-        nt = tris.shape[0]
+        nt, nv = tris.shape[0], coords.shape[0]
+        if tris.size and (tris.min() < 0 or tris.max() >= nv):
+            raise MeshError(f"triangle vertex ids must lie in [0, {nv})")
         areas = triangle_areas(coords, tris)
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -189,7 +191,7 @@ class Triangulation:
         else:
             gen = np.asarray(gen, dtype=np.int64).copy()
         if dirichlet is None:
-            dirichlet = _boundary_vertices(coords.shape[0], tris, neighbors)
+            dirichlet = _boundary_vertices(nv, tris, neighbors)
         else:
             dirichlet = np.asarray(dirichlet, dtype=bool).copy()
         idx = np.arange(nt, dtype=np.int64)
@@ -342,17 +344,6 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
     return out
 
 
-@dataclass(frozen=True)
-class MeshStats:
-    n_elements: int
-    n_vertices: int
-    n_interior_dofs_p1: int
-    h_max: float
-    h_min: float
-    min_angle_deg: float
-    max_adjacent_gen_diff: int
-
-
 def min_angle_deg(tri: Triangulation) -> float:
     p0 = tri.coords[tri.tris[:, 0]]
     p1 = tri.coords[tri.tris[:, 1]]
@@ -374,18 +365,6 @@ def max_adjacent_gen_diff(tri: Triangulation) -> int:
     gt = np.repeat(tri.gen[:, None], 3, axis=1)
     diffs = np.abs(gt[mask] - tri.gen[nb[mask]])
     return int(diffs.max())
-
-
-def mesh_stats(tri: Triangulation) -> MeshStats:
-    return MeshStats(
-        n_elements=tri.n_elements,
-        n_vertices=tri.n_vertices,
-        n_interior_dofs_p1=int(np.count_nonzero(~tri.dirichlet)),
-        h_max=float(tri.h.max()),
-        h_min=float(tri.h.min()),
-        min_angle_deg=min_angle_deg(tri),
-        max_adjacent_gen_diff=max_adjacent_gen_diff(tri),
-    )
 
 
 def check_mesh(tri: Triangulation) -> None:
@@ -421,18 +400,14 @@ def assign_refinement_edges(coords, tris) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=np.float64)
     tris = np.asarray(tris, dtype=np.int64)
-    out = np.empty_like(tris)
-    for i, (p, q, r) in enumerate(tris):
-        best_e, best_key = None, None
-        for e, (a, b) in enumerate(((q, r), (r, p), (p, q))):
-            d = coords[a] - coords[b]
-            lo, hi = (a, b) if a < b else (b, a)
-            # maximize length, break ties on the smaller index pair
-            key = (-(d[0] * d[0] + d[1] * d[1]), lo, hi)
-            if best_key is None or key < best_key:
-                best_e, best_key = e, key
-        out[i] = np.roll(tris[i], -best_e)
-    return out
+    p = coords[tris]
+    d = p[:, LOCAL_EDGES[:, 0]] - p[:, LOCAL_EDGES[:, 1]]
+    len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    # per row: longest edge first, then the smaller index pair (edge key)
+    order = np.lexsort((_edge_keys(tris, len(coords)).ravel(), -len2.ravel(),
+                        np.repeat(np.arange(len(tris)), 3)))
+    best = order[::3] % 3
+    return np.take_along_axis(tris, (best[:, None] + np.arange(3)) % 3, axis=1)
 
 
 def write_mesh(tri: Triangulation, path) -> None:

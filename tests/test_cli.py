@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from eigenadapt.adapt import AdaptConfig
 from eigenadapt.cli import main, preset_configs, render_mesh_svg
 from eigenadapt.errors import ConfigError
 from eigenadapt.geometry import builtin_domain, initial_mesh
@@ -172,6 +173,24 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert main(["mesh", "dump", "--domain", "omega9",
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert "eigenadapt:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triangle", ["0 1 3 0", "0 1 -1 0"])
+def test_exit_code_2_on_out_of_range_vertex_id(tmp_path, capsys, triangle):
+    # three vertices; id 3 is past the end and -1 would wrap to the last one
+    mesh_file = tmp_path / "bad.txt"
+    mesh_file.write_text("vertices 3\ntriangles 1\n0 0 1\n1 0 1\n0 1 1\n"
+                         f"{triangle}\n")
+    assert main(["mesh", "load", "--path", str(mesh_file)]) == 2
+    assert "vertex ids" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_negative_seed(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "run.cfg", seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        AdaptConfig.from_file(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_solver_failure(tmp_path, capsys):

@@ -13,7 +13,6 @@ from eigenadapt.estimator import (
     eta_energy_functions,
     eta_pointwise,
     eta_pointwise_functions,
-    write_report_csv,
 )
 from eigenadapt.fem import (
     FeFunction,
@@ -288,18 +287,6 @@ def test_global_norms_scale_without_overflow(degree, estimator):
             assert abs(getattr(rep, name) - s * getattr(base, name)) \
                 <= 1e-14 * s * getattr(base, name)
         np.testing.assert_allclose(rep.eta, s * base.eta, rtol=1e-14, atol=0.0)
-
-
-def test_report_csv_roundtrip(tmp_path, square_p2):
-    space, pairs = square_p2
-    rep = eta_pointwise(space, pairs, ClusterSelection(1, 1))
-    path = tmp_path / "estimator.csv"
-    write_report_csv(rep, space.tri.h, path)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    np.testing.assert_allclose(data["eta"], rep.eta, rtol=1e-15)
-    np.testing.assert_allclose(data["eta_elem_part"], rep.elem_part, rtol=1e-15)
-    np.testing.assert_allclose(data["eta_jump_part"], rep.jump_part, rtol=1e-15)
-    np.testing.assert_allclose(data["h"], space.tri.h, rtol=1e-15)
 
 
 def _report_digest(rep):

@@ -23,7 +23,6 @@ from eigenadapt.mesh import (
     assign_refinement_edges,
     check_mesh,
     max_adjacent_gen_diff,
-    mesh_stats,
     min_angle_deg,
     read_mesh,
     refine,
@@ -117,14 +116,14 @@ def test_uniform_refine_twice_lshape():
 
 
 def test_mesh_stats_lshape():
-    stats = mesh_stats(initial_mesh(builtin_domain("omega1"), 8))
-    assert stats.n_elements == 96
-    assert stats.n_vertices == 65
-    assert stats.n_interior_dofs_p1 == 33
-    np.testing.assert_allclose(stats.h_max, np.sqrt(2.0) / 16.0, rtol=1e-14)
-    np.testing.assert_allclose(stats.h_min, np.sqrt(2.0) / 16.0, rtol=1e-14)
-    np.testing.assert_allclose(stats.min_angle_deg, 45.0, atol=1e-10)
-    assert stats.max_adjacent_gen_diff == 0
+    tri = initial_mesh(builtin_domain("omega1"), 8)
+    assert tri.n_elements == 96
+    assert tri.n_vertices == 65
+    assert int(np.count_nonzero(~tri.dirichlet)) == 33
+    np.testing.assert_allclose(tri.h.max(), np.sqrt(2.0) / 16.0, rtol=1e-14)
+    np.testing.assert_allclose(tri.h.min(), np.sqrt(2.0) / 16.0, rtol=1e-14)
+    np.testing.assert_allclose(min_angle_deg(tri), 45.0, atol=1e-10)
+    assert max_adjacent_gen_diff(tri) == 0
 
 
 def test_min_angle_preserved():
