@@ -27,7 +27,8 @@ from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
 from .geometry import initial_mesh, resolve_domain, slit_tips
 from .marking import mark_doerfler, mark_max
-from .mesh import REFINE_STRATEGIES, MarkSet, Triangulation, refine
+from .mesh import (MAX_ADJACENT_GEN_DIFF, REFINE_STRATEGIES, MarkSet,
+                   Triangulation, refine)
 
 log = logging.getLogger(__name__)
 
@@ -267,7 +268,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
         try:
             pairs = solve_smallest(A, M, min(m, ndof), tol=config.eig_tol,
                                    seed=config.seed)
-            if pairs.m_converged < cluster.hi:
+            if pairs.values.size < cluster.hi:
                 raise SolverError(
                     f"space too small for eigenpair {cluster.hi} "
                     f"({ndof} dofs)")
@@ -329,7 +330,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
 
     if stop_reason is None:  # loop exhausted without a break
         stop_reason = "max_levels"
-    if pairs is not None and pairs.m_converged > cluster.hi:
+    if pairs is not None and pairs.values.size > cluster.hi:
         separation = separation_diagnostic(pairs, cluster)
         multiplicity = multiplicity_groups(pairs.values)
         if _cluster_cuts_multiplicity(cluster, multiplicity):
@@ -484,7 +485,8 @@ def summary_dict(history: AdaptHistory) -> dict:
             "doerfler_bulk": history.config.doerfler_bulk,
             "refine": history.config.refine,
             "marked_subdivision": history.config.marked_subdivision,
-            "grading_max_gen_diff": 2 if history.config.refine == "bisec_lg1" else None,
+            "grading_max_gen_diff": (MAX_ADJACENT_GEN_DIFF
+                                     if history.config.refine == "bisec_lg1" else None),
         },
         "seed": history.config.seed,
     }

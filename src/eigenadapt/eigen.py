@@ -37,8 +37,6 @@ class EigenPairSet:
     values: np.ndarray      # (m,)
     vectors: np.ndarray     # (n_free, m), column i pairs with values[i]
     residuals: np.ndarray   # (m,) relative residuals |Av - lam Mv| / (lam |v|)
-    m_requested: int
-    m_converged: int
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,6 @@ class ClusterSelection:
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    @property
-    def n_below(self) -> int:
-        return self.lo - 1
 
     @property
     def indices(self) -> np.ndarray:
@@ -220,8 +214,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
-    return EigenPairSet(values=values, vectors=vectors, residuals=residuals,
-                        m_requested=m, m_converged=m)
+    return EigenPairSet(values=values, vectors=vectors, residuals=residuals)
 
 
 def multiplicity_groups(values: np.ndarray, rtol: float = 1e-8) -> list[list[int]]:
@@ -247,12 +240,11 @@ def separation_diagnostic(pairs: EigenPairSet, cluster: ClusterSelection,
     otherwise the computed discrete values stand in.  The non-cluster values
     entering m_j are always the computed discrete ones.
     """
-    mclu = pairs.m_converged
-    if cluster.hi >= mclu:
+    disc = pairs.values
+    if cluster.hi >= disc.size:
         raise ValueError(
             f"cluster 1..{cluster.hi} touches the last computed index; "
-            f"need at least {cluster.hi + 1} converged pairs, have {mclu}")
-    disc = pairs.values
+            f"need at least {cluster.hi + 1} converged pairs, have {disc.size}")
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
         if ref.size < cluster.hi + 1:
@@ -268,7 +260,7 @@ def separation_diagnostic(pairs: EigenPairSet, cluster: ClusterSelection,
     gap_below = float(j_vals[0] - below)
     gap_above = float(lam[cluster.hi] - j_vals[-1])
 
-    non_cluster = np.concatenate([disc[:cluster.lo - 1], disc[cluster.hi:mclu]])
+    non_cluster = np.concatenate([disc[:cluster.lo - 1], disc[cluster.hi:]])
     m_j = 0.0
     for lj in j_vals:
         dist = np.abs(non_cluster - lj)

@@ -143,10 +143,10 @@ def _unit_scaled(coeff_list) -> tuple[np.ndarray, float]:
 
 
 def _check_cluster(pairs: EigenPairSet, cluster: ClusterSelection) -> None:
-    if cluster.hi > pairs.m_converged:
+    if cluster.hi > pairs.values.size:
         raise ValueError(
             f"cluster needs eigenpair {cluster.hi} but only "
-            f"{pairs.m_converged} converged")
+            f"{pairs.values.size} converged")
 
 
 def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],

@@ -51,7 +51,6 @@ class FeSpace:
     dof_coords: np.ndarray     # (ndof, 2) nodal points
     is_dirichlet: np.ndarray   # (ndof,) bool
     free: np.ndarray           # free dof indices, ascending
-    full_to_free: np.ndarray   # (ndof,) position among free dofs, -1 if constrained
 
     @property
     def n_dofs(self) -> int:
@@ -109,10 +108,8 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
         dof_coords = np.concatenate([tri.coords, mid], axis=0)
         is_dirichlet = np.concatenate([tri.dirichlet, count == 1])
     free = np.nonzero(~is_dirichlet)[0].astype(np.int64)
-    full_to_free = np.full(dof_coords.shape[0], -1, dtype=np.int64)
-    full_to_free[free] = np.arange(free.size)
     return FeSpace(tri, degree, elem_dofs.astype(np.int64), dof_coords,
-                   is_dirichlet, free, full_to_free)
+                   is_dirichlet, free)
 
 
 def local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:

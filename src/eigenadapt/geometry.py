@@ -7,14 +7,17 @@ that run along lattice lines are realized by duplicating the mesh vertices
 strictly inside the slit, one copy per side, so the two sides are decoupled
 topologically while the slit tip stays a single shared vertex.
 
-Construction is whole-array work on the integer lattice.  Because polygon
-edges and slits are axis-aligned, every predicate it needs is exact without
-rational arithmetic: the point-in-polygon test of a square center is an
-integer test in units of half a spacing, and "on a segment" is a bounding
-box test, i.e. float comparisons, which never round.  Node coordinates are
-i / n, a correctly rounded quotient.  Exact fractions remain only where
-outside input is checked: in ``validate_domain`` and in deciding whether a
-given polygon vertex or slit endpoint lies on the 1/n lattice.
+Polygon edges and slits are axis-aligned, so validation and construction
+share two predicates that need no rational arithmetic.  "Meet" (a point on
+a segment, or two segments crossing or touching) is a bounding-box overlap
+test; "inside" is an even-odd count of the vertical edges to a point's right
+that span its y.  Both are float or integer comparisons, which are exact.
+Construction is whole-array work on the integer lattice: the square centers
+are tested in integer units of half a spacing and node coordinates are
+i / n, a correctly rounded quotient.  Exact fractions remain only where a
+float result could round: the shoelace sign of the polygon, the midpoint of
+a slit that meets an edge, and whether a polygon vertex or slit endpoint
+lies on the 1/n lattice.
 """
 
 from __future__ import annotations
@@ -79,111 +82,85 @@ def _fr(x: float) -> Fraction:
     return Fraction(float(x))
 
 
-def _orient(a, b, c) -> int:
-    """Sign of the cross product (b-a) x (c-a), exact."""
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
+def _meet(a, b) -> np.ndarray:
+    """(m, k) flags: a[i] and b[j] share a point.
+
+    a and b are (m, 2) points or (m, 2, 2) closed axis-aligned segments.
+    Such a segment is its own bounding box, and a point the box from itself
+    to itself, so this is a box overlap test: float comparisons, which are
+    exact."""
+    a, b = (np.asarray(v, dtype=np.float64) for v in (a, b))
+    a, b = (v if v.ndim == 3 else v.reshape(-1, 1, 2) for v in (a, b))
+    lo, hi = a.min(axis=1)[:, None], a.max(axis=1)[:, None]
+    return np.all((lo <= b.max(axis=1)) & (b.min(axis=1) <= hi), axis=2)
 
 
-def _on_segment(p, a, b) -> bool:
-    """Exact test: p lies on the closed segment [a, b]."""
-    if _orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+def _inside(x, y, poly) -> np.ndarray:
+    """Even-odd test of the points (x, y) against an axis-aligned polygon.
 
-
-def _segments_cross(a, b, c, d) -> bool:
-    """Exact test: closed segments [a,b] and [c,d] share any point."""
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    return (_on_segment(c, a, b) or _on_segment(d, a, b)
-            or _on_segment(a, c, d) or _on_segment(b, c, d))
-
-
-def _point_in_polygon(p, poly) -> bool:
-    """Exact even-odd test, assuming p is not on the boundary."""
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            t = (p[1] - y1) / (y2 - y1)
-            xc = x1 + t * (x2 - x1)
-            if xc > p[0]:
-                inside = not inside
-    return inside
-
-
-def _on_polygon_boundary(p, poly) -> bool:
-    n = len(poly)
-    return any(_on_segment(p, poly[i], poly[(i + 1) % n]) for i in range(n))
-
-
-def validate_domain(spec: DomainSpec) -> None:
-    """Check that the polygon is simple and CCW and the slits are admissible."""
-    poly = [(_fr(x), _fr(y)) for x, y in spec.polygon]
-    n = len(poly)
-    if n < 4:
-        raise GeometryError("polygon needs at least 4 vertices")
-    if len(set(poly)) != n:
-        raise GeometryError("polygon has repeated vertices")
-    area2 = sum(poly[i][0] * poly[(i + 1) % n][1]
-                - poly[(i + 1) % n][0] * poly[i][1] for i in range(n))
-    if area2 <= 0:
-        raise GeometryError("polygon must be counterclockwise with positive area")
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if a[0] != b[0] and a[1] != b[1]:
-            raise GeometryError("polygon must be axis-aligned rectilinear")
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = poly[j], poly[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                raise GeometryError("polygon edges intersect; polygon is not simple")
-    slits = [((_fr(p[0]), _fr(p[1])), (_fr(q[0]), _fr(q[1])))
-             for p, q in spec.slits]
-    for si, (p, q) in enumerate(slits):
-        if p == q:
-            raise GeometryError(f"slit {si} has zero length")
-        if p[0] != q[0] and p[1] != q[1]:
-            raise GeometryError(f"slit {si} must be axis-aligned")
-        for r in (p, q):
-            if not (_point_in_polygon(r, poly) or _on_polygon_boundary(r, poly)):
-                raise GeometryError(f"slit {si} endpoint lies outside the polygon")
-        for i in range(n):
-            a, b = poly[i], poly[(i + 1) % n]
-            if _segments_cross(p, q, a, b):
-                # touching the boundary with an endpoint is fine
-                if not (_on_segment(p, a, b) or _on_segment(q, a, b)):
-                    raise GeometryError(f"slit {si} crosses the polygon boundary")
-                mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-                if _on_segment(mid, a, b):
-                    raise GeometryError(f"slit {si} runs along the polygon boundary")
-        for sj in range(si + 1, len(slits)):
-            r, s = slits[sj]
-            if _segments_cross(p, q, r, s):
-                raise GeometryError(f"slits {si} and {sj} intersect")
-
-
-def _on_segments(pts, segs) -> np.ndarray:
-    """(m, k) flags: point i lies on the closed axis-aligned segment j.
-
-    Such a segment is its own bounding box, so the test is four float
-    comparisons, which are exact."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 1, 2)
-    segs = np.asarray(segs, dtype=np.float64).reshape(1, -1, 2, 2)
-    lo, hi = segs.min(axis=2), segs.max(axis=2)
-    return np.all((lo <= pts) & (pts <= hi), axis=2)
+    x and y broadcast against each other.  A point is inside when an odd
+    number of vertical edges to its right span its y; on the boundary the
+    answer is arbitrary.  Only comparisons, so exact for floats and integers.
+    """
+    v0, v1 = poly, np.roll(poly, -1, axis=0)
+    vert = v0[:, 0] == v1[:, 0]
+    ex, ey0, ey1 = v0[vert, 0], v0[vert, 1], v1[vert, 1]
+    x, y = np.asarray(x)[..., None], np.asarray(y)[..., None]
+    return np.count_nonzero(((ey0 > y) != (ey1 > y)) & (ex > x), axis=-1) % 2 == 1
 
 
 def _polygon_edges(spec: DomainSpec) -> np.ndarray:
     poly = np.asarray(spec.polygon, dtype=np.float64)
     return np.stack([poly, np.roll(poly, -1, axis=0)], axis=1)
+
+
+def validate_domain(spec: DomainSpec) -> None:
+    """Check that the polygon is simple, CCW and axis-aligned rectilinear and
+    that the slits are admissible: each segment's own shape first, then the
+    pairs."""
+    edges = _polygon_edges(spec)
+    n = len(edges)
+    if n < 4:
+        raise GeometryError("polygon needs at least 4 vertices")
+    if len(set(map(tuple, edges[:, 0].tolist()))) != n:
+        raise GeometryError("polygon has repeated vertices")
+    xy = [(_fr(x), _fr(y)) for x, y in spec.polygon]
+    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1]))
+    if area2 <= 0:
+        raise GeometryError("polygon must be counterclockwise with positive area")
+    if np.any(np.all(edges[:, 0] != edges[:, 1], axis=1)):
+        raise GeometryError("polygon must be axis-aligned rectilinear")
+    slits = np.asarray(spec.slits, dtype=np.float64).reshape(-1, 2, 2)
+    for si, (p, q) in enumerate(slits):
+        if np.all(p == q):
+            raise GeometryError(f"slit {si} has zero length")
+        if np.all(p != q):
+            raise GeometryError(f"slit {si} must be axis-aligned")
+
+    # edges i < j share a point only when adjacent: j == i + 1, or i == 0
+    # and j == n - 1
+    crossing = np.triu(_meet(edges, edges), 2)
+    crossing[0, n - 1] = False
+    if crossing.any():
+        raise GeometryError("polygon edges intersect; polygon is not simple")
+    on_edge = _meet(slits.reshape(-1, 2), edges).reshape(-1, 2, n)
+    inside = on_edge.any(axis=2) | _inside(slits[..., 0], slits[..., 1], edges[:, 0])
+    meets_edge = _meet(slits, edges)
+    meets_slit = np.triu(_meet(slits, slits), 1)
+    for si, (p, q) in enumerate(spec.slits):
+        if not inside[si].all():
+            raise GeometryError(f"slit {si} endpoint lies outside the polygon")
+        for i in np.flatnonzero(meets_edge[si]):
+            # touching the boundary with an endpoint is fine
+            if not on_edge[si, :, i].any():
+                raise GeometryError(f"slit {si} crosses the polygon boundary")
+            # the midpoint of two floats may round, so it is taken exactly
+            mid = [(_fr(a) + _fr(b)) / 2 for a, b in zip(p, q)]
+            if all(min(c) <= m <= max(c) for m, c in zip(mid, edges[i].T.tolist())):
+                raise GeometryError(f"slit {si} runs along the polygon boundary")
+        if meets_slit[si].any():
+            raise GeometryError(
+                f"slits {si} and {np.argmax(meets_slit[si])} intersect")
 
 
 def _lattice_index(p: Point, n: int) -> tuple[int, int] | None:
@@ -197,7 +174,7 @@ def _lattice_index(p: Point, n: int) -> tuple[int, int] | None:
 def slit_tips(spec: DomainSpec) -> list[Point]:
     """Slit endpoints strictly inside the polygon (the singular tips)."""
     ends = [r for slit in spec.slits for r in slit]
-    on = _on_segments(ends, _polygon_edges(spec)).any(axis=1)
+    on = _meet(ends, _polygon_edges(spec)).any(axis=1)
     return [r for r, b in zip(ends, on) if not b]
 
 
@@ -208,7 +185,8 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     triangles split along its upper-left to lower-right diagonal.  Polygon
     vertices must lie on the lattice.  Slit endpoints may be off-lattice by
     less than half a spacing; the nearest lattice node is then moved onto
-    the endpoint and triangle positivity is re-checked.
+    the endpoint, provided both lie on the same polygon edges, and triangle
+    positivity is re-checked.
     """
     if n < 1:
         raise GeometryError("n must be a positive integer")
@@ -223,17 +201,10 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     ij = np.array(ij, dtype=np.int64)
     (imin, jmin), (imax, jmax) = ij.min(axis=0), ij.max(axis=0)
 
-    # even-odd test of the square centers (2i + 1, 2j + 1) against the
-    # vertical polygon edges, in integer units of half a spacing
-    v0, v1 = 2 * ij, 2 * np.roll(ij, -1, axis=0)
-    vert = v0[:, 0] == v1[:, 0]
-    ex, ey0, ey1 = v0[vert, 0], v0[vert, 1], v1[vert, 1]
-    cx = 2 * np.arange(imin, imax) + 1
-    cy = 2 * np.arange(jmin, jmax) + 1
-    spans = (ey0 > cy[:, None]) != (ey1 > cy[:, None])       # (rows, edges)
-    right = ex > cx[:, None]                                # (cols, edges)
-    inside = (spans.astype(np.int64) @ right.T.astype(np.int64)) % 2 == 1
-    sj, si = np.nonzero(inside)
+    # even-odd test of the square centers (2i + 1, 2j + 1), in integer
+    # units of half a spacing; (rows, cols)
+    sj, si = np.nonzero(_inside(2 * np.arange(imin, imax) + 1,
+                                2 * np.arange(jmin, jmax)[:, None] + 1, 2 * ij))
     if si.size == 0:
         raise GeometryError("no lattice square lies inside the polygon")
 
@@ -249,14 +220,18 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     coords = np.column_stack([(imin + nodes % width) / n,
                               (jmin + nodes // width) / n])
 
-    # snap off-lattice slit endpoints onto the nearest lattice node
+    # snap off-lattice slit endpoints onto the nearest lattice node; a node
+    # moves only within the polygon edges it lies on (interior to interior,
+    # or along one edge), so the mesh still covers the polygon
+    edges = _polygon_edges(spec)
     moved = np.zeros(len(coords), dtype=bool)
     for r in (r for slit in spec.slits for r in slit):
         if _lattice_index(r, n) is not None:
             continue
         d2 = np.sum((coords - np.asarray(r)) ** 2, axis=1)
         k = int(np.argmin(d2))
-        if d2[k] >= 1.0 / (n * n) / 4.0:
+        on = _meet([coords[k], r], edges)
+        if d2[k] >= 1.0 / (n * n) / 4.0 or np.any(on[0] != on[1]):
             raise GeometryError(
                 f"slit endpoint {r} is too far from the lattice to snap")
         if moved[k]:
@@ -267,7 +242,7 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
         raise GeometryError("snapping a slit endpoint flipped a triangle")
 
     tris = assign_refinement_edges(coords, tris)
-    dirichlet = _on_segments(coords, _polygon_edges(spec)).any(axis=1)
+    dirichlet = _meet(coords, edges).any(axis=1)
 
     # resolve slits: the chain of lattice vertices on a slit, in order along
     # it, is made Dirichlet, and each vertex strictly inside the chain gets a
@@ -276,7 +251,7 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     edge_keys = _edge_keys(tris, nv)
     for p, q in spec.slits:
         pf, qf = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-        chain = np.flatnonzero(_on_segments(coords[:nv], [(pf, qf)])[:, 0])
+        chain = np.flatnonzero(_meet(coords[:nv], [(pf, qf)])[:, 0])
         if chain.size < 3:
             raise GeometryError(
                 f"lattice too coarse to resolve slit {p}-{q}: "

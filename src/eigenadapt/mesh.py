@@ -412,13 +412,11 @@ def assign_refinement_edges(coords, tris) -> np.ndarray:
 
 def write_mesh(tri: Triangulation, path) -> None:
     """Write the plain-text mesh format (17 significant digits)."""
-    lines = [f"vertices {tri.n_vertices}", f"triangles {tri.n_elements}"]
-    for (x, y), d in zip(tri.coords, tri.dirichlet):
-        lines.append(f"{x:.17g} {y:.17g} {int(d)}")
-    for (v0, v1, v2), g in zip(tri.tris, tri.gen):
-        lines.append(f"{v0} {v1} {v2} {g}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"vertices {tri.n_vertices}\ntriangles {tri.n_elements}\n")
+        np.savetxt(fh, np.column_stack([tri.coords, tri.dirichlet]),
+                   fmt="%.17g %.17g %d")
+        np.savetxt(fh, np.column_stack([tri.tris, tri.gen]), fmt="%d")
 
 
 def read_mesh(path) -> Triangulation:
@@ -435,18 +433,16 @@ def read_mesh(path) -> Triangulation:
         body = tokens[4:]
         if len(body) != 3 * nv + 4 * nt:
             raise MeshError("mesh file has a truncated or padded body")
-        coords = np.empty((nv, 2), dtype=np.float64)
-        dirichlet = np.empty(nv, dtype=bool)
-        for i in range(nv):
-            coords[i, 0] = float(body[3 * i])
-            coords[i, 1] = float(body[3 * i + 1])
-            dirichlet[i] = bool(int(body[3 * i + 2]))
-        tris = np.empty((nt, 3), dtype=np.int64)
-        gen = np.empty(nt, dtype=np.int64)
-        off = 3 * nv
-        for i in range(nt):
-            tris[i] = [int(body[off + 4 * i + j]) for j in range(3)]
-            gen[i] = int(body[off + 4 * i + 3])
+        # object arrays convert with float() and int(), as a token-by-token
+        # parse would, and report a bad token the same way
+        body = np.array(body, dtype=object)
+        vert = body[:3 * nv].reshape(nv, 3)
+        coords = vert[:, :2].astype(np.float64)
+        dirichlet = vert[:, 2].astype(np.int64) != 0
+        elem = body[3 * nv:].reshape(nt, 4).astype(np.int64)
+        tris, gen = elem[:, :3], elem[:, 3]
+    except MeshError:  # a ValueError, but already says what is wrong
+        raise
     except (ValueError, IndexError) as exc:
         raise MeshError(f"malformed mesh file: {exc}") from exc
     return Triangulation.from_arrays(coords, tris, dirichlet=dirichlet, gen=gen)

@@ -135,7 +135,7 @@ def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> FeFunction:
 def cluster_project(space: FeSpace, r: FeFunction, pairs: EigenPairSet,
                     cluster: ClusterSelection, M) -> FeFunction:
     """M-orthogonal projection of r onto the span of the cluster vectors."""
-    if cluster.hi > pairs.m_converged:
+    if cluster.hi > pairs.values.size:
         raise ValueError("cluster references unconverged pairs")
     r_free = r.coeffs[space.free]
     Mr = M @ r_free
@@ -236,7 +236,7 @@ def reliability_efficiency_report(
         lu = factorize_spd(A)
         m = min(cluster.hi + 3, space.free.size)
         pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed, lu=lu)
-        if pairs.m_converged < cluster.hi:
+        if pairs.values.size < cluster.hi:
             raise SolverError("space too small for the requested cluster")
         rep = eta_pointwise(space, pairs, cluster)
         errs = []

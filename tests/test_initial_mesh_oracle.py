@@ -40,7 +40,9 @@ CUSTOM = {
 
 NS = (1, 2, 3, 4, 8, 10, 16)
 
-# recorded from the exact-rational construction
+# recorded from the exact-rational construction, except omega3 and
+# off_lattice_both at n = 1: that construction moved a polygon-boundary node
+# inward onto an interior slit endpoint, which now raises
 EXPECTED = {
     'omega1': {
         1: 'GeometryError: polygon vertex (1/2, 0) is not on the 1/1 lattice',
@@ -61,7 +63,7 @@ EXPECTED = {
         16: '17fd3f4947634ce7',
     },
     'omega3': {
-        1: 'GeometryError: slit endpoint (0.0, -0.5) is too far from the lattice to snap',
+        1: 'GeometryError: slit endpoint (0.505, 0.0) is too far from the lattice to snap',
         2: 'GeometryError: lattice too coarse to resolve slit (0.505, 0.0)-(1.0, 0.0): need at least one interior slit vertex',
         3: 'GeometryError: lattice too coarse to resolve slit (0.505, 0.0)-(1.0, 0.0): need at least one interior slit vertex',
         4: 'd93d9aeb7898e451',
@@ -115,7 +117,7 @@ EXPECTED = {
         16: 'f33598830add33c7',
     },
     'off_lattice_both': {
-        1: '0d7c5b25621cf57f',
+        1: 'GeometryError: slit endpoint (1.0, 1.74) is too far from the lattice to snap',
         2: '3b20fc8efd5fd842',
         3: '969c56ab8ebabcfd',
         4: 'c98f1ef544a990ca',
@@ -164,6 +166,19 @@ def fingerprint(spec, n):
 def test_initial_mesh_matches_reference(name):
     got = {n: fingerprint(_spec(name), n) for n in NS}
     assert got == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_DOMAINS + tuple(CUSTOM))
+def test_initial_mesh_covers_polygon(name):
+    spec = _spec(name)
+    x, y = np.asarray(spec.polygon).T
+    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    for n in NS:
+        try:
+            tri = initial_mesh(spec, n)
+        except GeometryError:
+            continue
+        np.testing.assert_allclose(tri.areas.sum(), area, rtol=1e-12, err_msg=f"n = {n}")
 
 
 @pytest.mark.parametrize("shift", range(3))

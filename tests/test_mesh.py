@@ -188,6 +188,38 @@ def test_write_read_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+_SQUARE_MESH = """vertices 4
+triangles 2
+0 0 1
+1 0 1
+1 1 1
+0 1 1
+0 1 3 0
+1 2 3 0
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("vertices", "verts", "mesh file must start with 'vertices N'"),
+    ("triangles", "elements", "mesh file header missing 'triangles M'"),
+    ("1 2 3 0\n", "", "mesh file has a truncated or padded body"),
+    ("1 2 3 0\n", "1 2 3 0 7\n", "mesh file has a truncated or padded body"),
+    ("0 1 3 0", "0 1.5 3 0",
+     "malformed mesh file: invalid literal for int() with base 10: '1.5'"),
+    ("1 0 1", "1 abc 1",
+     "malformed mesh file: could not convert string to float: 'abc'"),
+    (_SQUARE_MESH, "", "malformed mesh file: list index out of range"),
+])
+def test_read_mesh_rejects_malformed_files(tmp_path, old, new, message):
+    path = tmp_path / "mesh.txt"
+    path.write_text(_SQUARE_MESH)
+    assert read_mesh(path).n_elements == 2
+    path.write_text(_SQUARE_MESH.replace(old, new, 1))
+    with pytest.raises(MeshError) as info:
+        read_mesh(path)
+    assert str(info.value) == message
+
+
 def test_check_mesh_rejects_non_mutual_neighbors():
     tri = initial_mesh(builtin_domain("unit_square"), 2)
     check_mesh(tri)
