@@ -89,10 +89,11 @@ class AdaptConfig:
             raise ConfigError(f"max_dof must be >= 1, got {self.max_dof}")
         if self.max_levels < 1:
             raise ConfigError(f"max_levels must be >= 1, got {self.max_levels}")
-        if self.eta_target < 0.0:
-            raise ConfigError(f"eta_target must be >= 0, got {self.eta_target}")
-        if self.eig_tol <= 0.0:
-            raise ConfigError(f"eig_tol must be > 0, got {self.eig_tol}")
+        if not 0.0 <= self.eta_target < math.inf:
+            raise ConfigError(
+                f"eta_target must be finite and >= 0, got {self.eta_target}")
+        if not 0.0 < self.eig_tol < math.inf:
+            raise ConfigError(f"eig_tol must be finite and > 0, got {self.eig_tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

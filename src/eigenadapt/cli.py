@@ -210,16 +210,18 @@ def cmd_rate(args) -> int:
 
     col = {"pointwise": "eta_pointwise", "energy": "eta_energy"}[args.field]
     _, rows = read_history_csv(args.history)
-    ndof = np.array([int(r["ndof"]) for r in rows])
     window = None
     if args.from_level is not None or args.to_level is not None:
         window = (args.from_level, args.to_level)
     try:
+        ndof = np.array([int(r["ndof"]) for r in rows])
         slope, keep = fit_rate_levels(
             [int(r["level"]) for r in rows], ndof,
             [float(r[col]) for r in rows], window, args.min_dof)
+    except KeyError as exc:
+        raise ConfigError(f"{args.history}: no column {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{args.history}: {exc}") from exc
     print(f"{args.field} slope {slope:+.4f} over {np.count_nonzero(keep)} "
           f"levels (N {ndof[keep].min()}..{ndof[keep].max()})")
     return 0

@@ -16,7 +16,7 @@ contribute; each geometric slit side is its own mesh boundary.
 
 The cluster members are evaluated together, as one (ndof, k) coefficient
 block, by fem's ``corner_gradients``, ``element_laplacians`` and
-``shape_values``; edge normals, lengths and neighbor corners are cached
+``shape_values``; edge normals, lengths and edge mates are cached
 properties of the mesh.
 """
 
@@ -111,21 +111,20 @@ def _jump_endpoint_values(tri: Triangulation, cg: np.ndarray) -> np.ndarray:
 
     Returns shape (nt, 3, 2, k); zero on boundary edges.  The jump along an
     edge is affine (gradients are affine for quadratics, constant for
-    linears), so endpoint values determine it completely.
+    linears), so endpoint values determine it completely.  It is this slot's
+    outward flux plus the edge mate's, at the mate's reversed endpoints.
     """
-    # boundary edges read element 0 here and are zeroed below
-    nb = np.maximum(tri.neighbors, 0)
-    corners = tri.neighbor_corners
-    jumps = np.zeros((tri.n_elements, 3, 2, cg.shape[-1]))
-    for e, ends in enumerate(LOCAL_EDGES):
-        n0, n1 = tri.edge_normals[:, e, 0, None], tri.edge_normals[:, e, 1, None]
-        for s, corner in enumerate(ends):
-            own = cg[:, corner]
-            oth = cg[nb[:, e], corners[:, e, s]]
-            jumps[:, e, s] = (own[:, 0] * n0 + own[:, 1] * n1) \
-                - (oth[:, 0] * n0 + oth[:, 1] * n1)
-    jumps[tri.neighbors < 0] = 0.0
-    return jumps
+    flux = np.take(cg[:, :, 0], LOCAL_EDGES, axis=1)    # C-contiguous
+    flux *= tri.edge_normals[:, :, None, 0, None]
+    part = np.take(cg[:, :, 1], LOCAL_EDGES, axis=1)
+    part *= tri.edge_normals[:, :, None, 1, None]
+    flux += part
+    # mates' fluxes into part; boundary slots (mate -1) wrap, zeroed below
+    np.take(flux.reshape(-1, *flux.shape[2:]), tri.edge_mates, axis=0,
+            out=part, mode="wrap")
+    flux += part[:, :, ::-1]
+    flux[tri.edge_mates < 0] = 0.0
+    return flux
 
 
 def _unit_scaled(coeff_list) -> tuple[np.ndarray, float]:

@@ -119,6 +119,9 @@ def validate_domain(spec: DomainSpec) -> None:
     that the slits are admissible: each segment's own shape first, then the
     pairs."""
     edges = _polygon_edges(spec)
+    slits = np.asarray(spec.slits, dtype=np.float64).reshape(-1, 2, 2)
+    if not (np.isfinite(edges).all() and np.isfinite(slits).all()):
+        raise GeometryError("domain coordinates must be finite")
     n = len(edges)
     if n < 4:
         raise GeometryError("polygon needs at least 4 vertices")
@@ -130,7 +133,6 @@ def validate_domain(spec: DomainSpec) -> None:
         raise GeometryError("polygon must be counterclockwise with positive area")
     if np.any(np.all(edges[:, 0] != edges[:, 1], axis=1)):
         raise GeometryError("polygon must be axis-aligned rectilinear")
-    slits = np.asarray(spec.slits, dtype=np.float64).reshape(-1, 2, 2)
     for si, (p, q) in enumerate(slits):
         if np.all(p == q):
             raise GeometryError(f"slit {si} has zero length")

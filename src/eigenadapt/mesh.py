@@ -12,7 +12,9 @@ with any marked edge marks its refinement edge"; then every triangle with
 marked edges is bisected once, twice or three times by its pattern, all in
 one step.  The closed marking is the least conforming refinement that
 bisects every marked triangle (Stevenson, Math. Comp. 77 (2008)), so the mesh
-never contains hanging nodes.
+never contains hanging nodes.  Edge numbering, edge mates and neighbors come
+from one sort of the edge keys per mesh; both (counterclockwise) triangles on
+an interior edge run it opposite ways, so their normals are exact negatives.
 
 Two refinement strategies are exposed:
 
@@ -29,7 +31,7 @@ pair up during refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +65,9 @@ class MarkSet:
 class Triangulation:
     """Immutable conforming triangle mesh.
 
+    Only the fields below are stored; ``edges``, ``edge_mates`` and
+    ``neighbors`` are cached views of one edge sort of ``tris``.
+
     Attributes
     ----------
     coords : (nv, 2) float array
@@ -76,9 +81,6 @@ class Triangulation:
     dirichlet : (nv,) bool array
         True for vertices on the Dirichlet boundary (outer polygon, slit
         faces and slit tips).
-    neighbors : (nt, 3) int array
-        ``neighbors[t, e]`` is the triangle sharing the edge opposite local
-        vertex ``e`` of ``t``, or -1 on the boundary.
     parent : (nt,) int array
         Index of the ancestor element in the mesh this one was refined from
         (self-index for untouched elements and initial meshes).
@@ -93,16 +95,13 @@ class Triangulation:
     tris: np.ndarray
     gen: np.ndarray
     dirichlet: np.ndarray
-    neighbors: np.ndarray
     parent: np.ndarray
     root: np.ndarray
     root_area: np.ndarray
 
     def __post_init__(self):
-        for name in ("coords", "tris", "gen", "dirichlet", "neighbors",
-                     "parent", "root", "root_area"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -126,13 +125,23 @@ class Triangulation:
         return h
 
     @cached_property
+    def _topology(self) -> tuple[np.ndarray, ...]:
+        return _edge_topology(self.tris, self.n_vertices)
+
+    @property
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge numbering: the sorted keys ``lo * nv + hi`` of the edges, the
-        (nt, 3) edge index of every local edge, and the number of triangles
-        holding each edge (1 on the boundary)."""
-        keys, edge, count = np.unique(_edge_keys(self.tris, self.n_vertices),
-                                      return_inverse=True, return_counts=True)
-        return keys, edge.reshape(self.n_elements, 3), count
+        """Sorted keys ``lo * nv + hi``, (nt, 3) edge ids, triangles per edge."""
+        return self._topology[:3]
+
+    @property
+    def edge_mates(self) -> np.ndarray:
+        """(nt, 3) slot ``3 * t' + e'`` of the edge in its other triangle, or -1."""
+        return self._topology[3]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """(nt, 3) triangle across local edge e, or -1 on the boundary."""
+        return self._topology[4]
 
     def edge_tangents(self) -> np.ndarray:
         """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
@@ -154,27 +163,14 @@ class Triangulation:
         return np.stack([t[..., 1], -t[..., 0]], axis=-1) \
             / self.edge_lengths[..., None]
 
-    @cached_property
-    def neighbor_corners(self) -> np.ndarray:
-        """Local corners, in the neighbor across local edge e, of the two
-        endpoints of e in this triangle's order; shape (nt, 3, 2), -1 on
-        boundary edges."""
-        inner = self.neighbors >= 0
-        ends = self.tris[:, LOCAL_EDGES][inner]           # (k, 2)
-        hit = self.tris[self.neighbors[inner]][:, None, :] == ends[:, :, None]
-        if not np.all(hit.any(axis=2)):
-            raise MeshError("neighbor tables inconsistent with vertex sharing")
-        out = np.full((self.n_elements, 3, 2), -1, dtype=np.int8)
-        out[inner] = np.argmax(hit, axis=2)
-        return out
-
     @staticmethod
     def from_arrays(coords, tris, dirichlet=None, gen=None) -> "Triangulation":
         """Build a triangulation from raw coordinate and connectivity arrays.
 
         The vertex triples must already be CCW with the refinement edge
-        opposite local vertex 0.  Neighbors are reconstructed from the
-        connectivity; ``dirichlet`` defaults to all boundary-edge endpoints.
+        opposite local vertex 0.  An edge held by three triangles, or run
+        the same way by two, raises MeshError; ``dirichlet`` defaults to
+        all boundary-edge endpoints.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
@@ -185,19 +181,18 @@ class Triangulation:
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} has non-positive area {areas[bad]}")
-        neighbors = build_neighbors(tris)
-        if gen is None:
-            gen = np.zeros(nt, dtype=np.int64)
-        else:
-            gen = np.asarray(gen, dtype=np.int64).copy()
-        if dirichlet is None:
-            dirichlet = _boundary_vertices(nv, tris, neighbors)
-        else:
-            dirichlet = np.asarray(dirichlet, dtype=bool).copy()
+        topology = _edge_topology(tris, nv)
+        tail, mates = tris[:, LOCAL_EDGES[:, 0]], topology[3]
+        if np.any((tail == tail.ravel()[mates]) & (mates >= 0)):
+            raise MeshError("two triangles run a shared edge the same way")
+        gen = np.zeros(nt, np.int64) if gen is None else np.array(gen, np.int64)
+        dirichlet = (_boundary_vertices(nv, topology) if dirichlet is None
+                     else np.array(dirichlet, bool))
         idx = np.arange(nt, dtype=np.int64)
-        root_area = areas * np.exp2(gen.astype(np.float64))
-        return Triangulation(coords, tris, gen, dirichlet, neighbors,
-                             idx.copy(), idx.copy(), root_area)
+        tri = Triangulation(coords, tris, gen, dirichlet, idx, idx.copy(),
+                            areas * np.exp2(gen.astype(np.float64)))
+        tri._topology = topology  # fills the cache; computed from these tris
+        return tri
 
 
 # local edge e of a triangle joins the two vertices other than e; edge 0 is
@@ -212,10 +207,11 @@ def _edge_keys(tris, nv: int) -> np.ndarray:
     return np.minimum(a, b) * nv + np.maximum(a, b)
 
 
-def _boundary_vertices(nv: int, tris, neighbors) -> np.ndarray:
-    """(nv,) flags of the endpoints of edges without a neighbor."""
+def _boundary_vertices(nv: int, topology) -> np.ndarray:
+    """(nv,) flags of the endpoints of edges held by one triangle."""
     flags = np.zeros(nv, dtype=bool)
-    flags[tris[:, LOCAL_EDGES][neighbors < 0]] = True
+    lo, hi = np.divmod(topology[0][topology[2] == 1], nv)
+    flags[lo] = flags[hi] = True
     return flags
 
 
@@ -227,22 +223,35 @@ def triangle_areas(coords, tris) -> np.ndarray:
     return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
 
 
+def _edge_topology(tris, nv: int) -> tuple[np.ndarray, ...]:
+    """Read-only sorted edge keys, (nt, 3) edge ids, triangles per edge, (nt, 3)
+    edge mates and neighbors, from one sort of the keys (any order of equal
+    keys gives the same); raises MeshError on an edge held by three triangles."""
+    key = _edge_keys(tris, nv).ravel()
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    sorted_edge = np.cumsum(first) - 1
+    count = np.bincount(sorted_edge)
+    if np.any(count > 2):
+        raise MeshError("an edge is shared by more than two triangles")
+    edge = np.empty_like(order)
+    edge[order] = sorted_edge
+    start = np.flatnonzero(first)
+    a, b = order[start[count == 2]], order[start[count == 2] + 1]
+    mates = np.full(key.size, -1, dtype=np.int64)
+    mates[a], mates[b] = b, a
+    mates = mates.reshape(-1, 3)  # floor division below keeps -1
+    out = sorted_key[start], edge.reshape(-1, 3), count, mates, mates // 3
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def build_neighbors(tris) -> np.ndarray:
     """Neighbor table from connectivity; raises on nonconforming input."""
-    nt = tris.shape[0]
-    # edge keys, rows ordered (t, e) flattened
-    key = _edge_keys(tris, int(tris.max(initial=-1)) + 1).ravel()
-    order = np.argsort(key)
-    sk = key[order]
-    same = sk[1:] == sk[:-1]
-    if np.any(same[1:] & same[:-1]):
-        raise MeshError("an edge is shared by more than two triangles")
-    nbr = np.full(nt * 3, -1, dtype=np.int64)
-    i = np.nonzero(same)[0]
-    a, b = order[i], order[i + 1]
-    nbr[a] = b // 3
-    nbr[b] = a // 3
-    return nbr.reshape(nt, 3)
+    return _edge_topology(tris, int(tris.max(initial=-1)) + 1)[4]
 
 
 def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
@@ -285,9 +294,8 @@ def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
     parent = np.nonzero(keep)[0]
     out_tris = kids[keep]
     return Triangulation(
-        coords, out_tris, tri.gen[parent] + depth[keep], dirichlet,
-        build_neighbors(out_tris), parent, tri.root[parent],
-        tri.root_area[parent])
+        coords, out_tris, tri.gen[parent] + depth[keep], dirichlet, parent,
+        tri.root[parent], tri.root_area[parent])
 
 
 def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triangulation:
@@ -359,31 +367,21 @@ def min_angle_deg(tri: Triangulation) -> float:
 
 def max_adjacent_gen_diff(tri: Triangulation) -> int:
     nb = tri.neighbors
-    mask = nb >= 0
-    if not np.any(mask):
-        return 0
-    gt = np.repeat(tri.gen[:, None], 3, axis=1)
-    diffs = np.abs(gt[mask] - tri.gen[nb[mask]])
-    return int(diffs.max())
+    return int(np.abs(tri.gen[:, None] - tri.gen[nb])[nb >= 0].max(initial=0))
 
 
 def check_mesh(tri: Triangulation) -> None:
     """Validate structural invariants; raises MeshError on the first failure.
 
-    Checks positive CCW areas, mutual neighbor consistency, at most two
-    triangles per edge, dirichlet flags matching boundary-edge endpoints,
-    and the generation/area law area(T) = root_area(T) * 2**(-gen(T)).
+    Checks positive CCW areas, at most two triangles per edge (building the
+    edge topology), dirichlet flags matching boundary-edge endpoints, and
+    the generation/area law area(T) = root_area(T) * 2**(-gen(T)).
     """
     areas = triangle_areas(tri.coords, tri.tris)
     if np.any(areas <= 0.0):
         raise MeshError("non-positive triangle area")
-    # build_neighbors writes only in-range, mutual pairs, so equality with
-    # its table also proves the stored one is in range and mutual
-    rebuilt = build_neighbors(tri.tris)
-    if not np.array_equal(rebuilt, tri.neighbors):
-        raise MeshError("stored neighbor table does not match connectivity")
-    flagged = _boundary_vertices(tri.n_vertices, tri.tris, tri.neighbors)
-    if not np.array_equal(flagged, tri.dirichlet):
+    if not np.array_equal(_boundary_vertices(tri.n_vertices, tri.edges),
+                          tri.dirichlet):
         raise MeshError("dirichlet flags do not match boundary edges")
     law = tri.root_area * np.exp2(-tri.gen.astype(np.float64))
     if np.any(np.abs(areas - law) > 1e-12 * tri.root_area):

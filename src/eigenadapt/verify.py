@@ -21,7 +21,7 @@ from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
 from .errors import SolverError
 from .estimator import eta_pointwise
 from .fem import (FeFunction, FeSpace, assemble, build_space, from_free_vector,
-                  shape_values)
+                  shape_values, values_at_bary)
 from .geometry import builtin_domain, initial_mesh
 from .mesh import Triangulation, uniform_refine
 
@@ -162,14 +162,11 @@ def linf_error(exact, approx: FeFunction, samples_per_element: int = 8) -> float
         raise ValueError("lattice order must be >= 4")
     space = approx.space
     coords = space.tri.coords[space.tri.tris]
-    cN = approx.coeffs[space.elem_dofs]
     worst = 0.0
     for b in _bary_lattice(samples_per_element):
-        phi = shape_values(space.degree, tuple(b))
-        fe = cN @ phi
         X = np.einsum("c,tcd->td", b, coords)
         ex = np.asarray(exact(X[:, 0], X[:, 1]), dtype=np.float64)
-        worst = max(worst, float(np.max(np.abs(ex - fe))))
+        worst = max(worst, float(np.max(np.abs(ex - values_at_bary(approx, b)))))
     return worst
 
 

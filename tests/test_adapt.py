@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenadapt import adapt
+from eigenadapt import adapt, mesh
 from eigenadapt.adapt import (
     AdaptConfig,
     AdaptHistory,
@@ -315,8 +315,7 @@ def test_tip_min_h_recorded_on_slit_domain():
 
 
 def test_edge_data_built_once_per_mesh(monkeypatch):
-    built = {name: [] for name in ("edges", "edge_normals", "edge_lengths",
-                                   "neighbor_corners")}
+    built = {name: [] for name in ("edge_normals", "edge_lengths")}
     for name, calls in built.items():
         def counted(self, orig=Triangulation.__dict__[name].func, calls=calls):
             calls.append(self)
@@ -324,6 +323,18 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
         prop = functools.cached_property(counted)
         prop.__set_name__(Triangulation, name)
         monkeypatch.setattr(Triangulation, name, prop)
+    sorted_tris, meshes = [], []
+
+    def topology(tris, nv, orig=mesh._edge_topology):
+        sorted_tris.append(tris)
+        return orig(tris, nv)
+
+    def post_init(self, orig=Triangulation.__post_init__):
+        meshes.append(self)
+        orig(self)
+
+    monkeypatch.setattr(mesh, "_edge_topology", topology)
+    monkeypatch.setattr(Triangulation, "__post_init__", post_init)
     # both estimators on a 2-member cluster; P2 numbers its edge dofs with
     # the same edge numbering that refinement uses
     history = run(_small_config(degree=2, record_secondary_estimator=True,
@@ -333,5 +344,9 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
     for name, calls in built.items():
         # the list holds every mesh, so distinct meshes have distinct ids
         assert len({id(t) for t in calls}) == len(calls), name
-    for name in ("edge_normals", "edge_lengths", "neighbor_corners"):
-        assert len(built[name]) == levels, name
+        assert len(calls) == levels, name
+    # one edge sort per connectivity: estimators, edge dofs, refinement and
+    # grading share it, and copies that share tris (snapshots, the grading
+    # pass's re-parented mesh) never sort again
+    assert len({id(t) for t in sorted_tris}) == len(sorted_tris)
+    assert {id(t) for t in sorted_tris} == {id(m.tris) for m in meshes}

@@ -162,11 +162,76 @@ def test_rate_rejects_short_history(tmp_path, capsys):
     assert "needs >= 3" in capsys.readouterr().err
 
 
+_HISTORY_HEADER = ("level,ndof,nelem,eta_pointwise,eta_energy,lambda_1,marked,"
+                   "h_max,h_min,t_solve_ms,t_estimate_ms,t_refine_ms")
+_HISTORY_ROWS = ["0,100,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0",
+                 "1,400,80,0.5,nan,18.0,9,0.2,0.1,1.0,1.0,1.0",
+                 "2,1600,320,0.25,nan,17.5,9,0.1,0.05,1.0,1.0,1.0"]
+
+
+@pytest.mark.parametrize("column", ["level", "ndof", "eta_pointwise"])
+def test_rate_rejects_history_without_column(tmp_path, capsys, column):
+    keep = [i for i, c in enumerate(_HISTORY_HEADER.split(",")) if c != column]
+    hist = tmp_path / "history.csv"
+    hist.write_text("".join(",".join(line.split(",")[i] for i in keep) + "\n"
+                            for line in [_HISTORY_HEADER] + _HISTORY_ROWS))
+    rc = main(["rate", "--history", str(hist), "--field", "pointwise",
+               "--min-dof", "1"])
+    assert rc == 2
+    assert f"no column '{column}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, cell", [(1, "1e3"), (0, "one")])
+def test_rate_rejects_non_integer_cells(tmp_path, capsys, column, cell):
+    rows = [line.split(",") for line in _HISTORY_ROWS]
+    rows[1][column] = cell
+    hist = tmp_path / "history.csv"
+    hist.write_text("\n".join([_HISTORY_HEADER] + [",".join(r) for r in rows])
+                    + "\n")
+    rc = main(["rate", "--history", str(hist), "--field", "pointwise",
+               "--min-dof", "1"])
+    assert rc == 2
+    assert f"'{cell}'" in capsys.readouterr().err
+
+
+def test_rate_reads_a_well_formed_history(tmp_path, capsys):
+    hist = tmp_path / "history.csv"
+    hist.write_text("\n".join([_HISTORY_HEADER] + _HISTORY_ROWS) + "\n")
+    assert main(["rate", "--history", str(hist), "--field", "pointwise",
+                 "--min-dof", "1"]) == 0
+    assert "pointwise slope -0.5000 over 3 levels" in capsys.readouterr().out
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("theta = warm\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "eigenadapt:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["polygon", "slit"])
+def test_exit_code_2_on_non_finite_domain_coordinates(tmp_path, capsys, bad,
+                                                      where):
+    vertex = f"{bad} 1" if where == "polygon" else "0 1"
+    slit = f"slit 0.5 0 {bad} 0" if where == "slit" else "slit 0.5 0 1 0"
+    domain = tmp_path / "domain.txt"
+    domain.write_text(f"polygon\n0 0\n1 0\n1 1\n{vertex}\n{slit}\n")
+    assert main(["mesh", "dump", "--domain", str(domain), "--n", "4",
+                 "--out", str(tmp_path / "mesh.txt")]) == 2
+    assert "domain coordinates must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eig_tol", "nan"), ("eig_tol", "inf"),
+                                        ("eta_target", "nan"),
+                                        ("eta_target", "inf"),
+                                        ("theta", "nan")])
+def test_exit_code_2_on_non_finite_config_value(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "run.cfg", **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        AdaptConfig.from_file(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_bad_domain(tmp_path, capsys):

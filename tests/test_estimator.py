@@ -1,13 +1,11 @@
 """Pointwise and energy estimator tests: hand values, golden values, oracles."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from eigenadapt.eigen import ClusterSelection, solve_smallest
-from eigenadapt.errors import MeshError
 from eigenadapt.estimator import (
     eta_energy,
     eta_energy_functions,
@@ -72,18 +70,6 @@ def test_affine_function_has_no_jumps():
     corner_abs = np.abs(coeffs[space.tri.tris]).max(axis=1)
     np.testing.assert_allclose(pw.elem_part, space.tri.h ** 2 * corner_abs,
                                rtol=1e-13)
-
-
-def test_inconsistent_neighbor_table_is_a_mesh_error():
-    tri = initial_mesh(builtin_domain("omega1"), 4)
-    t = int(np.nonzero(tri.neighbors[:, 0] >= 0)[0][0])
-    # point t's first interior edge at a triangle sharing no vertex with t
-    far = np.nonzero(~np.isin(tri.tris, tri.tris[t]).any(axis=1))[0][0]
-    nbrs = tri.neighbors.copy()
-    nbrs[t, 0] = far
-    space = build_space(dataclasses.replace(tri, neighbors=nbrs), 1)
-    with pytest.raises(MeshError, match="neighbor tables"):
-        eta_pointwise_functions(space, [1.0], [np.ones(space.n_dofs)])
 
 
 def test_zero_function():

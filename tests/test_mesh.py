@@ -1,6 +1,5 @@
 """Refinement, conformity, and mesh bookkeeping tests."""
 
-import dataclasses
 import hashlib
 import os
 import pathlib
@@ -220,20 +219,6 @@ def test_read_mesh_rejects_malformed_files(tmp_path, old, new, message):
     assert str(info.value) == message
 
 
-def test_check_mesh_rejects_non_mutual_neighbors():
-    tri = initial_mesh(builtin_domain("unit_square"), 2)
-    check_mesh(tri)
-    nb = tri.neighbors.copy()
-    # two triangles trade their refinement-edge neighbors, so each now lists
-    # a triangle that does not list it back
-    t, s = np.nonzero(nb[:, 0] >= 0)[0][[0, -1]]
-    assert nb[t, 0] not in (t, s) and nb[s, 0] not in (t, s)
-    nb[t, 0], nb[s, 0] = nb[s, 0], nb[t, 0]
-    assert t not in nb[nb[t, 0]]
-    with pytest.raises(MeshError):
-        check_mesh(dataclasses.replace(tri, neighbors=nb))
-
-
 def test_assign_refinement_edges_longest():
     coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     # longest edge is (1,2); any input rotation ends with it opposite local 0
@@ -431,3 +416,91 @@ RECORDED_REFINE_DIGESTS = {
 
 def test_refine_matches_recorded_mesh_sets():
     assert _recorded_refine_digests() == RECORDED_REFINE_DIGESTS
+
+
+# --- edge topology: one sort gives edges, edge mates and neighbors ---
+
+def _check_topology_by_brute_force(tri):
+    """Compare the derived edge topology with a dictionary keyed on sorted
+    vertex pairs."""
+    holders = {}
+    for t, verts in enumerate(tri.tris.tolist()):
+        for e, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            pair = (min(verts[a], verts[b]), max(verts[a], verts[b]))
+            holders.setdefault(pair, []).append((t, e))
+    keys, edge, count = tri.edges
+    nv = tri.n_vertices
+    pairs = sorted(holders)
+    assert keys.tolist() == [lo * nv + hi for lo, hi in pairs]
+    mates, neighbors = tri.edge_mates, tri.neighbors
+    assert neighbors.dtype == np.int64 and neighbors.flags.c_contiguous
+    for i, pair in enumerate(pairs):
+        slots = holders[pair]
+        assert count[i] == len(slots) <= 2
+        for t, e in slots:
+            assert edge[t, e] == i
+        if len(slots) == 1:
+            (t, e), = slots
+            assert mates[t, e] == -1 and neighbors[t, e] == -1
+            continue
+        for (t, e), (s, f) in (slots, slots[::-1]):
+            assert mates[t, e] == 3 * s + f and neighbors[t, e] == s
+            # counterclockwise on both sides: the mate runs the edge reversed
+            ends = tri.tris[t, [(e + 1) % 3, (e + 2) % 3]]
+            mate_ends = tri.tris[s, [(f + 1) % 3, (f + 2) % 3]]
+            assert mate_ends.tolist() == ends[::-1].tolist()
+    return holders
+
+
+@pytest.mark.parametrize("domain", ["omega1", "omega2", "omega3", "unit_square"])
+def test_edge_topology_of_initial_meshes(domain):
+    tri = initial_mesh(builtin_domain(domain), 4)
+    holders = _check_topology_by_brute_force(tri)
+    if domain == "omega2":
+        # a slit face is held by one triangle on each side, under distinct
+        # vertex ids, so neither side gets a mate
+        on_slit = []
+        for (lo, hi), slots in holders.items():
+            p, q = tri.coords[lo], tri.coords[hi]
+            axis = 0 if p[1] == q[1] == 0.0 else 1 if p[0] == q[0] == 0.0 else None
+            if axis is not None and min(abs(p[axis]), abs(q[axis])) >= 0.5 \
+                    and max(abs(p[axis]), abs(q[axis])) <= 1.0:
+                on_slit.append(len(slots))
+        # 4 slits, 2 lattice edges each at n = 4, both faces
+        assert on_slit == [1] * 16
+
+
+def test_edge_topology_of_refined_meshes():
+    rng = np.random.default_rng(3)
+    base = initial_mesh(builtin_domain("omega1"), 4)
+    for strategy in ("nvb", "bisec_lg1"):
+        tri = base
+        for _ in range(4):
+            marked = rng.choice(tri.n_elements, size=12, replace=False)
+            tri = refine(tri, MarkSet.from_iterable(marked), strategy)
+        _check_topology_by_brute_force(tri)
+    _check_topology_by_brute_force(uniform_refine(initial_mesh(builtin_domain("omega2"), 4)))
+    _check_topology_by_brute_force(_delaunay_square(7, 80))
+
+
+# three counterclockwise triangles on edge 0-1: two above it, one below
+_FAN_COORDS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                        [0.5, 2.0]])
+_FAN_TRIS = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+
+
+def test_edge_held_by_three_triangles_is_a_mesh_error(tmp_path):
+    with pytest.raises(MeshError, match="more than two triangles"):
+        Triangulation.from_arrays(_FAN_COORDS, _FAN_TRIS)
+    path = tmp_path / "fan.txt"
+    path.write_text("vertices 5\ntriangles 3\n"
+                    + "".join(f"{x} {y} 1\n" for x, y in _FAN_COORDS)
+                    + "".join(f"{a} {b} {c} 0\n" for a, b, c in _FAN_TRIS))
+    with pytest.raises(MeshError, match="more than two triangles"):
+        read_mesh(path)
+
+
+def test_edge_run_the_same_way_twice_is_a_mesh_error():
+    # both triangles lie above edge 0-1 and overlap
+    with pytest.raises(MeshError, match="same way"):
+        Triangulation.from_arrays(_FAN_COORDS, _FAN_TRIS[[0, 2]])
