@@ -3,6 +3,9 @@
 ``run`` executes the loop on a domain until a stop criterion fires (dof
 budget, level cap, estimator target, or a vanished estimator), recording
 per-level eigenvalues, estimator values, mesh statistics and wall times.
+From level 1 on, a cluster lo..hi with lo >= 3 is solved as the window
+lo-1..hi+1 around a shift taken from the previous level (see
+``_solve_level``).
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -20,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import (ClusterSelection, SeparationReport, multiplicity_groups,
-                    separation_diagnostic, solve_smallest)
+from .eigen import (ClusterSelection, EigenPairSet, SeparationReport,
+                    multiplicity_groups, separation_diagnostic, solve_smallest)
 from .errors import ConfigError, SolverError
 from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
@@ -161,7 +164,8 @@ class LevelRecord:
     marked: int             # elements marked at this level (0 on the last)
     h_max: float
     h_min: float
-    t_solve_ms: float
+    t_assemble_ms: float
+    t_solve_ms: float       # factorization and Lanczos
     t_estimate_ms: float
     t_refine_ms: float
 
@@ -176,7 +180,8 @@ class AdaptHistory:
                                 # estimator_zero | solver_failure
     failure: str | None         # solver error message when aborted
     separation: SeparationReport | None   # diagnostics at the final level
-    multiplicity: list[list[int]]         # numerically multiple index groups
+    multiplicity: list[list[int]]         # multiple groups among the final
+                                          # pairs, 0-based spectrum indices
     snapshots: list[tuple[int, Triangulation]]
     final_mesh: Triangulation | None
     tip_min_h: list[list[float]]   # per level, per slit tip: min h nearby
@@ -220,6 +225,42 @@ def _cluster_cuts_multiplicity(cluster: ClusterSelection,
                for g in groups)
 
 
+def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
+                 config: AdaptConfig) -> EigenPairSet:
+    """The eigenpairs of one level: the window lo-1..hi+1 when the previous
+    level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
+
+    The window is solved by shift-invert at the midpoint of the previous
+    level's lam_{lo-1} and lam_{hi+1}.  On the previous level that shift has
+    both neighbors at equal distance and every other eigenvalue farther
+    away, so its hi - lo + 3 nearest pairs are exactly lo-1..hi+1; the
+    spaces are nested, so the values only fall from there.  The window is
+    kept when the factor's inertia puts it at lo-1..hi+1 and no value
+    exceeds the previous level's at the same index, a cross-check of that
+    count.  A window that misses or raises SolverError is replaced by the
+    lowest-pairs solve.  With lo <= 2 no eigenvalue lies below the window
+    to skip, so those clusters always take the lowest pairs.
+    """
+    m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
+    if (prev is not None and cluster.lo >= 3 and prev.last > cluster.hi
+            and m == cluster.hi + EXTRA_PAIRS):
+        old = prev.values[prev.positions(cluster.lo - 1, cluster.hi + 1)]
+        shift = 0.5 * (old[0] + old[-1])
+        try:
+            pairs = solve_smallest(A, M, cluster.size + 2, tol=config.eig_tol,
+                                   seed=config.seed, shift=shift)
+        except SolverError as exc:
+            reason = str(exc)
+        else:
+            if pairs.first == cluster.lo - 1 and np.all(pairs.values <= old):
+                return pairs
+            reason = (f"window {pairs.first}..{pairs.last}, values "
+                      f"{pairs.values.tolist()} against {old.tolist()}")
+        log.debug("window at shift %.9g rejected (%s); solving for the "
+                  "lowest %d pairs", shift, reason, m)
+    return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed)
+
+
 def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
     """Smallest h among elements with a vertex within TIP_RADIUS of each tip."""
     out = []
@@ -244,7 +285,6 @@ def run(config: AdaptConfig) -> AdaptHistory:
     tri = initial_mesh(spec, config.n)
     tips = np.asarray(slit_tips(spec), dtype=np.float64).reshape(-1, 2)
     cluster = ClusterSelection(config.cluster_lo, config.cluster_hi)
-    m = cluster.hi + EXTRA_PAIRS
 
     rows: list[LevelRecord] = []
     snapshots: list[tuple[int, Triangulation]] = []
@@ -266,10 +306,11 @@ def run(config: AdaptConfig) -> AdaptHistory:
 
         t0 = time.monotonic()
         A, M = assemble(space)
+        t_assemble = (time.monotonic() - t0) * 1e3
+        t0 = time.monotonic()
         try:
-            pairs = solve_smallest(A, M, min(m, ndof), tol=config.eig_tol,
-                                   seed=config.seed)
-            if pairs.values.size < cluster.hi:
+            pairs = _solve_level(A, M, cluster, pairs, config)
+            if pairs.last < cluster.hi:
                 raise SolverError(
                     f"space too small for eigenpair {cluster.hi} "
                     f"({ndof} dofs)")
@@ -299,9 +340,11 @@ def run(config: AdaptConfig) -> AdaptHistory:
             level=level, ndof=ndof, nelem=int(tri.tris.shape[0]),
             eta_pointwise=rep_pw.eta_global if rep_pw else math.nan,
             eta_energy=rep_en.eta_global if rep_en else math.nan,
-            lambdas=tuple(float(pairs.values[i]) for i in cluster.indices),
+            lambdas=tuple(float(v) for v in
+                          pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
             marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
-            t_solve_ms=t_solve, t_estimate_ms=t_estimate, t_refine_ms=0.0)
+            t_assemble_ms=t_assemble, t_solve_ms=t_solve,
+            t_estimate_ms=t_estimate, t_refine_ms=0.0)
         rows.append(row)
 
         if config.eta_target > 0.0 and primary.eta_global <= config.eta_target:
@@ -331,9 +374,10 @@ def run(config: AdaptConfig) -> AdaptHistory:
 
     if stop_reason is None:  # loop exhausted without a break
         stop_reason = "max_levels"
-    if pairs is not None and pairs.values.size > cluster.hi:
+    if pairs is not None and pairs.last > cluster.hi:
         separation = separation_diagnostic(pairs, cluster)
-        multiplicity = multiplicity_groups(pairs.values)
+        multiplicity = [[i + pairs.first - 1 for i in g]
+                        for g in multiplicity_groups(pairs.values)]
         if _cluster_cuts_multiplicity(cluster, multiplicity):
             log.warning(
                 "cluster %d..%d splits a numerically multiple eigenvalue "
@@ -404,13 +448,15 @@ def write_history_csv(history: AdaptHistory, path: str | os.PathLike) -> None:
     lam_cols = ",".join(f"lambda_{j}" for j in cluster)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"level,ndof,nelem,eta_pointwise,eta_energy,{lam_cols},"
-                 "marked,h_max,h_min,t_solve_ms,t_estimate_ms,t_refine_ms\n")
+                 "marked,h_max,h_min,t_assemble_ms,t_solve_ms,t_estimate_ms,"
+                 "t_refine_ms\n")
         for r in history.rows:
             lams = ",".join(_csv_cell(v) for v in r.lambdas)
             fh.write(f"{r.level},{r.ndof},{r.nelem},"
                      f"{_csv_cell(r.eta_pointwise)},{_csv_cell(r.eta_energy)},"
                      f"{lams},{r.marked},{_csv_cell(r.h_max)},"
-                     f"{_csv_cell(r.h_min)},{r.t_solve_ms:.3f},"
+                     f"{_csv_cell(r.h_min)},{r.t_assemble_ms:.3f},"
+                     f"{r.t_solve_ms:.3f},"
                      f"{r.t_estimate_ms:.3f},{r.t_refine_ms:.3f}\n")
 
 

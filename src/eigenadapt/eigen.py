@@ -1,14 +1,26 @@
 """Sparse generalized eigensolver and cluster separation diagnostics.
 
 The discrete problem is A v = lambda M v with A the Dirichlet-eliminated
-stiffness matrix (symmetric positive definite) and M the mass matrix.  The
-smallest eigenvalues are computed by shift-invert Lanczos at shift zero
-(ARPACK through scipy, with full reorthogonalization) started from a seeded
-deterministic vector.  The shift-invert operator applies one sparse LU of A:
-the dofs are pre-ordered by reverse Cuthill-McKee, then SuperLU factors in
-symmetric mode with minimum degree ordering on A + A^T and no pivoting,
-since A is SPD.  ARPACK stops at a Ritz accuracy of ``_LANCZOS_TOL_MARGIN``
-times the residual tolerance the solve accepts, not at machine precision.
+stiffness matrix (symmetric positive definite) and M the mass matrix.
+``solve_smallest`` runs shift-invert Lanczos (ARPACK through scipy, with
+full reorthogonalization) from a seeded deterministic vector.  The operator
+applies one sparse LU of A - sigma M: the dofs are pre-ordered by reverse
+Cuthill-McKee, then SuperLU factors in symmetric mode with minimum degree
+ordering on the symmetrized pattern and no pivoting.  ARPACK stops at a
+Ritz accuracy of ``_LANCZOS_TOL_MARGIN`` times the residual tolerance the
+solve accepts, not at machine precision.
+
+At shift zero the factored matrix is A itself and the solve returns the
+lowest eigenpairs.  At a nonzero shift it returns the window of eigenpairs
+nearest the shift (spectrum slicing, Ericsson and Ruhe, Math. Comp. 35
+(1980)).  The window's place in the spectrum comes from the factor's
+inertia: with no row interchanges, U's diagonal is the D of an LDL^T
+factorization, and by Sylvester's law its negative entries count the
+eigenvalues below the shift.  A factor that interchanged rows, or whose
+smallest pivot is tiny against the largest, cannot be trusted for that
+count and raises SolverError; so does a shift on an eigenvalue.  The
+adaptive loop then falls back to the lowest eigenpairs.
+
 Tiny problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
 first nonzero coefficient is positive.
@@ -28,15 +40,37 @@ _ORTHO_TOL = 1e-10
 _SIGN_EPS = 1e-12
 # ARPACK's Ritz tolerance as a fraction of the accepted relative residual
 _LANCZOS_TOL_MARGIN = 1e-3
+# smallest accepted |pivot| / max |pivot| of a factor of A - sigma M
+_PIVOT_TOL = 1e-10
 
 
 @dataclass
 class EigenPairSet:
-    """Ascending eigenvalues with M-orthonormal coefficient vectors."""
+    """Ascending eigenvalues with M-orthonormal coefficient vectors.
+
+    ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
+    from 1: ``first`` is 1 for the lowest pairs and larger for a window.
+    """
 
     values: np.ndarray      # (m,)
     vectors: np.ndarray     # (n_free, m), column i pairs with values[i]
     residuals: np.ndarray   # (m,) relative residuals |Av - lam Mv| / (lam |v|)
+    first: int = 1          # 1-based spectrum index of values[0]
+
+    @property
+    def last(self) -> int:
+        """1-based spectrum index of values[-1]."""
+        return self.first + self.values.size - 1
+
+    def positions(self, lo: int, hi: int) -> np.ndarray:
+        """Positions in ``values`` of the 1-based eigenvalue indices lo..hi.
+
+        Raises ValueError when one of them was not computed.
+        """
+        if lo < self.first or hi > self.last:
+            raise ValueError(f"need eigenpairs {lo}..{hi} but computed "
+                             f"{self.first}..{self.last}")
+        return np.arange(lo - self.first, hi - self.first + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -53,11 +87,6 @@ class ClusterSelection:
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Zero-based positions of the cluster inside an ascending value list."""
-        return np.arange(self.lo - 1, self.hi, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -140,16 +169,44 @@ def factorize_spd(A) -> SpdFactor:
     return SpdFactor(lu, perm)
 
 
-def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
-                   lu=None) -> EigenPairSet:
-    """Compute the m smallest eigenpairs of A v = lambda M v.
+def _shifted_factor(A, M, shift: float) -> tuple[SpdFactor, int]:
+    """``factorize_spd`` of the indefinite A - shift M, and its number of
+    negative pivots: the count of eigenvalues below the shift.
 
-    A^-1 is applied through ``factorize_spd``: reverse Cuthill-McKee
-    pre-order, then symmetric-mode SuperLU with minimum degree on A + A^T
-    and no pivoting because A is SPD.  ARPACK stops once its Ritz values
-    are accurate to ``_LANCZOS_TOL_MARGIN * tol`` relative, which leaves the
+    The count holds only for a factor without row interchanges and with
+    pivots bounded away from zero; otherwise SolverError is raised.
+    """
+    shifted = A - shift * M
+    lu = factorize_spd(shifted)
+    # reading U builds CSC copies of L and U that live as long as the factor
+    del shifted
+    if not np.array_equal(lu.lu.perm_r, lu.lu.perm_c):
+        raise SolverError(
+            f"factor at shift {shift:.9g} interchanged rows; its inertia "
+            f"does not count the eigenvalues below the shift")
+    pivots = lu.lu.U.diagonal()
+    ratio = np.min(np.abs(pivots)) / np.max(np.abs(pivots))
+    if ratio <= _PIVOT_TOL:
+        raise SolverError(
+            f"shift {shift:.9g} lies on an eigenvalue (smallest pivot "
+            f"{ratio:.3e} of the largest)")
+    return lu, int(np.count_nonzero(pivots < 0.0))
+
+
+def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
+                   lu=None, shift: float = 0.0) -> EigenPairSet:
+    """Compute the m eigenpairs of A v = lambda M v nearest ``shift``.
+
+    At the default shift zero these are the m smallest.  (A - shift M)^-1
+    is applied through ``factorize_spd``: reverse Cuthill-McKee pre-order,
+    then symmetric-mode SuperLU with minimum degree on the symmetrized
+    pattern and no pivoting.  ARPACK stops once its Ritz values are
+    accurate to ``_LANCZOS_TOL_MARGIN * tol`` relative, which leaves the
     residuals far below ``tol``; the residuals are then recomputed, and any
-    one above ``tol`` raises SolverError.
+    one above ``tol`` raises SolverError.  The result's ``first`` is the
+    1-based index of its lowest value: the number of negative pivots of
+    the factor (the eigenvalues below the shift), minus the computed values
+    below the shift, plus one.
 
     Parameters
     ----------
@@ -162,27 +219,37 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
     lu : SpdFactor, optional
-        ``factorize_spd`` factor of A to reuse; factored here when omitted.
+        ``factorize_spd`` factor of A to reuse at shift zero; factored here
+        when omitted.
+    shift : float
+        Center of the window.  A nonzero shift raises SolverError when the
+        factor of A - shift M interchanged rows or has a pivot below
+        ``_PIVOT_TOL`` times the largest, as on an eigenvalue.
     """
-    Amat = A.tocsc()
-    Mmat = M.tocsc()
-    n = Amat.shape[0]
+    n = A.shape[0]
     if m < 1 or m > n:
         raise ValueError(f"cannot compute {m} pairs on a dimension-{n} problem")
+    if lu is not None and shift != 0.0:
+        raise ValueError("a factor of A can only be reused at shift zero")
 
     if m > n - 2 or n < 5:
-        dense_vals, dense_vecs = scipy.linalg.eigh(Amat.toarray(), Mmat.toarray())
-        values = dense_vals[:m].copy()
-        vectors = dense_vecs[:, :m].copy()
+        dense_vals, dense_vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
+        below = int(np.count_nonzero(dense_vals < shift))
+        keep = np.sort(np.argsort(np.abs(dense_vals - shift), kind="stable")[:m])
+        values = dense_vals[keep]
+        vectors = dense_vecs[:, keep]
     else:
-        if lu is None:
-            lu = factorize_spd(Amat)
+        below = 0
+        if shift != 0.0:
+            lu, below = _shifted_factor(A, M, shift)
+        elif lu is None:
+            lu = factorize_spd(A)
         OPinv = scipy.sparse.linalg.LinearOperator(
-            Amat.shape, matvec=lu.solve, dtype=np.float64)
+            A.shape, matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
         try:
             values, vectors = scipy.sparse.linalg.eigsh(
-                Amat, k=m, M=Mmat, sigma=0.0, which="LM", OPinv=OPinv,
+                A, k=m, M=M, sigma=shift, which="LM", OPinv=OPinv,
                 v0=v0, maxiter=max(50 * m, 100), tol=_LANCZOS_TOL_MARGIN * tol)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise SolverError(
@@ -192,14 +259,14 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         values = values[order]
         vectors = vectors[:, order]
 
-    gram = vectors.T @ (Mmat @ vectors)
+    gram = vectors.T @ (M @ vectors)
     defect = np.max(np.abs(gram - np.eye(m)))
     if defect > 1e-12:
-        _m_orthonormalize(vectors, Mmat)
+        _m_orthonormalize(vectors, M)
     _sign_normalize(vectors)
 
-    Av = Amat @ vectors
-    Mv = Mmat @ vectors
+    Av = A @ vectors
+    Mv = M @ vectors
     vnorm = np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm(Av - values[None, :] * Mv, axis=0) / (values * vnorm)
 
@@ -210,11 +277,13 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         raise SolverError(
             f"eigensolver residual {worst:.3e} exceeds tolerance {tol:.3e}")
 
-    gram = vectors.T @ (Mmat @ vectors)
+    gram = vectors.T @ (M @ vectors)
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
-    return EigenPairSet(values=values, vectors=vectors, residuals=residuals)
+    first = below - int(np.count_nonzero(values < shift)) + 1
+    return EigenPairSet(values=values, vectors=vectors, residuals=residuals,
+                        first=first)
 
 
 def multiplicity_groups(values: np.ndarray, rtol: float = 1e-8) -> list[list[int]]:
@@ -238,29 +307,30 @@ def separation_diagnostic(pairs: EigenPairSet, cluster: ClusterSelection,
     With ``reference`` (a 1-based ascending list of continuous eigenvalues
     covering at least index hi+1), cluster values and gaps use the reference;
     otherwise the computed discrete values stand in.  The non-cluster values
-    entering m_j are always the computed discrete ones.
+    entering m_j are always the computed discrete ones.  The pairs must
+    cover the cluster's neighbors lo-1 (when lo >= 2) and hi+1; the maximum
+    of lam_j / |lam_i - lam_j| sits at these nearest neighbors, so a window
+    that holds them gives the m_j of the full lower spectrum.
     """
     disc = pairs.values
-    if cluster.hi >= disc.size:
-        raise ValueError(
-            f"cluster 1..{cluster.hi} touches the last computed index; "
-            f"need at least {cluster.hi + 1} converged pairs, have {disc.size}")
+    above = pairs.positions(max(cluster.lo - 1, 1), cluster.hi + 1)[-1]
+    at_lo = above - cluster.size    # positions of lam_{hi+1} and lam_lo
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
         if ref.size < cluster.hi + 1:
             raise ValueError("reference spectrum too short for the cluster")
-        lam = ref
+        lam, base = ref, cluster.lo - 1
         source = "reference"
     else:
-        lam = disc
+        lam, base = disc, at_lo
         source = "discrete"
 
-    j_vals = lam[cluster.lo - 1:cluster.hi]
-    below = lam[cluster.lo - 2] if cluster.lo >= 2 else 0.0
+    j_vals = lam[base:base + cluster.size]
+    below = lam[base - 1] if cluster.lo >= 2 else 0.0
     gap_below = float(j_vals[0] - below)
-    gap_above = float(lam[cluster.hi] - j_vals[-1])
+    gap_above = float(lam[base + cluster.size] - j_vals[-1])
 
-    non_cluster = np.concatenate([disc[:cluster.lo - 1], disc[cluster.hi:]])
+    non_cluster = np.concatenate([disc[:at_lo], disc[above:]])
     m_j = 0.0
     for lj in j_vals:
         dist = np.abs(non_cluster - lj)

@@ -141,13 +141,6 @@ def _unit_scaled(coeff_list) -> tuple[np.ndarray, float]:
     return coeffs / scale, scale
 
 
-def _check_cluster(pairs: EigenPairSet, cluster: ClusterSelection) -> None:
-    if cluster.hi > pairs.values.size:
-        raise ValueError(
-            f"cluster needs eigenpair {cluster.hi} but only "
-            f"{pairs.values.size} converged")
-
-
 def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
                             coeff_list: Sequence[np.ndarray],
                             cluster: tuple[int, int] = (0, 0)) -> EstimatorReport:
@@ -214,8 +207,7 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
 def _cluster_block(space: FeSpace, pairs: EigenPairSet,
                    cluster: ClusterSelection) -> tuple[np.ndarray, np.ndarray]:
     """Cluster eigenvalues and their full coefficient vectors, (k, ndof)."""
-    _check_cluster(pairs, cluster)
-    idx = cluster.indices
+    idx = pairs.positions(cluster.lo, cluster.hi)
     return pairs.values[idx], from_free_vector(space, pairs.vectors[:, idx]).coeffs.T
 
 

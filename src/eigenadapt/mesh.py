@@ -153,15 +153,19 @@ class Triangulation:
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the local edges, shape (nt, 3)."""
         t = self.edge_tangents()
-        return np.hypot(t[..., 0], t[..., 1])
+        lengths = np.hypot(t[..., 0], t[..., 1])
+        lengths.setflags(write=False)
+        return lengths
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
         """Unit outward normals of the local edges, shape (nt, 3, 2)."""
         t = self.edge_tangents()
         # CCW triangle: rotating the edge tangent by -90 degrees points outward
-        return np.stack([t[..., 1], -t[..., 0]], axis=-1) \
+        normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) \
             / self.edge_lengths[..., None]
+        normals.setflags(write=False)
+        return normals
 
     @staticmethod
     def from_arrays(coords, tris, dirichlet=None, gen=None) -> "Triangulation":
@@ -353,16 +357,15 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
 
 
 def min_angle_deg(tri: Triangulation) -> float:
-    p0 = tri.coords[tri.tris[:, 0]]
-    p1 = tri.coords[tri.tris[:, 1]]
-    p2 = tri.coords[tri.tris[:, 2]]
-    angles = []
-    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
-        u, v = b - a, c - a
-        cosang = np.sum(u * v, axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    return float(np.min(angles))
+    """Smallest interior angle of the mesh, in degrees.
+
+    A triangle's smallest angle lies opposite its shortest edge a, so the
+    law of cosines on the sorted edge lengths a <= b <= c gives its cosine
+    (b^2 + c^2 - a^2) / (2 b c); one arccos of the largest cosine follows.
+    """
+    a, b, c = np.sort(tri.edge_lengths, axis=1).T
+    cosine = np.max((b * b + c * c - a * a) / (2.0 * b * c))
+    return float(np.degrees(np.arccos(min(cosine, 1.0))))
 
 
 def max_adjacent_gen_diff(tri: Triangulation) -> int:

@@ -135,12 +135,11 @@ def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> FeFunction:
 def cluster_project(space: FeSpace, r: FeFunction, pairs: EigenPairSet,
                     cluster: ClusterSelection, M) -> FeFunction:
     """M-orthogonal projection of r onto the span of the cluster vectors."""
-    if cluster.hi > pairs.values.size:
-        raise ValueError("cluster references unconverged pairs")
+    idx = pairs.positions(cluster.lo, cluster.hi)
     r_free = r.coeffs[space.free]
     Mr = M @ r_free
     out = np.zeros_like(r_free)
-    for i in cluster.indices:
+    for i in idx:
         v = pairs.vectors[:, i]
         out += (v @ Mr) * v
     return from_free_vector(space, out)

@@ -21,7 +21,10 @@ from eigenadapt.adapt import (
     write_history_csv,
     write_summary_json,
 )
-from eigenadapt.errors import ConfigError
+from eigenadapt.eigen import (ClusterSelection, multiplicity_groups,
+                              separation_diagnostic, solve_smallest)
+from eigenadapt.errors import ConfigError, SolverError
+from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import MarkSet, Triangulation
 
@@ -98,7 +101,8 @@ def _history_from_track(track, estimator="pointwise"):
             eta_pointwise=eta if estimator == "pointwise" else math.nan,
             eta_energy=eta if estimator == "energy" else math.nan,
             lambdas=(1.0,), marked=1, h_max=0.1, h_min=0.01,
-            t_solve_ms=0.0, t_estimate_ms=0.0, t_refine_ms=0.0))
+            t_assemble_ms=0.0, t_solve_ms=0.0, t_estimate_ms=0.0,
+            t_refine_ms=0.0))
     cfg = AdaptConfig(estimator=estimator, cluster_lo=1, cluster_hi=1)
     return AdaptHistory(config=cfg, rows=rows, stop_reason="max_dof",
                         failure=None, separation=None, multiplicity=[],
@@ -204,9 +208,13 @@ def test_run_determinism(tmp_path):
     write_history_csv(a, pa)
     write_history_csv(b, pb)
     # identical apart from wall-time columns
-    strip = lambda p: ["," .join(line.split(",")[:-3]) for line in
-                       p.read_text().splitlines()]
-    assert strip(pa) == strip(pb)
+    assert _untimed(pa) == _untimed(pb)
+
+
+def _untimed(path):
+    """The history CSV's rows without its wall-time (t_*) columns."""
+    header, rows = read_history_csv(path)
+    return [[row[c] for c in header if not c.startswith("t_")] for row in rows]
 
 
 def test_history_csv_roundtrip(tmp_path):
@@ -216,7 +224,8 @@ def test_history_csv_roundtrip(tmp_path):
     header, rows = read_history_csv(path)
     assert header == ["level", "ndof", "nelem", "eta_pointwise", "eta_energy",
                       "lambda_1", "lambda_2", "marked", "h_max", "h_min",
-                      "t_solve_ms", "t_estimate_ms", "t_refine_ms"]
+                      "t_assemble_ms", "t_solve_ms", "t_estimate_ms",
+                      "t_refine_ms"]
     assert len(rows) == len(hist.rows)
     for rec, row in zip(hist.rows, rows):
         assert int(row["level"]) == rec.level
@@ -350,3 +359,68 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
     # pass's re-parented mesh) never sort again
     assert len({id(t) for t in sorted_tris}) == len(sorted_tris)
     assert {id(t) for t in sorted_tris} == {id(m.tris) for m in meshes}
+
+
+# --- spectrum slicing: from level 1 on, clusters with lo >= 3 solve a window ---
+
+def _record_solves(monkeypatch, move_shift=None):
+    """Record (shift, first index or None when it raised) of every solve
+    the loop makes; ``move_shift(A, M)`` replaces each nonzero shift."""
+    calls = []
+
+    def solve(A, M, m, tol, seed, shift=0.0):
+        if shift and move_shift is not None:
+            shift = move_shift(A, M)
+        try:
+            pairs = solve_smallest(A, M, m, tol=tol, seed=seed, shift=shift)
+        except SolverError:
+            calls.append((shift, None))
+            raise
+        calls.append((shift, pairs.first))
+        return pairs
+
+    monkeypatch.setattr(adapt, "solve_smallest", solve)
+    return calls
+
+
+def test_window_run_matches_lowest_pairs_on_final_mesh(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    hist = run(AdaptConfig(max_dof=3000))     # L-shape, cluster 12..13
+    assert hist.stop_reason == "max_dof"
+    # level 0 solves the lowest 16 pairs; the final level only 11..14
+    assert calls[0] == (0.0, 1)
+    assert calls[-1][0] > 0.0 and calls[-1][1] == 11
+    A, M = assemble(build_space(hist.final_mesh, 1))
+    full = solve_smallest(A, M, 16)
+    cluster = ClusterSelection(12, 13)
+    np.testing.assert_allclose(hist.rows[-1].lambdas, full.values[11:13],
+                               rtol=1e-10, atol=0.0)
+    ref = separation_diagnostic(full, cluster)
+    for name in ("m_j_discrete", "gap_below", "gap_above"):
+        assert getattr(hist.separation, name) == pytest.approx(
+            getattr(ref, name), rel=1e-9)
+    # groups stay 0-based spectrum indices and cover the window 11..14
+    assert hist.multiplicity == [g for g in multiplicity_groups(full.values)
+                                 if 10 <= min(g) and max(g) <= 13]
+
+
+def test_window_failure_falls_back_to_lowest_pairs(monkeypatch):
+    cfg = AdaptConfig(max_dof=3000)
+    plain = run(cfg)
+    # a shift on this level's lambda_12 makes every window solve raise
+    calls = _record_solves(
+        monkeypatch, lambda A, M: solve_smallest(A, M, 16).values[11])
+    moved = run(cfg)
+    raised = [shift for shift, first in calls if first is None]
+    assert len(raised) == len(moved.rows) - 1 and all(raised)
+    assert [first for _, first in calls if first is not None] == \
+        [1] * len(moved.rows)
+    assert [r.ndof for r in moved.rows] == [r.ndof for r in plain.rows]
+    np.testing.assert_allclose([r.lambdas for r in moved.rows],
+                               [r.lambdas for r in plain.rows], rtol=1e-10)
+
+
+def test_clusters_from_index_2_never_slice(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    run(_small_config(cluster_lo=2, cluster_hi=3))
+    assert len(calls) > 1 and all(c == (0.0, 1) for c in calls)

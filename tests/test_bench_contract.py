@@ -49,15 +49,24 @@ def test_read_arguments_keep_their_positions(key):
         assert params[pos] == name
 
 
-def test_traced_run_counts_every_layer(tmp_path):
+def _traced_run(tmp_path, monkeypatch, **kw):
+    """One traced CLI run, checked against the tracer's layer metrics;
+    returns its history and the ``first`` index of every eigensolver result."""
+    firsts = []
+    solve = adapt.solve_smallest
+
+    def recording(*args, **kwargs):
+        pairs = solve(*args, **kwargs)
+        firsts.append(pairs.first)
+        return pairs
+
+    monkeypatch.setattr(adapt, "solve_smallest", recording)
     originals = {(mod, attr): getattr(MODULES[mod], attr)
                  for mod, attr in tracing.TRACED}
     tracer = tracing.Tracer(MODULES)
     tracer.install()
     try:
-        config = adapt.AdaptConfig(
-            domain="unit_square", n=4, cluster_lo=1, cluster_hi=2,
-            max_dof=300, record_secondary_estimator=True)
+        config = adapt.AdaptConfig(n=4, record_secondary_estimator=True, **kw)
         history = cli.execute_run(config, tmp_path / "run")
     finally:
         for (mod, attr), fn in originals.items():
@@ -72,3 +81,21 @@ def test_traced_run_counts_every_layer(tmp_path):
     assert metrics["fem.ndof_sum"] == sum(r.ndof for r in history.rows)
     assert metrics["estimator.evals"] == 2 * 2 * sum(r.nelem for r in history.rows)
     assert metrics["mesh.bisections"] > 0
+    assert metrics["eigen.calls"] == len(firsts) >= len(history.rows)
+    assert 0.0 < metrics["eigen.max_residual"] <= config.eig_tol
+    return history, firsts
+
+
+def test_traced_run_counts_every_layer(tmp_path, monkeypatch):
+    _, firsts = _traced_run(tmp_path, monkeypatch, domain="unit_square",
+                               cluster_lo=1, cluster_hi=2, max_dof=300)
+    assert set(firsts) == {1}
+
+
+def test_traced_run_reads_window_solves(tmp_path, monkeypatch):
+    # cluster 3..4: from level 1 on the solves are windows 2..5 around a
+    # shift, whose results the tracer reads like the lowest pairs
+    history, firsts = _traced_run(tmp_path, monkeypatch, domain="omega3",
+                                     cluster_lo=3, cluster_hi=4, max_dof=1000)
+    assert firsts[0] == 1
+    assert firsts.count(2) >= len(history.rows) - 2

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from eigenadapt.adapt import AdaptConfig
+from eigenadapt.adapt import AdaptConfig, read_history_csv
 from eigenadapt.cli import main, preset_configs, render_mesh_svg
 from eigenadapt.errors import ConfigError
 from eigenadapt.geometry import builtin_domain, initial_mesh
@@ -83,8 +83,9 @@ def test_run_writes_artifact_set(tmp_path, capsys):
     summary = out / "summary.json"
     assert history.is_file() and summary.is_file()
     header = history.read_text().splitlines()[0]
-    assert header.startswith("level,ndof,nelem,eta_pointwise,eta_energy,"
-                             "lambda_1,lambda_2,marked")
+    assert header == ("level,ndof,nelem,eta_pointwise,eta_energy,lambda_1,"
+                      "lambda_2,marked,h_max,h_min,t_assemble_ms,t_solve_ms,"
+                      "t_estimate_ms,t_refine_ms")
     info = json.loads(summary.read_text())
     assert info["stop_reason"] == "max_dof"
     assert info["config"]["domain"] == "unit_square"
@@ -109,8 +110,9 @@ def test_run_determinism_ex_timings(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "history.csv").read_text().splitlines()
-        outs.append([",".join(line.split(",")[:-3]) for line in lines])
+        header, rows = read_history_csv(out / "history.csv")
+        outs.append([[row[c] for c in header if not c.startswith("t_")]
+                     for row in rows])
     assert outs[0] == outs[1]
 
 
@@ -153,9 +155,9 @@ def test_rate_rejects_short_history(tmp_path, capsys):
     hist = tmp_path / "history.csv"
     hist.write_text(
         "level,ndof,nelem,eta_pointwise,eta_energy,lambda_1,marked,"
-        "h_max,h_min,t_solve_ms,t_estimate_ms,t_refine_ms\n"
-        "0,10,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0\n"
-        "1,40,80,0.5,nan,18.0,9,0.2,0.1,1.0,1.0,1.0\n")
+        "h_max,h_min,t_assemble_ms,t_solve_ms,t_estimate_ms,t_refine_ms\n"
+        "0,10,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0,1.0\n"
+        "1,40,80,0.5,nan,18.0,9,0.2,0.1,1.0,1.0,1.0,1.0\n")
     rc = main(["rate", "--history", str(hist), "--field", "pointwise",
                "--min-dof", "1"])
     assert rc == 2
@@ -163,10 +165,11 @@ def test_rate_rejects_short_history(tmp_path, capsys):
 
 
 _HISTORY_HEADER = ("level,ndof,nelem,eta_pointwise,eta_energy,lambda_1,marked,"
-                   "h_max,h_min,t_solve_ms,t_estimate_ms,t_refine_ms")
-_HISTORY_ROWS = ["0,100,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0",
-                 "1,400,80,0.5,nan,18.0,9,0.2,0.1,1.0,1.0,1.0",
-                 "2,1600,320,0.25,nan,17.5,9,0.1,0.05,1.0,1.0,1.0"]
+                   "h_max,h_min,t_assemble_ms,t_solve_ms,t_estimate_ms,"
+                   "t_refine_ms")
+_HISTORY_ROWS = ["0,100,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0,1.0",
+                 "1,400,80,0.5,nan,18.0,9,0.2,0.1,1.0,1.0,1.0,1.0",
+                 "2,1600,320,0.25,nan,17.5,9,0.1,0.05,1.0,1.0,1.0,1.0"]
 
 
 @pytest.mark.parametrize("column", ["level", "ndof", "eta_pointwise"])

@@ -171,7 +171,8 @@ def test_cluster_selection_validation():
         ClusterSelection(3, 2)
     clu = ClusterSelection(2, 3)
     assert clu.size == 2
-    np.testing.assert_array_equal(clu.indices, [1, 2])
+    lowest = _pairs_from_values([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(lowest.positions(clu.lo, clu.hi), [1, 2])
 
 
 def test_multiplicity_groups():
@@ -224,3 +225,75 @@ def test_p2_square_spectrum(square_p2):
     # conforming min-max: every discrete value sits above its analytic twin
     assert np.all(pairs.values >= ref * (1.0 - 1e-12))
     np.testing.assert_allclose(pairs.values, ref, rtol=6e-2)
+
+
+# --- spectrum slicing: a window of pairs around a shift ---
+
+
+
+def _sines_of_principal_angles(V, W, M):
+    """Sines of the principal angles between the spans of M-orthonormal
+    blocks V and W."""
+    R = W - V @ (V.T @ (M @ W))
+    return np.sqrt(np.clip(np.linalg.eigvalsh(R.T @ (M @ R)), 0.0, None))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("lo, hi", [(5, 6), (7, 8)])
+def test_window_matches_lowest_pairs_at_inertia_index(degree, lo, hi):
+    # 10 pi^2 and 13 pi^2 are double on the unit square
+    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 8),
+                                degree))
+    full = solve_smallest(A, M, 12)
+    # the adaptive loop's shift: midway between the cluster's neighbors
+    shift = 0.5 * (full.values[lo - 2] + full.values[hi])
+    win = solve_smallest(A, M, hi - lo + 3, shift=shift)
+    # first comes from the factor's inertia
+    assert (win.first, win.last) == (lo - 1, hi + 1)
+    idx = full.positions(win.first, win.last)
+    np.testing.assert_allclose(win.values, full.values[idx], rtol=1e-10, atol=0.0)
+    assert np.all(win.residuals <= 1e-9)
+    gram = win.vectors.T @ (M @ win.vectors)
+    assert np.max(np.abs(gram - np.eye(win.values.size))) <= 1e-10
+    pair = win.positions(lo, hi)
+    sines = _sines_of_principal_angles(
+        win.vectors[:, pair], full.vectors[:, full.positions(lo, hi)], M)
+    assert np.all(sines <= 1e-8)
+
+
+def test_window_on_the_dense_path():
+    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 3), 1))
+    assert A.shape[0] == 4
+    dense = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    win = solve_smallest(A, M, 2, shift=0.5 * (dense[1] + dense[2]) + 1e-3)
+    assert (win.first, win.last) == (2, 3)
+    np.testing.assert_allclose(win.values, dense[1:3], rtol=1e-12)
+
+
+def test_shift_on_an_eigenvalue_is_a_solver_error():
+    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 8), 1))
+    full = solve_smallest(A, M, 8)
+    with pytest.raises(SolverError, match="eigenvalue|singular"):
+        solve_smallest(A, M, 4, shift=full.values[4])
+
+
+def test_shift_zero_first_index_and_factor_reuse(square_ops):
+    A, M = square_ops
+    pairs = solve_smallest(A, M, 4)
+    assert (pairs.first, pairs.last) == (1, 4)
+    with pytest.raises(ValueError):
+        pairs.positions(2, 5)
+    with pytest.raises(ValueError, match="shift zero"):
+        solve_smallest(A, M, 4, lu=factorize_spd(A), shift=50.0)
+
+
+def test_separation_and_cluster_from_a_window():
+    full = _pairs_from_values([1.0, 2.0, 4.0, 4.5, 7.0, 9.0])
+    win = EigenPairSet(values=np.array([2.0, 4.0, 4.5, 7.0]), vectors=np.eye(4),
+                       residuals=np.zeros(4), first=2)
+    clu = ClusterSelection(3, 4)
+    assert separation_diagnostic(win, clu) == separation_diagnostic(full, clu)
+    with pytest.raises(ValueError):
+        separation_diagnostic(win, ClusterSelection(4, 5))
+    with pytest.raises(ValueError):
+        separation_diagnostic(win, ClusterSelection(2, 3))

@@ -504,3 +504,42 @@ def test_edge_run_the_same_way_twice_is_a_mesh_error():
     # both triangles lie above edge 0-1 and overlap
     with pytest.raises(MeshError, match="same way"):
         Triangulation.from_arrays(_FAN_COORDS, _FAN_TRIS[[0, 2]])
+
+
+# --- cached edge geometry and the minimum angle ---
+
+def test_cached_edge_geometry_is_read_only():
+    tri = initial_mesh(builtin_domain("omega1"), 2)
+    with pytest.raises(ValueError):
+        tri.edge_normals[0, 0, 0] = 3.0
+    with pytest.raises(ValueError):
+        tri.edge_lengths[0, 0] = 3.0
+
+
+def _min_angle_three_corners(tri):
+    """Oracle: all three corner angles from corner vectors and arccos."""
+    p0 = tri.coords[tri.tris[:, 0]]
+    p1 = tri.coords[tri.tris[:, 1]]
+    p2 = tri.coords[tri.tris[:, 2]]
+    angles = []
+    for a, b, c in ((p0, p1, p2), (p1, p2, p0), (p2, p0, p1)):
+        u, v = b - a, c - a
+        cosang = np.sum(u * v, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+def test_min_angle_matches_three_corner_oracle():
+    meshes = [_delaunay_square(s, 80) for s in (5, 7, 11)]
+    rng = np.random.default_rng(2024)
+    tri = initial_mesh(builtin_domain("omega1"), 4)
+    for round_no in range(200):
+        tri, _ = _refine_canonical(tri, rng, int(rng.integers(1, 9)), "bisec_lg1")
+        if round_no % 50 == 49:
+            meshes.append(tri)
+    meshes.append(uniform_refine(uniform_refine(initial_mesh(builtin_domain("omega2"), 4))))
+    for tri in meshes:
+        assert abs(min_angle_deg(tri) - _min_angle_three_corners(tri)) <= 1e-9
+    # the Delaunay meshes are not right-isosceles: the oracle is not at 45
+    assert all(_min_angle_three_corners(t) < 40.0 for t in meshes[:3])
