@@ -265,10 +265,9 @@ def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
     """Smallest h among elements with a vertex within TIP_RADIUS of each tip."""
     out = []
     h = tri.h
-    p = tri.coords[tri.tris]  # (nt, 3, 2)
     for tip in tips:
-        d2 = np.sum((p - tip) ** 2, axis=2)
-        near = np.any(d2 <= TIP_RADIUS * TIP_RADIUS, axis=1)
+        d2 = np.sum((tri.coords - tip) ** 2, axis=1)
+        near = (d2 <= TIP_RADIUS * TIP_RADIUS)[tri.tris].any(axis=1)
         out.append(float(h[near].min()) if np.any(near) else math.nan)
     return out
 
@@ -303,6 +302,10 @@ def run(config: AdaptConfig) -> AdaptHistory:
             raise ConfigError(
                 f"max_dof ({config.max_dof}) must exceed the initial dof "
                 f"count ({ndof})")
+        if level == 0 and ndof < cluster.hi:
+            raise ConfigError(
+                f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
+                f"({ndof})")
 
         t0 = time.monotonic()
         A, M = assemble(space)
@@ -310,10 +313,6 @@ def run(config: AdaptConfig) -> AdaptHistory:
         t0 = time.monotonic()
         try:
             pairs = _solve_level(A, M, cluster, pairs, config)
-            if pairs.last < cluster.hi:
-                raise SolverError(
-                    f"space too small for eigenpair {cluster.hi} "
-                    f"({ndof} dofs)")
         except SolverError as exc:
             stop_reason, failure = "solver_failure", str(exc)
             break
@@ -510,7 +509,7 @@ def summary_dict(history: AdaptHistory) -> dict:
         "fitted_slopes": slopes,
         "separation": None if sep is None else {
             "m_j_discrete": sep.m_j_discrete, "gap_below": sep.gap_below,
-            "gap_above": sep.gap_above, "source": sep.source,
+            "gap_above": sep.gap_above,
         },
         "multiplicity_groups": history.multiplicity,
         "cluster_cuts_multiplicity": _cluster_cuts_multiplicity(

@@ -103,7 +103,6 @@ class SeparationReport:
     m_j_discrete: float
     gap_below: float
     gap_above: float
-    source: str  # "reference" or "discrete"
 
 
 def _sign_normalize(vectors: np.ndarray) -> None:
@@ -115,19 +114,6 @@ def _sign_normalize(vectors: np.ndarray) -> None:
         nz = np.nonzero(np.abs(v) > _SIGN_EPS * scale)[0]
         if nz.size and v[nz[0]] < 0.0:
             v *= -1.0
-
-
-def _m_orthonormalize(vectors: np.ndarray, M) -> None:
-    """Modified Gram-Schmidt in the M inner product, ascending order."""
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        for i in range(j):
-            u = vectors[:, i]
-            v -= (u @ (M @ v)) * u
-        nrm = np.sqrt(v @ (M @ v))
-        if nrm <= 0.0:
-            raise SolverError("eigenvector degenerated during orthonormalization")
-        v /= nrm
 
 
 @dataclass(frozen=True)
@@ -259,10 +245,6 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         values = values[order]
         vectors = vectors[:, order]
 
-    gram = vectors.T @ (M @ vectors)
-    defect = np.max(np.abs(gram - np.eye(m)))
-    if defect > 1e-12:
-        _m_orthonormalize(vectors, M)
     _sign_normalize(vectors)
 
     Av = A @ vectors
@@ -277,7 +259,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         raise SolverError(
             f"eigensolver residual {worst:.3e} exceeds tolerance {tol:.3e}")
 
-    gram = vectors.T @ (M @ vectors)
+    gram = vectors.T @ Mv
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
@@ -300,37 +282,26 @@ def multiplicity_groups(values: np.ndarray, rtol: float = 1e-8) -> list[list[int
     return [g for g in groups if len(g) > 1]
 
 
-def separation_diagnostic(pairs: EigenPairSet, cluster: ClusterSelection,
-                          reference=None) -> SeparationReport:
+def separation_diagnostic(pairs: EigenPairSet,
+                          cluster: ClusterSelection) -> SeparationReport:
     """Quantify how well a cluster is separated from the rest of the spectrum.
 
-    With ``reference`` (a 1-based ascending list of continuous eigenvalues
-    covering at least index hi+1), cluster values and gaps use the reference;
-    otherwise the computed discrete values stand in.  The non-cluster values
-    entering m_j are always the computed discrete ones.  The pairs must
-    cover the cluster's neighbors lo-1 (when lo >= 2) and hi+1; the maximum
-    of lam_j / |lam_i - lam_j| sits at these nearest neighbors, so a window
-    that holds them gives the m_j of the full lower spectrum.
+    Cluster values, gaps and the non-cluster values entering m_j are the
+    computed discrete ones.  The pairs must cover the cluster's neighbors
+    lo-1 (when lo >= 2) and hi+1; the maximum of lam_j / |lam_i - lam_j|
+    sits at these nearest neighbors, so a window that holds them gives the
+    m_j of the full lower spectrum.
     """
-    disc = pairs.values
+    lam = pairs.values
     above = pairs.positions(max(cluster.lo - 1, 1), cluster.hi + 1)[-1]
     at_lo = above - cluster.size    # positions of lam_{hi+1} and lam_lo
-    if reference is not None:
-        ref = np.asarray(reference, dtype=np.float64)
-        if ref.size < cluster.hi + 1:
-            raise ValueError("reference spectrum too short for the cluster")
-        lam, base = ref, cluster.lo - 1
-        source = "reference"
-    else:
-        lam, base = disc, at_lo
-        source = "discrete"
 
-    j_vals = lam[base:base + cluster.size]
-    below = lam[base - 1] if cluster.lo >= 2 else 0.0
+    j_vals = lam[at_lo:above]
+    below = lam[at_lo - 1] if cluster.lo >= 2 else 0.0
     gap_below = float(j_vals[0] - below)
-    gap_above = float(lam[base + cluster.size] - j_vals[-1])
+    gap_above = float(lam[above] - j_vals[-1])
 
-    non_cluster = np.concatenate([disc[:at_lo], disc[above:]])
+    non_cluster = np.concatenate([lam[:at_lo], lam[above:]])
     m_j = 0.0
     for lj in j_vals:
         dist = np.abs(non_cluster - lj)
@@ -339,4 +310,4 @@ def separation_diagnostic(pairs: EigenPairSet, cluster: ClusterSelection,
             break
         m_j = max(m_j, float(np.max(lj / dist)))
     return SeparationReport(m_j_discrete=m_j, gap_below=gap_below,
-                            gap_above=gap_above, source=source)
+                            gap_above=gap_above)

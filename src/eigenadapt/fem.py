@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .mesh import LOCAL_EDGES, Triangulation
@@ -184,6 +183,8 @@ def assemble(space: FeSpace, constrained: bool = True
 
 def write_matrix_market(A, path) -> None:
     """Write a symmetric sparse matrix in Matrix Market format."""
+    import scipy.io  # ~15 ms to import; only this writer needs it
+
     scipy.io.mmwrite(str(path), A, symmetry="symmetric")
 
 

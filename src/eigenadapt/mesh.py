@@ -172,13 +172,16 @@ class Triangulation:
         """Build a triangulation from raw coordinate and connectivity arrays.
 
         The vertex triples must already be CCW with the refinement edge
-        opposite local vertex 0.  An edge held by three triangles, or run
-        the same way by two, raises MeshError; ``dirichlet`` defaults to
-        all boundary-edge endpoints.
+        opposite local vertex 0.  Non-finite coordinates, negative
+        generations, and an edge held by three triangles or run the same
+        way by two raise MeshError; ``dirichlet`` defaults to all
+        boundary-edge endpoints.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
         nt, nv = tris.shape[0], coords.shape[0]
+        if not np.all(np.isfinite(coords)):
+            raise MeshError("vertex coordinates must be finite")
         if tris.size and (tris.min() < 0 or tris.max() >= nv):
             raise MeshError(f"triangle vertex ids must lie in [0, {nv})")
         areas = triangle_areas(coords, tris)
@@ -190,6 +193,8 @@ class Triangulation:
         if np.any((tail == tail.ravel()[mates]) & (mates >= 0)):
             raise MeshError("two triangles run a shared edge the same way")
         gen = np.zeros(nt, np.int64) if gen is None else np.array(gen, np.int64)
+        if np.any(gen < 0):
+            raise MeshError("element generations must be >= 0")
         dirichlet = (_boundary_vertices(nv, topology) if dirichlet is None
                      else np.array(dirichlet, bool))
         idx = np.arange(nt, dtype=np.int64)

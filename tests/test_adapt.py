@@ -1,5 +1,6 @@
 """Adaptive loop driver, config grammar, history, and rate fitting tests."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -21,11 +22,12 @@ from eigenadapt.adapt import (
     write_history_csv,
     write_summary_json,
 )
+from eigenadapt.cli import preset_configs
 from eigenadapt.eigen import (ClusterSelection, multiplicity_groups,
                               separation_diagnostic, solve_smallest)
 from eigenadapt.errors import ConfigError, SolverError
 from eigenadapt.fem import assemble, build_space
-from eigenadapt.geometry import builtin_domain, initial_mesh
+from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
 from eigenadapt.mesh import MarkSet, Triangulation
 
 # frozen reference decay of the pointwise estimator on the L-shape run
@@ -321,6 +323,46 @@ def test_tip_min_h_recorded_on_slit_domain():
     first = hist.tip_min_h[0]
     # the slit tips only ever get finer
     assert all(f <= i for f, i in zip(final, first))
+
+
+def _tip_min_h_oracle(tri, tips):
+    """The per-corner formula: (nt, 3, 2) corner-to-tip distances."""
+    out = []
+    p = tri.coords[tri.tris]
+    for tip in tips:
+        d2 = np.sum((p - tip) ** 2, axis=2)
+        near = np.any(d2 <= adapt.TIP_RADIUS * adapt.TIP_RADIUS, axis=1)
+        out.append(float(tri.h[near].min()) if np.any(near) else math.nan)
+    return out
+
+
+@pytest.mark.parametrize("domain", ["omega2", "omega3"])
+def test_tip_min_h_matches_per_corner_oracle_on_uniform_levels(domain):
+    spec = builtin_domain(domain)
+    tips = np.asarray(slit_tips(spec), dtype=np.float64).reshape(-1, 2)
+    tri = initial_mesh(spec, 4)
+    for _ in range(4):
+        # exact equality; NaN (no element near a tip) equals NaN
+        np.testing.assert_array_equal(adapt._tip_min_h(tri, tips),
+                                      _tip_min_h_oracle(tri, tips))
+        everything = MarkSet.from_iterable(np.arange(tri.tris.shape[0]))
+        tri = refine_marked(tri, everything, strategy="nvb")
+
+
+def test_tip_min_h_matches_per_corner_oracle_on_nvb_levels(monkeypatch):
+    checked = []
+    fast = adapt._tip_min_h
+
+    def compared(tri, tips):
+        got = fast(tri, tips)
+        np.testing.assert_array_equal(got, _tip_min_h_oracle(tri, tips))
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(adapt, "_tip_min_h", compared)
+    cfg = dict(preset_configs("slit_perturbed_cluster"))["nvb"]
+    hist = run(dataclasses.replace(cfg, max_levels=4))
+    assert len(checked) == len(hist.rows) == 5
 
 
 def test_edge_data_built_once_per_mesh(monkeypatch):

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenadapt
 from eigenadapt.adapt import AdaptConfig, read_history_csv
 from eigenadapt.cli import main, preset_configs, render_mesh_svg
 from eigenadapt.errors import ConfigError
@@ -253,6 +257,29 @@ def test_exit_code_2_on_out_of_range_vertex_id(tmp_path, capsys, triangle):
     assert "vertex ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertex", ["nan 0 1", "inf 0 1", "0 -inf 1"])
+def test_exit_code_2_on_non_finite_mesh_coordinates(tmp_path, capsys, vertex):
+    mesh_file = tmp_path / "bad.txt"
+    mesh_file.write_text("vertices 3\ntriangles 1\n"
+                         f"{vertex}\n1 0 1\n0 1 1\n0 1 2 0\n")
+    assert main(["mesh", "load", "--path", str(mesh_file)]) == 2
+    assert "coordinates must be finite" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_negative_generation(tmp_path, capsys):
+    mesh_file = tmp_path / "bad.txt"
+    mesh_file.write_text("vertices 3\ntriangles 1\n0 0 1\n1 0 1\n0 1 1\n"
+                         "0 1 2 -5\n")
+    assert main(["mesh", "load", "--path", str(mesh_file)]) == 2
+    assert "generations must be >= 0" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_cluster_beyond_initial_space(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "run.cfg", n=2, cluster_hi=500)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "cluster_hi (500) exceeds" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_negative_seed(tmp_path, capsys):
     cfg = _write_config(tmp_path / "run.cfg", seed=-1)
     with pytest.raises(ConfigError, match="seed"):
@@ -293,6 +320,19 @@ def test_threads_env_applied(tmp_path, monkeypatch):
     import os
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_cli_import_leaves_lazy_scipy_modules_unloaded():
+    # scipy.io serves only the Matrix Market writer and csgraph only the
+    # factorization; neither belongs in every run's start-up
+    src = str(Path(eigenadapt.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import eigenadapt.adapt, eigenadapt.cli; "
+            "print(sorted(m for m in ('scipy.io', 'scipy.sparse.csgraph') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_preset_configs_expand():

@@ -187,20 +187,17 @@ def _pairs_from_values(values):
                         vectors=np.eye(m), residuals=np.zeros(m))
 
 
-def test_separation_square_reference():
-    ref = PI2 * np.array([2.0, 5.0, 5.0, 8.0])
-    pairs = _pairs_from_values(PI2 * np.array([2.01, 5.02, 5.02, 8.1]))
-    rep = separation_diagnostic(pairs, ClusterSelection(1, 1), reference=ref)
-    assert rep.source == "reference"
+def test_separation_gap_below_of_a_cluster_at_index_1():
+    pairs = _pairs_from_values(PI2 * np.array([2.0, 5.0, 5.0, 8.0]))
+    rep = separation_diagnostic(pairs, ClusterSelection(1, 1))
     np.testing.assert_allclose(rep.gap_above, 3.0 * PI2)
     # lambda_0 := 0, so the lower gap is the first eigenvalue itself
-    np.testing.assert_allclose(rep.gap_below, 2.0 * PI2)
+    assert rep.gap_below == pairs.values[0]
 
 
 def test_separation_discrete_and_infinity_guard():
     pairs = _pairs_from_values([1.0, 2.0, 2.0])
     rep = separation_diagnostic(pairs, ClusterSelection(2, 2))
-    assert rep.source == "discrete"
     assert rep.m_j_discrete == float("inf")
     finite = separation_diagnostic(_pairs_from_values([1.0, 2.0, 4.0]),
                                    ClusterSelection(2, 2))
@@ -214,9 +211,6 @@ def test_separation_needs_pair_beyond_cluster():
     pairs = _pairs_from_values([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         separation_diagnostic(pairs, ClusterSelection(2, 3))
-    with pytest.raises(ValueError):
-        separation_diagnostic(pairs, ClusterSelection(1, 1),
-                              reference=np.array([1.0]))
 
 
 def test_p2_square_spectrum(square_p2):
