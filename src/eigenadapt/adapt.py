@@ -4,8 +4,8 @@
 budget, level cap, estimator target, or a vanished estimator), recording
 per-level eigenvalues, estimator values, mesh statistics and wall times.
 From level 1 on, a cluster lo..hi with lo >= 3 is solved as the window
-lo-1..hi+1 around a shift taken from the previous level (see
-``_solve_level``).
+lo-1..hi+1, widened to whole multiplicity groups, around a shift taken from
+the previous level (see ``_solve_level``).
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import (ClusterSelection, EigenPairSet, SeparationReport,
-                    multiplicity_groups, separation_diagnostic, solve_smallest)
+                    separation_diagnostic, solve_smallest)
 from .errors import ConfigError, SolverError
 from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
@@ -225,34 +225,53 @@ def _cluster_cuts_multiplicity(cluster: ClusterSelection,
                for g in groups)
 
 
+def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
+    """1-based range lo-1..hi+1, each end widened to the whole multiplicity
+    group of the previous level's pairs that holds it; a previous window
+    (``first > 1``) is kept whole, so a group split by refinement stays in."""
+    lo, hi = cluster.lo - 1, cluster.hi + 1
+    if prev.first > 1:
+        lo, hi = min(lo, prev.first), max(hi, prev.last)
+    for g in prev.groups:
+        if g[0] < lo <= g[-1] + 1:
+            lo = g[0] + 1
+        if g[0] < hi <= g[-1] + 1:
+            hi = g[-1] + 1
+    return lo, hi
+
+
 def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
                  config: AdaptConfig) -> EigenPairSet:
-    """The eigenpairs of one level: the window lo-1..hi+1 when the previous
-    level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
+    """The eigenpairs of one level: a window around the cluster when the
+    previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
 
-    The window is solved by shift-invert at the midpoint of the previous
-    level's lam_{lo-1} and lam_{hi+1}.  On the previous level that shift has
-    both neighbors at equal distance and every other eigenvalue farther
-    away, so its hi - lo + 3 nearest pairs are exactly lo-1..hi+1; the
+    The window is lo-1..hi+1, widened at either end to the previous level's
+    multiplicity group that holds it (``_window``), and is solved by
+    shift-invert at the midpoint of the previous level's values at its two
+    ends.  On the previous level that shift has both ends at equal distance
+    and every eigenvalue outside the window farther away, so its nearest
+    pairs are exactly the window; without the widening, an end that is half
+    of a multiple eigenvalue ties with its twin outside the window.  The
     spaces are nested, so the values only fall from there.  The window is
-    kept when the factor's inertia puts it at lo-1..hi+1 and no value
-    exceeds the previous level's at the same index, a cross-check of that
-    count.  A window that misses or raises SolverError is replaced by the
-    lowest-pairs solve.  With lo <= 2 no eigenvalue lies below the window
-    to skip, so those clusters always take the lowest pairs.
+    kept when the factor's inertia puts it in place and no value exceeds
+    the previous level's at the same index, a cross-check of that count.  A
+    window that misses or raises SolverError is replaced by the lowest-pairs
+    solve.  With lo <= 2 no eigenvalue lies below the window to skip, so
+    those clusters always take the lowest pairs.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and cluster.lo >= 3 and prev.last > cluster.hi
             and m == cluster.hi + EXTRA_PAIRS):
-        old = prev.values[prev.positions(cluster.lo - 1, cluster.hi + 1)]
+        lo, hi = _window(cluster, prev)
+        old = prev.values[prev.positions(lo, hi)]
         shift = 0.5 * (old[0] + old[-1])
         try:
-            pairs = solve_smallest(A, M, cluster.size + 2, tol=config.eig_tol,
+            pairs = solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
                                    seed=config.seed, shift=shift)
         except SolverError as exc:
             reason = str(exc)
         else:
-            if pairs.first == cluster.lo - 1 and np.all(pairs.values <= old):
+            if pairs.first == lo and np.all(pairs.values <= old):
                 return pairs
             reason = (f"window {pairs.first}..{pairs.last}, values "
                       f"{pairs.values.tolist()} against {old.tolist()}")
@@ -375,8 +394,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
         stop_reason = "max_levels"
     if pairs is not None and pairs.last > cluster.hi:
         separation = separation_diagnostic(pairs, cluster)
-        multiplicity = [[i + pairs.first - 1 for i in g]
-                        for g in multiplicity_groups(pairs.values)]
+        multiplicity = pairs.groups
         if _cluster_cuts_multiplicity(cluster, multiplicity):
             log.warning(
                 "cluster %d..%d splits a numerically multiple eigenvalue "

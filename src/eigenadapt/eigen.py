@@ -50,6 +50,8 @@ class EigenPairSet:
 
     ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
     from 1: ``first`` is 1 for the lowest pairs and larger for a window.
+    ``groups`` are its numerically multiple eigenvalues, as 0-based
+    spectrum indices.
     """
 
     values: np.ndarray      # (m,)
@@ -71,6 +73,13 @@ class EigenPairSet:
             raise ValueError(f"need eigenpairs {lo}..{hi} but computed "
                              f"{self.first}..{self.last}")
         return np.arange(lo - self.first, hi - self.first + 1, dtype=np.int64)
+
+    @property
+    def groups(self) -> list[list[int]]:
+        """Groups of numerically multiple values (``multiplicity_groups``),
+        as 0-based spectrum indices."""
+        return [[i + self.first - 1 for i in g]
+                for g in multiplicity_groups(self.values)]
 
 
 @dataclass(frozen=True)

@@ -14,26 +14,32 @@ Two estimators over the same residual quantities:
 Jumps on slit edges count as boundary (Dirichlet) edges and do not
 contribute; each geometric slit side is its own mesh boundary.
 
-The cluster members are evaluated together, as one (ndof, k) coefficient
-block, by fem's ``corner_gradients``, ``element_laplacians`` and
-``shape_values``; edge normals, lengths and edge mates are cached
-properties of the mesh.
+The cluster members are evaluated together, as one (k, nt, nd) block of
+element coefficients.  Gradients are evaluated only where they vary: once
+per element for P1, at the three corners for P2; so a jump takes one value
+per edge for P1 and is affine between the edge's endpoints for P2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .eigen import ClusterSelection, EigenPairSet
-from .fem import (_M1_REF, _M2_REF, FeFunction, FeSpace, corner_gradients,
-                  element_laplacians, from_free_vector, shape_values)
-from .mesh import LOCAL_EDGES, Triangulation
+from .fem import (_M2_REF, FeSpace, block_laplacians, element_gradients,
+                  shape_values)
+from .mesh import LOCAL_EDGES
 
 _INTERIOR_EPS = 1e-12  # barycentric margin for interior critical points
+
+# per degree: the barycentric points where gradients are evaluated, and
+# which of them each local edge's jump is evaluated at
+_POINTS = {1: (np.eye(3)[:1], np.zeros((3, 1), dtype=np.int64)),
+           2: (np.eye(3), LOCAL_EDGES)}
 
 
 @dataclass
@@ -55,25 +61,25 @@ class EstimatorReport:
         return self.eta_max if self.kind == "pointwise" else self.eta_l2
 
 
-def _residual_max_p1(lam: np.ndarray, coeffs: np.ndarray,
-                     space: FeSpace) -> np.ndarray:
-    # Lap u = 0 and lam u is affine: the max sits at a corner
-    return lam * np.max(np.abs(coeffs[space.elem_dofs]), axis=1)
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """``op`` (np.maximum, np.add) folded over the short last axis of a,
+    slice after slice; a ufunc's own reduction over it is ~10x slower."""
+    return reduce(op, np.moveaxis(a, -1, 0))
 
 
-def _residual_max_p2(lam: np.ndarray, f: FeFunction,
-                     cg: np.ndarray) -> np.ndarray:
-    """max_T |lam u + Lap u| for piecewise-quadratic u, exactly.
+def _residual_max_p2(lam: np.ndarray, c: np.ndarray, lap: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """max_T |lam u + Lap u| for piecewise-quadratic u, exactly, shape (k, nt).
 
     Candidates: the three vertices, interior critical points of each edge
     restriction (a 1D quadratic), and the interior critical point of the
     full quadratic when it lies strictly inside the element.
     """
-    q = lam * f.coeffs[f.space.elem_dofs] + element_laplacians(f)[:, None]
-    best = np.max(np.abs(q[:, :3]), axis=1)   # nodal values of the residual
+    q = lam[..., None] * c + lap[..., None]     # (k, nt, 6)
+    best = _fold(np.maximum, np.abs(q[..., :3]))   # nodal values of the residual
 
     for m, (a, b) in enumerate(LOCAL_EDGES):
-        qa, qb, qm = q[:, a], q[:, b], q[:, 3 + m]
+        qa, qb, qm = q[..., a], q[..., b], q[..., 3 + m]
         c2 = 2.0 * qa + 2.0 * qb - 4.0 * qm   # q(t) = c2 t^2 + c1 t + c0 on the edge
         c1 = -3.0 * qa - qb + 4.0 * qm
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,83 +91,75 @@ def _residual_max_p2(lam: np.ndarray, f: FeFunction,
 
     # Interior critical point: grad q = lam grad u is affine, vanishing where
     # the barycentric interpolation of the corner gradients is zero.
-    cg = lam * cg                             # (nt, 3, 2, k)
-    d0 = cg[:, 0] - cg[:, 2]
-    d1 = cg[:, 1] - cg[:, 2]
-    det = d0[:, 0] * d1[:, 1] - d0[:, 1] * d1[:, 0]
-    scale = np.max(np.abs(cg), axis=(1, 2))
+    g = lam[..., None] * g                      # (2, k, nt, 3), one per corner
+    d0 = g[..., 0] - g[..., 2]
+    d1 = g[..., 1] - g[..., 2]
+    det = d0[0] * d1[1] - d0[1] * d1[0]
+    scale = np.maximum(*_fold(np.maximum, np.abs(g)))
     ok = np.abs(det) > 1e-14 * scale * scale + 1e-300
-    rhs = -cg[:, 2]
+    rhs = -g[..., 2]
     with np.errstate(all="ignore"):  # entries without ok are discarded
-        x = (rhs[:, 0] * d1[:, 1] - rhs[:, 1] * d1[:, 0]) / det
-        y = (d0[:, 0] * rhs[:, 1] - d0[:, 1] * rhs[:, 0]) / det
+        x = (rhs[0] * d1[1] - rhs[1] * d1[0]) / det
+        y = (d0[0] * rhs[1] - d0[1] * rhs[0]) / det
         z = 1.0 - x - y
     strict = ok & (x > _INTERIOR_EPS) & (y > _INTERIOR_EPS) & (z > _INTERIOR_EPS)
     if np.any(strict):
-        t, k = np.nonzero(strict)
         phi = shape_values(2, np.stack([x[strict], y[strict], z[strict]], axis=1))
-        val = np.einsum("kj,kj->k", phi, q[t, :, k])
+        val = np.einsum("kj,kj->k", phi, q[strict])
         best[strict] = np.maximum(best[strict], np.abs(val))
     return best
 
 
-def _jump_endpoint_values(tri: Triangulation, cg: np.ndarray) -> np.ndarray:
-    """Normal-derivative jumps at both endpoints of every local edge, from
-    the (nt, 3, 2, k) corner gradients.
-
-    Returns shape (nt, 3, 2, k); zero on boundary edges.  The jump along an
-    edge is affine (gradients are affine for quadratics, constant for
-    linears), so endpoint values determine it completely.  It is this slot's
-    outward flux plus the edge mate's, at the mate's reversed endpoints.
-    """
-    flux = np.take(cg[:, :, 0], LOCAL_EDGES, axis=1)    # C-contiguous
-    flux *= tri.edge_normals[:, :, None, 0, None]
-    part = np.take(cg[:, :, 1], LOCAL_EDGES, axis=1)
-    part *= tri.edge_normals[:, :, None, 1, None]
-    flux += part
+def _gradients_and_jumps(space: FeSpace, c: np.ndarray):
+    """(2, k, nt, p) gradients at the element points of ``_POINTS`` and
+    (k, nt, 3, q) normal-derivative jumps at its edge points (this slot's
+    flux plus the edge mate's at its reversed points; zero on the boundary)."""
+    points, ends = _POINTS[space.degree]
+    g = element_gradients(space, c, points)
+    n = space.tri.edge_normals[:, :, None, :]
+    jump = np.take(g[0], ends, axis=2)    # np.take keeps C order: the
+    jump *= n[..., 0]                     # slot-major reshapes are views
+    part = np.take(g[1], ends, axis=2)
+    part *= n[..., 1]
+    jump += part
     # mates' fluxes into part; boundary slots (mate -1) wrap, zeroed below
-    np.take(flux.reshape(-1, *flux.shape[2:]), tri.edge_mates, axis=0,
-            out=part, mode="wrap")
-    flux += part[:, :, ::-1]
-    flux[tri.edge_mates < 0] = 0.0
-    return flux
+    mates, flat = space.tri.edge_mates, (len(c), -1, ends.shape[1])
+    np.take(jump.reshape(flat), mates.ravel(), axis=1, out=part.reshape(flat),
+            mode="wrap")
+    jump += part[..., ::-1]
+    np.copyto(jump, 0.0, where=(mates < 0)[..., None])
+    return g, jump
 
 
-def _unit_scaled(coeff_list) -> tuple[np.ndarray, float]:
-    """The (ndof, k) coefficient block divided by a power of two that brings
-    its largest modulus into [1, 2), and that power.
-
-    Both estimators square quantities linear in the coefficients; on the
-    scaled block those squares neither overflow nor underflow, and since
-    the scale is a power of two every result scales back exactly.
-    """
-    coeffs = np.stack(coeff_list, axis=1)
+def _prepare(space: FeSpace, lambdas, coeff_list):
+    """Eigenvalues as a (k, 1) column, the block's element coefficients
+    (k, nt, nd) divided by a power of two that brings their largest modulus
+    into [1, 2), and that power: squares of the scaled block neither
+    overflow nor underflow, and every result scales back exactly."""
+    coeffs = np.asarray(coeff_list, dtype=np.float64)
     exponent = int(np.frexp(np.max(np.abs(coeffs), initial=0.0))[1])
     scale = math.ldexp(1.0, exponent - 1)
-    return coeffs / scale, scale
+    c = np.take(coeffs, space.elem_dofs, axis=1)
+    c /= scale
+    return np.asarray(lambdas, dtype=np.float64)[:, None], c, scale
 
 
 def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
                             coeff_list: Sequence[np.ndarray],
                             cluster: tuple[int, int] = (0, 0)) -> EstimatorReport:
-    """Pointwise estimator from explicit (lambda, full coefficient) pairs.
-
-    ``coeff_list`` holds k full coefficient vectors, as a sequence or a
-    (k, ndof) array.
-    """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    coeffs, scale = _unit_scaled(coeff_list)
-    f = FeFunction(space, coeffs)                           # (ndof, k)
-    cg = corner_gradients(f)
-    h = space.tri.h
+    """Pointwise estimator from explicit (lambda, full coefficient) pairs;
+    ``coeff_list`` holds k vectors, as a sequence or a (k, ndof) array."""
+    lam, c, scale = _prepare(space, lambdas, coeff_list)
+    g, jumps = _gradients_and_jumps(space, c)
     if space.degree == 1:
-        elem_sum = np.sum(_residual_max_p1(lam, f.coeffs, space), axis=1)
+        # Lap u = 0 and lam u is affine: the max sits at a corner
+        best = lam * _fold(np.maximum, np.abs(c))
     else:
-        elem_sum = np.sum(_residual_max_p2(lam, f, cg), axis=1)
-    jumps = _jump_endpoint_values(space.tri, cg)
-    jump_sum = np.sum(np.max(np.abs(jumps, out=jumps), axis=(1, 2)), axis=1)
-    elem_part = h * h * elem_sum
-    jump_part = h * jump_sum
+        best = _residual_max_p2(lam, c, block_laplacians(space, c), g)
+    jumps = np.abs(jumps, out=jumps).reshape(*jumps.shape[:2], -1)
+    h = space.tri.h
+    elem_part = h * h * np.sum(best, axis=0)
+    jump_part = h * np.sum(_fold(np.maximum, jumps), axis=0)
     eta = elem_part + jump_part
     return EstimatorReport(
         kind="pointwise", eta=eta * scale, elem_part=elem_part * scale,
@@ -173,28 +171,26 @@ def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
 def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
                          coeff_list: Sequence[np.ndarray],
                          cluster: tuple[int, int] = (0, 0)) -> EstimatorReport:
-    """Energy estimator from explicit (lambda, full coefficient) pairs.
-
-    ``coeff_list`` holds k full coefficient vectors, as a sequence or a
-    (k, ndof) array.
-    """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    coeffs, scale = _unit_scaled(coeff_list)
-    f = FeFunction(space, coeffs)                           # (ndof, k)
-    h = space.tri.h
-    c = f.coeffs[space.elem_dofs]
-    ref = _M1_REF if space.degree == 1 else _M2_REF
-    mass = np.einsum("tik,ij,tjk->tk", c, ref, c)
-    elem_sq = np.sum(lam * lam * space.tri.areas[:, None] * mass, axis=1)
-    j = _jump_endpoint_values(space.tri, corner_gradients(f))
-    j1, j2 = j[:, :, 0], j[:, :, 1]
-    # integral over an edge of an affine jump squared:
-    # |E| (j1^2 + j1 j2 + j2^2) / 3 (equals |E| j^2 for constant jumps);
-    # boundary edges carry zero jumps
-    edge_int = space.tri.edge_lengths[:, :, None] * (j1 * j1 + j1 * j2 + j2 * j2) / 3.0
-    jump_sq = np.sum(np.sum(edge_int, axis=1), axis=1)
-    elem_sq *= h * h
-    jump_sq *= h
+    """Energy estimator from explicit (lambda, full coefficient) pairs;
+    ``coeff_list`` holds k vectors, as a sequence or a (k, ndof) array."""
+    lam, c, scale = _prepare(space, lambdas, coeff_list)
+    tri = space.tri
+    if space.degree == 1:
+        # c^T M_ref c with M_ref = (ones((3, 3)) + I) / 12
+        s = _fold(np.add, c)
+        mass = (_fold(np.add, c * c) + s * s) / 12.0
+    else:
+        mass = np.einsum("ktj,ktj->kt", c @ _M2_REF, c)
+    elem_sq = np.sum(lam * lam * tri.areas * mass, axis=0)
+    j = _gradients_and_jumps(space, c)[1]
+    # edge integral of the squared jump: |E| times the mean of the products
+    # of its end values, j^2 if constant, (j1^2 + j1 j2 + j2^2) / 3 if affine
+    q = j.shape[-1]
+    prods = [j[..., s] * j[..., t] for s in range(q) for t in range(s, q)]
+    edge_int = tri.edge_lengths * reduce(np.add, prods) / len(prods)
+    jump_sq = np.sum(_fold(np.add, edge_int), axis=0)
+    elem_sq *= tri.h * tri.h
+    jump_sq *= tri.h
     eta_sq = elem_sq + jump_sq
     eta = np.sqrt(eta_sq)
     return EstimatorReport(
@@ -208,7 +204,9 @@ def _cluster_block(space: FeSpace, pairs: EigenPairSet,
                    cluster: ClusterSelection) -> tuple[np.ndarray, np.ndarray]:
     """Cluster eigenvalues and their full coefficient vectors, (k, ndof)."""
     idx = pairs.positions(cluster.lo, cluster.hi)
-    return pairs.values[idx], from_free_vector(space, pairs.vectors[:, idx]).coeffs.T
+    coeffs = np.zeros((idx.size, space.n_dofs))
+    coeffs[:, space.free] = pairs.vectors[:, idx[0]:idx[-1] + 1].T
+    return pairs.values[idx], coeffs
 
 
 def eta_pointwise(space: FeSpace, pairs: EigenPairSet,
@@ -223,4 +221,3 @@ def eta_energy(space: FeSpace, pairs: EigenPairSet,
     """Energy estimator over the cluster of computed eigenpairs."""
     lams, coeffs = _cluster_block(space, pairs, cluster)
     return eta_energy_functions(space, lams, coeffs, (cluster.lo, cluster.hi))
-

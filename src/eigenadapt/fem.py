@@ -10,8 +10,11 @@ on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
 numbering (``Triangulation.edges``, keyed by the sorted vertex index pair),
 so the two sides of a slit get independent dofs.
 
-Gradients, Laplacians and values take one coefficient vector or an
-(ndof, k) block of them; the estimators evaluate a whole cluster at once.
+Values and Laplacians of an FeFunction take one coefficient vector or an
+(ndof, k) block of them.  ``element_gradients`` and ``block_laplacians``
+work on element coefficients ``coeffs[..., elem_dofs]`` with the functions
+on leading axes: the estimators pass a whole cluster as one (k, nt, nd)
+block.
 """
 
 from __future__ import annotations
@@ -64,9 +67,12 @@ class FeSpace:
         """Barycentric coordinate gradients, shape (nt, 3, 2)."""
         return barycentric_gradients(self.tri)
 
-    @cached_property
+    @property
     def grad_products(self) -> np.ndarray:
-        """d[t, i, j] = grad(lambda_i) . grad(lambda_j), shape (nt, 3, 3)."""
+        """d[t, i, j] = grad(lambda_i) . grad(lambda_j), shape (nt, 3, 3).
+
+        Recomputed per use (assembly, P2 Laplacians), so the eigensolve
+        does not hold it alongside the mesh's cached edge tangents."""
         g = self.bary_grads
         return np.einsum("tik,tjk->tij", g, g)
 
@@ -83,7 +89,7 @@ class FeFunction:
 
 def barycentric_gradients(tri: Triangulation) -> np.ndarray:
     """grad(lambda_i) is the inward normal of edge i over its height."""
-    t = tri.edge_tangents()
+    t = tri.edge_tangents
     inv_two_area = (1.0 / (2.0 * tri.areas))[:, None, None]
     return np.stack([-t[..., 1], t[..., 0]], axis=-1) * inv_two_area
 
@@ -245,40 +251,42 @@ def values_at_bary(f: FeFunction, bary) -> np.ndarray:
     return f.coeffs[f.space.elem_dofs] @ vals
 
 
-def corner_gradients(f: FeFunction) -> np.ndarray:
-    """Gradient of f at the three corners of every element.
+def element_gradients(space: FeSpace, c: np.ndarray, bary) -> np.ndarray:
+    """Gradient of every element's function at q barycentric points.
 
-    The shape is (nt, 3, 2) for a coefficient vector and (nt, 3, 2, k) for
-    an (ndof, k) block.  For P1 the gradient is constant, so the three
-    corner values coincide.
+    ``c`` holds element coefficients ``coeffs[..., space.elem_dofs]``, shape
+    (..., nt, nd), with any leading axes for a block of functions; ``bary``
+    is (q, 3).  Returns shape (2, ..., nt, q): the x and y components.
     """
-    space = f.space
-    c = f.coeffs[space.elem_dofs]                   # (nt, nd[, k])
-    g = space.bary_grads[(...,) + (None,) * (c.ndim - 2)]
-    # a P1 gradient is constant: one evaluation serves all three corners
-    corners = np.eye(3)[:1] if space.degree == 1 else np.eye(3)
-    out = np.zeros(c.shape[:1] + (len(corners), 2) + c.shape[2:])
-    for acc, table in zip(out.swapaxes(0, 1),
-                          shape_derivatives(space.degree, corners)):
+    g = space.bary_grads
+    out = np.zeros((2,) + c.shape[:-1] + (len(bary),))
+    for p, table in enumerate(shape_derivatives(space.degree, bary)):
         for j, i in zip(*np.nonzero(table)):
-            acc += table[j, i] * c[:, j, None] * g[:, i]
-    return np.repeat(out, 3, axis=1) if space.degree == 1 else out
+            term = table[j, i] * c[..., j]
+            out[0, ..., p] += term * g[:, i, 0]
+            out[1, ..., p] += term * g[:, i, 1]
+    return out
+
+
+def block_laplacians(space: FeSpace, c: np.ndarray) -> np.ndarray:
+    """Constant per-element Laplacians from element coefficients ``c`` of
+    shape (..., nt, nd), as in :func:`element_gradients`; shape (..., nt).
+    Zero for P1."""
+    lap = np.zeros(c.shape[:-1])
+    if space.degree == 1:
+        return lap
+    d = space.grad_products
+    for i in range(3):
+        lap += 4.0 * c[..., i] * d[:, i, i]
+    for m, (a, b) in enumerate(LOCAL_EDGES):
+        lap += 8.0 * c[..., 3 + m] * d[:, a, b]
+    return lap
 
 
 def element_laplacians(f: FeFunction) -> np.ndarray:
     """Constant per-element Laplacian of f, shape (nt,) or (nt, k) for an
     (ndof, k) block.  Zero for P1."""
-    space = f.space
-    c = f.coeffs[space.elem_dofs]
-    lap = np.zeros(c.shape[:1] + c.shape[2:])
-    if space.degree == 1:
-        return lap
-    d = space.grad_products[(...,) + (None,) * (c.ndim - 2)]
-    for i in range(3):
-        lap += 4.0 * c[:, i] * d[:, i, i]
-    for m, (a, b) in enumerate(LOCAL_EDGES):
-        lap += 8.0 * c[:, 3 + m] * d[:, a, b]
-    return lap
+    return block_laplacians(f.space, f.coeffs.T[..., f.space.elem_dofs]).T
 
 
 def interpolate(space: FeSpace, g) -> FeFunction:

@@ -66,7 +66,8 @@ class Triangulation:
     """Immutable conforming triangle mesh.
 
     Only the fields below are stored; ``edges``, ``edge_mates`` and
-    ``neighbors`` are cached views of one edge sort of ``tris``.
+    ``neighbors`` are cached views of one edge sort of ``tris``, and the
+    edge tangents, lengths and normals are cached read-only arrays.
 
     Attributes
     ----------
@@ -143,16 +144,19 @@ class Triangulation:
         """(nt, 3) triangle across local edge e, or -1 on the boundary."""
         return self._topology[4]
 
+    @cached_property
     def edge_tangents(self) -> np.ndarray:
         """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
         e + 1 to corner e + 2 (mod 3), counterclockwise."""
         p = self.coords[self.tris]
-        return p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+        tangents = p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+        tangents.setflags(write=False)
+        return tangents
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         """Lengths of the local edges, shape (nt, 3)."""
-        t = self.edge_tangents()
+        t = self.edge_tangents
         lengths = np.hypot(t[..., 0], t[..., 1])
         lengths.setflags(write=False)
         return lengths
@@ -160,7 +164,7 @@ class Triangulation:
     @cached_property
     def edge_normals(self) -> np.ndarray:
         """Unit outward normals of the local edges, shape (nt, 3, 2)."""
-        t = self.edge_tangents()
+        t = self.edge_tangents
         # CCW triangle: rotating the edge tangent by -90 degrees points outward
         normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) \
             / self.edge_lengths[..., None]

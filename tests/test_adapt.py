@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenadapt import adapt, mesh
+from eigenadapt import adapt, eigen, mesh
 from eigenadapt.adapt import (
     AdaptConfig,
     AdaptHistory,
@@ -23,8 +23,9 @@ from eigenadapt.adapt import (
     write_summary_json,
 )
 from eigenadapt.cli import preset_configs
-from eigenadapt.eigen import (ClusterSelection, multiplicity_groups,
-                              separation_diagnostic, solve_smallest)
+from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
+                              multiplicity_groups, separation_diagnostic,
+                              solve_smallest)
 from eigenadapt.errors import ConfigError, SolverError
 from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
@@ -272,8 +273,9 @@ def test_summary_flags_cluster_cutting_a_multiple_eigenvalue(caplog,
     assert whole.multiplicity == [[1, 2]]
     assert summary_dict(whole)["cluster_cuts_multiplicity"] is False
     assert caplog.text == ""
-    # cluster 1..2 with the same final pair would cut it
-    monkeypatch.setattr(adapt, "multiplicity_groups", lambda values: [[1, 2]])
+    # cluster 1..2 with the same final pair would cut it; the loop reads
+    # the groups the solve result carries
+    monkeypatch.setattr(eigen, "multiplicity_groups", lambda values: [[1, 2]])
     with caplog.at_level("WARNING", logger="eigenadapt.adapt"):
         cut = run(_small_config())
     assert summary_dict(cut)["cluster_cuts_multiplicity"] is True
@@ -466,3 +468,42 @@ def test_clusters_from_index_2_never_slice(monkeypatch):
     calls = _record_solves(monkeypatch)
     run(_small_config(cluster_lo=2, cluster_hi=3))
     assert len(calls) > 1 and all(c == (0.0, 1) for c in calls)
+
+
+def _pair_set(values, first):
+    values = np.asarray(values, dtype=np.float64)
+    return EigenPairSet(values=values, vectors=np.eye(values.size),
+                        residuals=np.zeros(values.size), first=first)
+
+
+def test_window_holds_whole_multiplicity_groups():
+    cluster = ClusterSelection(5, 6)
+    assert adapt._window(cluster, _pair_set(range(1, 10), 1)) == (4, 7)
+    # lam_3 = lam_4 holds lo - 1 and lam_7 = lam_8 holds hi + 1
+    twins = _pair_set([1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0, 7.0, 9.0], 1)
+    assert twins.groups == [[2, 3], [6, 7]]
+    assert adapt._window(cluster, twins) == (3, 8)
+    # a window solved before is kept whole, though its groups have split
+    assert adapt._window(cluster, _pair_set([3.0, 3.1, 5.0, 6.0, 7.0, 7.1], 3)) \
+        == (3, 8)
+
+
+def test_windows_widened_to_a_twin_are_kept(monkeypatch):
+    # unit square, cluster 4..4: lambda_3 is half of 5 pi^2 and lambda_5 of
+    # 10 pi^2.  Once the previous level shows both twins, the window 2..6
+    # is solved, kept, and solved again on every later level: one solve
+    # per level (before, windows of 3..5 missed on every level)
+    calls = []
+
+    def solve(A, M, m, tol, seed, shift=0.0):
+        pairs = solve_smallest(A, M, m, tol=tol, seed=seed, shift=shift)
+        calls.append((A.shape[0], m, pairs.first))
+        return pairs
+
+    monkeypatch.setattr(adapt, "solve_smallest", solve)
+    hist = run(_small_config(cluster_lo=4, cluster_hi=4, max_dof=3000))
+    assert hist.stop_reason == "max_dof"
+    per_level = [[c[1:] for c in calls if c[0] == r.ndof] for r in hist.rows]
+    widened = [lv for lv, p in enumerate(per_level) if p[0] == (5, 2)]
+    assert widened and len(per_level) - widened[0] >= 3
+    assert per_level[widened[0]:] == [[(5, 2)]] * (len(per_level) - widened[0])

@@ -7,8 +7,9 @@ import scipy.io
 from eigenadapt.fem import (
     FeFunction,
     assemble,
+    block_laplacians,
     build_space,
-    corner_gradients,
+    element_gradients,
     element_laplacians,
     evaluate,
     evaluate_gradient,
@@ -112,8 +113,14 @@ def test_p1_gradient_constant():
     g1 = evaluate_gradient(f, 3, np.array([1.0, 1.0, 1.0]) / 3.0)
     g2 = evaluate_gradient(f, 3, np.array([0.6, 0.3, 0.1]))
     np.testing.assert_allclose(g1, g2, rtol=1e-13)
-    cg = corner_gradients(f)
+    cg = _corner_gradients(f)
     np.testing.assert_allclose(cg[3], np.broadcast_to(g1, (3, 2)), rtol=1e-13)
+
+
+def _corner_gradients(f):
+    """(nt, 3, 2) gradients of f at the three corners of every element."""
+    gx, gy = element_gradients(f.space, f.coeffs[f.space.elem_dofs], np.eye(3))
+    return np.stack([gx, gy], axis=-1)
 
 
 def _locate(tri, point):
@@ -186,7 +193,7 @@ def test_p2_corner_gradients_match_pointwise():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
     rng = np.random.default_rng(5)
     f = FeFunction(space, rng.standard_normal(space.n_dofs))
-    cg = corner_gradients(f)
+    cg = _corner_gradients(f)
     eye = np.eye(3)
     for t in (0, 5):
         for corner in range(3):
@@ -207,12 +214,17 @@ def test_matrix_market_export(tmp_path):
 def test_block_evaluation_matches_single_vectors(degree):
     space = build_space(initial_mesh(builtin_domain("omega2"), 4), degree)
     block = np.random.default_rng(3).standard_normal((space.n_dofs, 3))
-    cg = corner_gradients(FeFunction(space, block))
+    c = block.T[:, space.elem_dofs]                 # (k, nt, nd)
+    gx, gy = element_gradients(space, c, np.eye(3))
     lap = element_laplacians(FeFunction(space, block))
-    assert cg.shape == (space.tri.n_elements, 3, 2, 3)
+    assert gx.shape == gy.shape == (3, space.tri.n_elements, 3)
+    np.testing.assert_array_equal(block_laplacians(space, c), lap.T)
     for k in range(3):
         single = FeFunction(space, block[:, k].copy())
-        np.testing.assert_array_equal(cg[..., k], corner_gradients(single))
+        sx, sy = element_gradients(space, single.coeffs[space.elem_dofs],
+                                   np.eye(3))
+        np.testing.assert_array_equal(gx[k], sx)
+        np.testing.assert_array_equal(gy[k], sy)
         np.testing.assert_array_equal(lap[:, k], element_laplacians(single))
     full = from_free_vector(space, block[space.free])
     np.testing.assert_array_equal(full.coeffs[space.free], block[space.free])

@@ -1,0 +1,98 @@
+"""Per-mesh edge geometry: one read-only tangent pass serves every user.
+
+``Triangulation.edge_tangents`` is computed once per mesh and cached
+read-only; edge lengths, edge normals and barycentric gradients derive from
+it.  The oracles below compute each quantity from the coordinates alone, as
+the code did before the cache, and every value must agree bit for bit,
+because the adaptive trajectory of a run near a degenerate pair depends on
+the last bits of the assembled matrices.
+"""
+
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+from eigenadapt.adapt import AdaptConfig, run
+from eigenadapt.fem import assemble, barycentric_gradients, build_space
+from eigenadapt.geometry import builtin_domain, initial_mesh
+from eigenadapt.mesh import LOCAL_EDGES, Triangulation, uniform_refine
+
+
+def _tangents(tri):
+    p = tri.coords[tri.tris]
+    return p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+
+
+def _lengths(tri):
+    t = _tangents(tri)
+    return np.hypot(t[..., 0], t[..., 1])
+
+
+def _normals(tri):
+    t = _tangents(tri)
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1) / _lengths(tri)[..., None]
+
+
+def _bary_grads(tri):
+    t = _tangents(tri)
+    inv_two_area = (1.0 / (2.0 * tri.areas))[:, None, None]
+    return np.stack([-t[..., 1], t[..., 0]], axis=-1) * inv_two_area
+
+
+def _assert_geometry_matches(tri):
+    np.testing.assert_array_equal(tri.edge_tangents, _tangents(tri))
+    np.testing.assert_array_equal(tri.edge_lengths, _lengths(tri))
+    np.testing.assert_array_equal(tri.edge_normals, _normals(tri))
+    np.testing.assert_array_equal(barycentric_gradients(tri), _bary_grads(tri))
+
+
+def test_edge_tangents_are_cached_read_only_and_computed_once(monkeypatch):
+    calls = []
+    compute = Triangulation.__dict__["edge_tangents"].func
+
+    def counting(self):
+        calls.append(id(self))
+        return compute(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Triangulation, "edge_tangents")
+    monkeypatch.setattr(Triangulation, "edge_tangents", prop)
+    tri = initial_mesh(builtin_domain("omega2"), 4)
+    build_space(tri, 2).bary_grads
+    tri.edge_lengths, tri.edge_normals, tri.edge_tangents
+    assert calls == [id(tri)]
+    assert tri.edge_tangents is tri.edge_tangents
+    with pytest.raises(ValueError):
+        tri.edge_tangents[0, 0, 0] = 3.0
+
+
+@pytest.mark.parametrize("domain", ["unit_square", "omega1", "omega2", "omega3"])
+def test_edge_geometry_matches_coordinate_oracle(domain):
+    tri = initial_mesh(builtin_domain(domain), 4)
+    _assert_geometry_matches(tri)
+    _assert_geometry_matches(uniform_refine(tri))
+
+
+# the benchmark's three workload configurations (perfbench/worker.py); the
+# secondary estimator of the first does not change its mesh
+WORKLOAD_CONFIGS = {
+    "lshape_pointwise": {"max_dof": 40000},
+    "slit_multiple": {"domain": "omega2", "cluster_lo": 2, "cluster_hi": 3,
+                      "marked_subdivision": "bisect", "max_dof": 20000},
+    "lshape_p2": {"degree": 2, "max_dof": 35000},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_assembly_on_workload_final_meshes_is_bit_identical(name):
+    config = AdaptConfig(**WORKLOAD_CONFIGS[name])
+    tri = run(config).final_mesh
+    _assert_geometry_matches(tri)
+    space = build_space(tri, config.degree)
+    oracle = build_space(tri, config.degree)
+    oracle.bary_grads = _bary_grads(tri)   # fills the cache from the oracle
+    for got, want in zip(assemble(space), assemble(oracle)):
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, attr),
+                                          getattr(want, attr))
