@@ -105,21 +105,20 @@ class AdaptConfig:
         """Parse a `key = value` config file (# comments, blank lines ok)."""
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in fields:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in values:
-                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-                values[key] = _parse_value(fields[key].type, key, val,
-                                           f"{path}:{lineno}")
+        for lineno, raw in enumerate(_read_lines(path), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in fields:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = _parse_value(fields[key].type, key, val,
+                                       f"{path}:{lineno}")
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -131,6 +130,15 @@ class AdaptConfig:
                 if isinstance(v, bool):
                     v = "true" if v else "false"
                 fh.write(f"{f.name} = {v}\n")
+
+
+def _read_lines(path: str | os.PathLike) -> list[str]:
+    """Lines of a UTF-8 text file; one that does not decode is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_value(ftype: str, key: str, val: str, where: str):
@@ -184,6 +192,7 @@ class AdaptHistory:
                                           # pairs, 0-based spectrum indices
     snapshots: list[tuple[int, Triangulation]]
     final_mesh: Triangulation | None
+    tips: np.ndarray               # (n_tips, 2) slit tip coordinates
     tip_min_h: list[list[float]]   # per level, per slit tip: min h nearby
 
     def ndofs(self) -> np.ndarray:
@@ -405,19 +414,14 @@ def run(config: AdaptConfig) -> AdaptHistory:
     return AdaptHistory(
         config=config, rows=rows, stop_reason=stop_reason, failure=failure,
         separation=separation, multiplicity=multiplicity, snapshots=snapshots,
-        final_mesh=tri, tip_min_h=tip_rows)
+        final_mesh=tri, tips=tips, tip_min_h=tip_rows)
 
 
-def fit_rate(history: AdaptHistory, which: str = None,
-             window: tuple[int | None, int | None] | None = None,
-             min_dof: int = 1000) -> float:
-    """Least-squares slope of log10(eta) against log10(ndof); see
-    :func:`fit_rate_levels` for ``window`` and ``min_dof``."""
-    if which is None:
-        which = history.config.estimator
+def fit_rate(history: AdaptHistory, which: str) -> float:
+    """Least-squares slope of log10(eta) against log10(ndof) over the levels
+    with at least 1000 free dofs; :func:`fit_rate_levels` fits a window."""
     levels = [r.level for r in history.rows]
-    return fit_rate_levels(levels, history.ndofs(), history.etas(which),
-                           window, min_dof)[0]
+    return fit_rate_levels(levels, history.ndofs(), history.etas(which))[0]
 
 
 def fit_rate_levels(levels, ndof, eta,
@@ -479,14 +483,14 @@ def write_history_csv(history: AdaptHistory, path: str | os.PathLike) -> None:
 
 def read_history_csv(path: str | os.PathLike):
     """Read a history CSV back as (header list, list of row dicts)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        out = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise ConfigError(f"{path}: malformed row {line!r}")
-            out.append(dict(zip(header, parts)))
+    lines = _read_lines(path)
+    header = lines[0].strip().split(",") if lines else []
+    out = []
+    for line in lines[1:]:
+        parts = line.strip().split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}: malformed row {line!r}")
+        out.append(dict(zip(header, parts)))
     return header, out
 
 
@@ -511,8 +515,6 @@ def summary_dict(history: AdaptHistory) -> dict:
             slopes[which] = None
     final = history.rows[-1] if history.rows else None
     sep = history.separation
-    spec = resolve_domain(history.config.domain)
-    tips = slit_tips(spec)
     summary = {
         "config": cfg,
         "stop_reason": history.stop_reason,
@@ -541,7 +543,7 @@ def summary_dict(history: AdaptHistory) -> dict:
             {"x": float(t[0]), "y": float(t[1]),
              "min_h_final": (history.tip_min_h[-1][i]
                              if history.tip_min_h else None)}
-            for i, t in enumerate(tips)
+            for i, t in enumerate(history.tips)
         ],
         "strategies": {
             "estimator": history.config.estimator,

@@ -136,13 +136,10 @@ def _print_product_table(history) -> None:
 
 
 def _print_tip_report(name: str, history) -> None:
-    from .adapt import summary_dict
-
-    info = summary_dict(history)
     print(f"{name}: per-tip minimum element size (radius 0.05)")
-    for tip in info["tips"]:
-        print(f"  tip ({tip['x']:+.3f}, {tip['y']:+.3f}): "
-              f"min h_T = {tip['min_h_final']:.3e}")
+    for final in history.tip_min_h[-1:]:
+        for (x, y), h in zip(history.tips, final):
+            print(f"  tip ({x:+.3f}, {y:+.3f}): min h_T = {h:.3e}")
 
 
 def _print_slopes(name: str, history) -> None:

@@ -42,6 +42,8 @@ _SIGN_EPS = 1e-12
 _LANCZOS_TOL_MARGIN = 1e-3
 # smallest accepted |pivot| / max |pivot| of a factor of A - sigma M
 _PIVOT_TOL = 1e-10
+# relative gap below which neighbouring eigenvalues count as one multiple value
+MULTIPLICITY_RTOL = 1e-8
 
 
 @dataclass
@@ -277,12 +279,13 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
                         first=first)
 
 
-def multiplicity_groups(values: np.ndarray, rtol: float = 1e-8) -> list[list[int]]:
+def multiplicity_groups(values: np.ndarray) -> list[list[int]]:
     """Group 0-based indices of numerically multiple eigenvalues."""
     groups: list[list[int]] = []
     current = [0]
     for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= rtol * max(abs(values[i]), abs(values[i - 1])):
+        if (abs(values[i] - values[i - 1])
+                <= MULTIPLICITY_RTOL * max(abs(values[i]), abs(values[i - 1]))):
             current.append(i)
         else:
             groups.append(current)

@@ -52,8 +52,6 @@ class EstimatorReport:
     jump_part: np.ndarray   # (n_elements,) flux-jump contribution
     eta_max: float
     eta_l2: float           # root sum of squares over elements
-    cluster: tuple[int, int]
-    degree: int
 
     @property
     def eta_global(self) -> float:
@@ -145,8 +143,7 @@ def _prepare(space: FeSpace, lambdas, coeff_list):
 
 
 def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
-                            coeff_list: Sequence[np.ndarray],
-                            cluster: tuple[int, int] = (0, 0)) -> EstimatorReport:
+                            coeff_list: Sequence[np.ndarray]) -> EstimatorReport:
     """Pointwise estimator from explicit (lambda, full coefficient) pairs;
     ``coeff_list`` holds k vectors, as a sequence or a (k, ndof) array."""
     lam, c, scale = _prepare(space, lambdas, coeff_list)
@@ -164,13 +161,11 @@ def eta_pointwise_functions(space: FeSpace, lambdas: Sequence[float],
     return EstimatorReport(
         kind="pointwise", eta=eta * scale, elem_part=elem_part * scale,
         jump_part=jump_part * scale, eta_max=float(eta.max()) * scale,
-        eta_l2=float(np.sqrt(np.sum(eta * eta))) * scale, cluster=cluster,
-        degree=space.degree)
+        eta_l2=float(np.sqrt(np.sum(eta * eta))) * scale)
 
 
 def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
-                         coeff_list: Sequence[np.ndarray],
-                         cluster: tuple[int, int] = (0, 0)) -> EstimatorReport:
+                         coeff_list: Sequence[np.ndarray]) -> EstimatorReport:
     """Energy estimator from explicit (lambda, full coefficient) pairs;
     ``coeff_list`` holds k vectors, as a sequence or a (k, ndof) array."""
     lam, c, scale = _prepare(space, lambdas, coeff_list)
@@ -196,8 +191,7 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
     return EstimatorReport(
         kind="energy", eta=eta * scale, elem_part=np.sqrt(elem_sq) * scale,
         jump_part=np.sqrt(jump_sq) * scale, eta_max=float(eta.max()) * scale,
-        eta_l2=float(np.sqrt(np.sum(eta_sq))) * scale, cluster=cluster,
-        degree=space.degree)
+        eta_l2=float(np.sqrt(np.sum(eta_sq))) * scale)
 
 
 def _cluster_block(space: FeSpace, pairs: EigenPairSet,
@@ -213,11 +207,11 @@ def eta_pointwise(space: FeSpace, pairs: EigenPairSet,
                   cluster: ClusterSelection) -> EstimatorReport:
     """Pointwise estimator over the cluster of computed eigenpairs."""
     lams, coeffs = _cluster_block(space, pairs, cluster)
-    return eta_pointwise_functions(space, lams, coeffs, (cluster.lo, cluster.hi))
+    return eta_pointwise_functions(space, lams, coeffs)
 
 
 def eta_energy(space: FeSpace, pairs: EigenPairSet,
                cluster: ClusterSelection) -> EstimatorReport:
     """Energy estimator over the cluster of computed eigenpairs."""
     lams, coeffs = _cluster_block(space, pairs, cluster)
-    return eta_energy_functions(space, lams, coeffs, (cluster.lo, cluster.hi))
+    return eta_energy_functions(space, lams, coeffs)

@@ -168,23 +168,18 @@ def _scatter(space: FeSpace, local: np.ndarray) -> scipy.sparse.csr_matrix:
     return mat.tocsr()
 
 
-def assemble(space: FeSpace, constrained: bool = True
+def assemble(space: FeSpace
              ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    """Assemble stiffness A and mass M as CSR matrices.
+    """Stiffness A and mass M on the free dofs, as CSR matrices.
 
-    With ``constrained=True`` (default), rows and columns of Dirichlet dofs
-    are eliminated and the matrices act on free dofs only.  Local matrices
+    Rows and columns of the other dofs are eliminated; a space whose
+    ``free`` lists every dof gives the unconstrained pair.  Local matrices
     are exactly symmetric and scattered pairwise, so ``A == A.T`` holds
     bit for bit.
     """
-    K_loc, M_loc = local_matrices(space)
-    A = _scatter(space, K_loc)
-    M = _scatter(space, M_loc)
-    if constrained:
-        f = space.free
-        A = A[f][:, f].tocsr()
-        M = M[f][:, f].tocsr()
-    return A, M
+    f = space.free
+    return tuple(_scatter(space, loc)[f][:, f].tocsr()
+                 for loc in local_matrices(space))
 
 
 def write_matrix_market(A, path) -> None:

@@ -332,8 +332,11 @@ def parse_domain(text: str, name: str = "custom") -> DomainSpec:
 
 
 def read_domain(path) -> DomainSpec:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GeometryError(f"{path}: {exc}") from exc
     return parse_domain(text, name=str(path))
 
 

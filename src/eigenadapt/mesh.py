@@ -431,9 +431,9 @@ def write_mesh(tri: Triangulation, path) -> None:
 
 def read_mesh(path) -> Triangulation:
     """Read the plain-text mesh format written by :func:`write_mesh`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
     try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = fh.read().split()
         if tokens[0] != "vertices":
             raise MeshError("mesh file must start with 'vertices N'")
         nv = int(tokens[1])
@@ -453,6 +453,6 @@ def read_mesh(path) -> Triangulation:
         tris, gen = elem[:, :3], elem[:, 3]
     except MeshError:  # a ValueError, but already says what is wrong
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # UnicodeDecodeError included
         raise MeshError(f"malformed mesh file: {exc}") from exc
     return Triangulation.from_arrays(coords, tris, dirichlet=dirichlet, gen=gen)

@@ -15,6 +15,7 @@ from eigenadapt.adapt import (
     LevelRecord,
     fit_loglog_slope,
     fit_rate,
+    fit_rate_levels,
     read_history_csv,
     refine_marked,
     run,
@@ -109,39 +110,47 @@ def _history_from_track(track, estimator="pointwise"):
     cfg = AdaptConfig(estimator=estimator, cluster_lo=1, cluster_hi=1)
     return AdaptHistory(config=cfg, rows=rows, stop_reason="max_dof",
                         failure=None, separation=None, multiplicity=[],
-                        snapshots=[], final_mesh=None, tip_min_h=[])
+                        snapshots=[], final_mesh=None, tips=np.zeros((0, 2)),
+                        tip_min_h=[])
 
 
 def test_fit_rate_exact_power_laws():
     n = [1000 * 2 ** k for k in range(6)]
     hist = _history_from_track([(nd, 50.0 * nd ** -1.0) for nd in n])
-    assert abs(fit_rate(hist) + 1.0) <= 1e-12
+    assert abs(fit_rate(hist, "pointwise") + 1.0) <= 1e-12
     hist = _history_from_track([(nd, 3.0 * nd ** -0.5) for nd in n])
-    assert abs(fit_rate(hist) + 0.5) <= 1e-12
+    assert abs(fit_rate(hist, "pointwise") + 0.5) <= 1e-12
 
 
 def test_fit_rate_window_and_min_dof():
     track = [(10, 1.0), (100, 0.5), (1000, 0.25), (2000, 0.125),
              (4000, 0.0625), (8000, 0.03125)]
     hist = _history_from_track(track)
-    # default min_dof=1000 keeps the exact halving tail: slope log2(1/2)
-    full = fit_rate(hist)
+    # fit_rate keeps the levels with >= 1000 dofs: slope log2(1/2)
+    full = fit_rate(hist, "pointwise")
     assert abs(full - fit_loglog_slope([1000, 2000, 4000, 8000],
                                        [0.25, 0.125, 0.0625, 0.03125])) <= 1e-12
-    windowed = fit_rate(hist, window=(2, 4))
+    levels = np.arange(len(track))
+    ndof, eta = np.array(track).T
+    windowed, keep = fit_rate_levels(levels, ndof, eta, window=(2, 4))
+    assert keep.tolist() == [False, False, True, True, True, False]
     assert abs(windowed - fit_loglog_slope([1000, 2000, 4000],
                                            [0.25, 0.125, 0.0625])) <= 1e-12
+    low, keep = fit_rate_levels(levels, ndof, eta, min_dof=100)
+    assert keep.tolist() == [False, True, True, True, True, True]
+    assert abs(low - fit_loglog_slope(ndof[1:], eta[1:])) <= 1e-12
     with pytest.raises(ValueError):
-        fit_rate(hist, window=(0, 1))
+        fit_rate_levels(levels, ndof, eta, window=(0, 1))
     with pytest.raises(ValueError):
-        fit_rate(_history_from_track(track), which="does_not_exist")
+        fit_rate(hist, "does_not_exist")
 
 
 def test_fit_rate_reference_track():
     hist = _history_from_track(REFERENCE_TRACK)
-    slope = fit_rate(hist)  # min_dof=1000 keeps the last three levels
+    slope = fit_rate(hist, "pointwise")  # the last three levels have >= 1000 dofs
     assert -1.05 <= slope <= -0.85
-    all_levels = fit_rate(hist, window=(0, 4))
+    ndof, eta = np.array(REFERENCE_TRACK).T
+    all_levels = fit_rate_levels(range(len(ndof)), ndof, eta, window=(0, 4))[0]
     assert -1.05 <= all_levels <= -0.85
 
 
@@ -262,6 +271,25 @@ def test_summary_json(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json(hist, path)
     assert json.loads(path.read_text()) == json.loads(text)
+
+
+def test_summary_tips_come_from_the_run_not_the_domain_file(tmp_path, capsys):
+    from eigenadapt.cli import _print_tip_report
+
+    square = "polygon\n-1 -1\n1 -1\n1 1\n-1 1\n"
+    path = tmp_path / "slit.txt"
+    path.write_text(square + "slit 0.5 0 1 0\n")
+    hist = run(_small_config(domain=str(path)))
+    tips = summary_dict(hist)["tips"]
+    assert [(t["x"], t["y"]) for t in tips] == [(0.5, 0.0)]
+    assert tips[0]["min_h_final"] == hist.tip_min_h[-1][0]
+    path.write_text(square + "slit -0.5 0 -1 0\n")
+    assert summary_dict(hist)["tips"] == tips
+    path.unlink()
+    assert summary_dict(hist)["tips"] == tips
+    _print_tip_report("slit", hist)
+    assert (capsys.readouterr().out.splitlines()[1]
+            == f"  tip (+0.500, +0.000): min h_T = {tips[0]['min_h_final']:.3e}")
 
 
 def test_summary_flags_cluster_cutting_a_multiple_eigenvalue(caplog,

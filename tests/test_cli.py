@@ -136,7 +136,7 @@ def test_rate_on_written_history(tmp_path, capsys):
 
 
 def test_rate_prints_the_fit_rate_slope(tmp_path, capsys):
-    from eigenadapt.adapt import AdaptConfig, fit_rate
+    from eigenadapt.adapt import AdaptConfig, fit_rate_levels
     from eigenadapt.cli import execute_run
 
     config = AdaptConfig(domain="unit_square", n=8, cluster_lo=1,
@@ -152,7 +152,10 @@ def test_rate_prints_the_fit_rate_slope(tmp_path, capsys):
         assert main(["rate", "--history", hist, "--field", "pointwise",
                      *flags]) == 0
         printed = capsys.readouterr().out.split("slope")[1].split()[0]
-        assert printed == f"{fit_rate(history, 'pointwise', **kw):+.4f}"
+        slope = fit_rate_levels([r.level for r in history.rows],
+                                history.ndofs(), history.etas("pointwise"),
+                                **kw)[0]
+        assert printed == f"{slope:+.4f}"
 
 
 def test_rate_rejects_short_history(tmp_path, capsys):
@@ -239,6 +242,22 @@ def test_exit_code_2_on_non_finite_config_value(tmp_path, capsys, key, value):
         AdaptConfig.from_file(cfg)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{f}", "--out", "{d}"],
+    ["rate", "--history", "{f}", "--field", "pointwise"],
+    ["mesh", "load", "--path", "{f}"],
+    ["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+    ["mesh", "svg", "--domain", "{f}", "--out", "{d}/mesh.svg"],
+], ids=["run", "rate", "mesh-load", "mesh-dump", "mesh-svg"])
+def test_exit_code_2_on_non_utf8_input(tmp_path, capsys, argv):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "polygon\n".encode("utf-16-le"))
+    argv = [a.format(f=bad, d=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eigenadapt: ") and err.count("\n") == 1
 
 
 def test_exit_code_2_on_bad_domain(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Finite element space, assembly, and evaluation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io
@@ -30,6 +32,11 @@ def _unit_triangle_space(degree=1):
     return build_space(Triangulation.from_arrays(coords, tris), degree)
 
 
+def _all_free(space):
+    """The space with no dof eliminated: assemble gives the unconstrained pair."""
+    return dataclasses.replace(space, free=np.arange(space.n_dofs))
+
+
 def test_free_dof_counts():
     assert build_space(initial_mesh(builtin_domain("omega1"), 8), 1).n_free == 33
     sq = initial_mesh(builtin_domain("unit_square"), 2)
@@ -52,7 +59,7 @@ def test_p1_reference_element_matrices():
 @pytest.mark.parametrize("degree", [1, 2])
 def test_assembly_symmetry_and_constant_nullspace(degree):
     space = build_space(initial_mesh(builtin_domain("omega1"), 4), degree)
-    A, M = assemble(space, constrained=False)
+    A, M = assemble(_all_free(space))
     Ad, Md = A.toarray(), M.toarray()
     assert np.max(np.abs(Ad - Ad.T)) == 0.0
     assert np.max(np.abs(Md - Md.T)) == 0.0
@@ -73,7 +80,7 @@ def test_constrained_operators_spd(degree):
 
 def test_quadratic_form_exactness_p1():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 4), 1)
-    A, M = assemble(space, constrained=False)
+    A, M = assemble(_all_free(space))
     u = FeFunction(space, space.dof_coords[:, 0].copy())
     np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 1.0, rtol=1e-14)
     np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 3.0, rtol=1e-14)
@@ -81,7 +88,7 @@ def test_quadratic_form_exactness_p1():
 
 def test_quadratic_form_exactness_p2():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
-    A, M = assemble(space, constrained=False)
+    A, M = assemble(_all_free(space))
     u = FeFunction(space, space.dof_coords[:, 0] ** 2)
     np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 4.0 / 3.0, rtol=1e-14)
     np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 5.0, rtol=1e-14)
@@ -90,7 +97,7 @@ def test_quadratic_form_exactness_p2():
 def test_patch_test_linear():
     # interior residual rows of A c vanish for any linear field
     space = build_space(initial_mesh(builtin_domain("omega1"), 4), 1)
-    A, _ = assemble(space, constrained=False)
+    A, _ = assemble(_all_free(space))
     c = 2.0 * space.dof_coords[:, 0] - 3.0 * space.dof_coords[:, 1] + 1.0
     resid = A @ c
     np.testing.assert_allclose(resid[space.free], 0.0, atol=1e-13)

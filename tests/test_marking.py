@@ -13,7 +13,7 @@ def _report(eta):
     return EstimatorReport(
         kind="pointwise", eta=eta, elem_part=eta.copy(),
         jump_part=np.zeros_like(eta), eta_max=float(eta.max()),
-        eta_l2=float(np.sqrt(np.sum(eta * eta))), cluster=(1, 1), degree=1)
+        eta_l2=float(np.sqrt(np.sum(eta * eta))))
 
 
 def test_max_threshold_worked_example():
