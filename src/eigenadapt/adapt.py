@@ -210,8 +210,8 @@ def refine_marked(tri: Triangulation, marked: MarkSet, strategy: str,
     """The loop's Refine step: subdivide every marked element.
 
     With ``subdivision="quarter"`` (the default) two bisection passes run:
-    the marked elements, then all their children, each pass followed by
-    conformity closure and, for bisec_lg1, the grading closure.  Quartering
+    the marked elements, then all their children, each pass with its
+    conformity closure and, for bisec_lg1, the grading check.  Quartering
     halves h_T of marked elements per level, which keeps the marked fraction
     moderate and the estimator decay smooth on the reentrant-corner runs.
     With ``subdivision="bisect"`` a single pass runs; the finer level

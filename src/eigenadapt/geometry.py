@@ -296,7 +296,7 @@ def parse_domain(text: str, name: str = "custom") -> DomainSpec:
     """Parse the plain-text domain format; see :func:`write_domain`."""
     polygon: list[Point] = []
     slits: list[tuple[Point, Point]] = []
-    in_polygon = False
+    in_polygon = seen_polygon = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -305,7 +305,9 @@ def parse_domain(text: str, name: str = "custom") -> DomainSpec:
         if parts[0] == "polygon":
             if len(parts) != 1:
                 raise GeometryError(f"line {lineno}: 'polygon' takes no arguments")
-            in_polygon = True
+            if seen_polygon:
+                raise GeometryError(f"line {lineno}: a second 'polygon' section")
+            in_polygon = seen_polygon = True
             continue
         if parts[0] == "slit":
             if len(parts) != 5:

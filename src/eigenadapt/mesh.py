@@ -19,10 +19,13 @@ an interior edge run it opposite ways, so their normals are exact negatives.
 Two refinement strategies are exposed:
 
 - ``nvb``:        plain newest vertex bisection with conformity closure
-- ``bisec_lg1``:  newest vertex bisection followed by a grading closure: the
-                  same step runs on every triangle with an edge neighbor more
-                  than ``MAX_ADJACENT_GEN_DIFF`` generations finer, until
-                  there is none
+- ``bisec_lg1``:  the same pass, then MeshError if two edge neighbors are
+                  more than ``MAX_ADJACENT_GEN_DIFF`` generations apart.
+                  Bisection from a matched labelling (each refinement edge is
+                  its mate's too, as on the lattice meshes) keeps them within
+                  one (Binev, Dahmen and DeVore, Numer. Math. 97 (2004));
+                  slit ends snapped at odd n raise it to 2.  Only generations
+                  set by hand have failed the check
 
 Slit domains are handled transparently: the two sides of a slit use distinct
 vertex indices, so slit faces are boundary edges to the mesh kernel and never
@@ -31,7 +34,7 @@ pair up during refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +43,7 @@ from .errors import MeshError
 
 REFINE_STRATEGIES = ("nvb", "bisec_lg1")
 
-# grading bound enforced by the bisec_lg1 strategy
+# grading bound bisec_lg1 checks; bisection from unmatched labellings reaches it
 MAX_ADJACENT_GEN_DIFF = 2
 
 
@@ -176,17 +179,19 @@ class Triangulation:
         """Build a triangulation from raw coordinate and connectivity arrays.
 
         The vertex triples must already be CCW with the refinement edge
-        opposite local vertex 0.  Non-finite coordinates, negative
-        generations, and an edge held by three triangles or run the same
-        way by two raise MeshError; ``dirichlet`` defaults to all
-        boundary-edge endpoints.
+        opposite local vertex 0.  No triangles, non-finite coordinates,
+        negative generations or ones too large for the area law, and an
+        edge held by three triangles or run the same way by two raise
+        MeshError; ``dirichlet`` defaults to all boundary-edge endpoints.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
         nt, nv = tris.shape[0], coords.shape[0]
+        if nt == 0:
+            raise MeshError("a mesh needs at least one triangle")
         if not np.all(np.isfinite(coords)):
             raise MeshError("vertex coordinates must be finite")
-        if tris.size and (tris.min() < 0 or tris.max() >= nv):
+        if tris.min() < 0 or tris.max() >= nv:
             raise MeshError(f"triangle vertex ids must lie in [0, {nv})")
         areas = triangle_areas(coords, tris)
         if np.any(areas <= 0.0):
@@ -201,9 +206,13 @@ class Triangulation:
             raise MeshError("element generations must be >= 0")
         dirichlet = (_boundary_vertices(nv, topology) if dirichlet is None
                      else np.array(dirichlet, bool))
+        with np.errstate(over="ignore"):
+            root_area = areas * np.exp2(gen.astype(np.float64))
+        if not np.all(np.isfinite(root_area)):
+            raise MeshError("element generations too large for the area law")
         idx = np.arange(nt, dtype=np.int64)
         tri = Triangulation(coords, tris, gen, dirichlet, idx, idx.copy(),
-                            areas * np.exp2(gen.astype(np.float64)))
+                            root_area)
         tri._topology = topology  # fills the cache; computed from these tris
         return tri
 
@@ -318,18 +327,12 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triang
     is closed under "a triangle with any marked edge marks its refinement
     edge".  Each triangle is then bisected once, twice or three times by the
     pattern of its marked edges, which gives the least conforming refinement
-    that bisects every marked triangle.  For ``bisec_lg1`` the same step runs
-    again on the triangles with an edge neighbor more than
-    ``MAX_ADJACENT_GEN_DIFF`` generations finer, until there are none.
-    Grading lifts coarse triangles toward their finer neighbors, so it has
-    no need to refine past the finest generation it started from; on
-    generations that no bisection history produces, the conformity closure
-    can refine the fine side instead, without end.  So MeshError("grading
-    closure failed to terminate") is raised as soon as a pass makes the
-    finest generation more than ``MAX_ADJACENT_GEN_DIFF`` finer than at the
-    start of the closure; with generations bounded, the closure always ends.
-    The input mesh is left untouched, and the result depends only on the
-    marked set, not on its order.
+    that bisects every marked triangle.  ``bisec_lg1`` then raises
+    MeshError when two edge neighbors of the result are more than
+    ``MAX_ADJACENT_GEN_DIFF`` generations apart, a bound that refinement
+    from the meshes of ``initial_mesh`` keeps.  The input mesh is left
+    untouched, and the result depends only on the marked set, not on its
+    order.
     """
     if strategy not in REFINE_STRATEGIES:
         raise MeshError(f"unknown refinement strategy {strategy!r}")
@@ -337,19 +340,12 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triang
     if elems.size and (elems.min() < 0 or elems.max() >= tri.n_elements):
         raise MeshError("marked set contains out-of-range element indices")
     out = _bisect(tri, elems)
-    if strategy == "nvb":
-        return out
-    gen_cap = int(out.gen.max(initial=0)) + MAX_ADJACENT_GEN_DIFF
-    while True:
-        nb = out.neighbors
-        finer = (nb >= 0) & (out.gen[nb] - out.gen[:, None] > MAX_ADJACENT_GEN_DIFF)
-        coarse = np.nonzero(finer.any(axis=1))[0]
-        if coarse.size == 0:
-            return out
-        step = _bisect(out, coarse)
-        if step.gen.max() > gen_cap:
-            raise MeshError("grading closure failed to terminate")
-        out = replace(step, parent=out.parent[step.parent])
+    if strategy == "bisec_lg1":
+        gap = max_adjacent_gen_diff(out)
+        if gap > MAX_ADJACENT_GEN_DIFF:
+            raise MeshError(f"edge neighbors {gap} generations apart after "
+                            f"refinement (bound {MAX_ADJACENT_GEN_DIFF})")
+    return out
 
 
 def uniform_refine(tri: Triangulation) -> Triangulation:
@@ -396,7 +392,7 @@ def check_mesh(tri: Triangulation) -> None:
                           tri.dirichlet):
         raise MeshError("dirichlet flags do not match boundary edges")
     law = tri.root_area * np.exp2(-tri.gen.astype(np.float64))
-    if np.any(np.abs(areas - law) > 1e-12 * tri.root_area):
+    if not np.all(np.abs(areas - law) <= 1e-12 * tri.root_area):
         raise MeshError("generation/area law violated")
 
 

@@ -427,8 +427,7 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
         assert len({id(t) for t in calls}) == len(calls), name
         assert len(calls) == levels, name
     # one edge sort per connectivity: estimators, edge dofs, refinement and
-    # grading share it, and copies that share tris (snapshots, the grading
-    # pass's re-parented mesh) never sort again
+    # the grading check share it, and snapshots never sort again
     assert len({id(t) for t in sorted_tris}) == len(sorted_tris)
     assert {id(t) for t in sorted_tris} == {id(m.tris) for m in meshes}
 

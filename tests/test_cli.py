@@ -293,6 +293,18 @@ def test_exit_code_2_on_negative_generation(tmp_path, capsys):
     assert "generations must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "load", "--path", "{f}"],
+    ["mesh", "svg", "--path", "{f}", "--out", "{d}/mesh.svg"],
+], ids=["mesh-load", "mesh-svg"])
+def test_exit_code_2_on_mesh_without_triangles(tmp_path, capsys, argv):
+    mesh_file = tmp_path / "empty.txt"
+    mesh_file.write_text("vertices 3\ntriangles 0\n0 0 1\n1 0 1\n0 1 1\n")
+    assert main([a.format(f=mesh_file, d=tmp_path) for a in argv]) == 2
+    assert "at least one triangle" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.svg").exists()
+
+
 def test_exit_code_2_on_cluster_beyond_initial_space(tmp_path, capsys):
     cfg = _write_config(tmp_path / "run.cfg", n=2, cluster_hi=500)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -112,6 +112,15 @@ def test_resolve_domain_rejects_garbage():
         resolve_domain("not_a_domain_or_file")
 
 
+def test_second_polygon_section_rejected():
+    # merged, the two sections would make the unit square
+    text = "polygon\n0 0\n1 0\npolygon\n1 1\n0 1\n"
+    with pytest.raises(GeometryError, match="line 4: a second 'polygon' section"):
+        parse_domain(text)
+    assert parse_domain(text.replace("polygon\n1 1", "1 1")).polygon == (
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
 def test_off_lattice_spec_rejected():
     spec = DomainSpec(name="sliver",
                       polygon=((0.0, 0.0), (1.0, 0.0), (1.0, 0.37), (0.0, 0.37)))

@@ -1,4 +1,5 @@
-"""README drift guards: the documented config keys and history columns."""
+"""README drift guards: the documented config keys, refinement strategies,
+presets and history columns."""
 
 import dataclasses
 import re
@@ -6,6 +7,8 @@ import types
 from pathlib import Path
 
 from eigenadapt.adapt import AdaptConfig, write_history_csv
+from eigenadapt.cli import PRESETS
+from eigenadapt.mesh import REFINE_STRATEGIES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -30,3 +33,15 @@ def test_history_columns_match_the_written_header(tmp_path):
     header = path.read_text().rstrip("\n")
     assert line.replace("lambda_<lo>..lambda_<hi>",
                         "lambda_2,lambda_3,lambda_4") == header
+
+
+def test_refine_row_names_every_strategy():
+    meaning = re.search(r"^\| `refine` \| `\w+` \| (.*) \|$", README,
+                        flags=re.M).group(1)
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == REFINE_STRATEGIES
+
+
+def test_presets_table_lists_every_preset():
+    section = README.split("## Presets", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert tuple(names) == PRESETS
