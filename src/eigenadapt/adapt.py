@@ -3,9 +3,12 @@
 ``run`` executes the loop on a domain until a stop criterion fires (dof
 budget, level cap, estimator target, or a vanished estimator), recording
 per-level eigenvalues, estimator values, mesh statistics and wall times.
-From level 1 on, a cluster lo..hi with lo >= 3 is solved as the window
-lo-1..hi+1, widened to whole multiplicity groups, around a shift taken from
-the previous level (see ``_solve_level``).
+From level 1 on, a cluster lo..hi is solved as the window max(lo-1, 1)..hi+1,
+widened to whole multiplicity groups, around a shift taken from the previous
+level (see ``_solve_level``).  Inside each numerically multiple eigenvalue
+the basis is then rotated by the ``x^2 - y^2`` moments about the centre of
+the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
+the config only, not on the basis the solver returns there.
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -23,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import (ClusterSelection, EigenPairSet, SeparationReport,
-                    separation_diagnostic, solve_smallest)
+from .eigen import (MOMENT_GAP_FLOOR, ClusterSelection, EigenPairSet,
+                    SeparationReport, rotate_multiple, separation_diagnostic,
+                    solve_smallest)
 from .errors import ConfigError, SolverError
 from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
@@ -235,10 +239,11 @@ def _cluster_cuts_multiplicity(cluster: ClusterSelection,
 
 
 def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
-    """1-based range lo-1..hi+1, each end widened to the whole multiplicity
-    group of the previous level's pairs that holds it; a previous window
-    (``first > 1``) is kept whole, so a group split by refinement stays in."""
-    lo, hi = cluster.lo - 1, cluster.hi + 1
+    """1-based range max(lo-1, 1)..hi+1, each end widened to the whole
+    multiplicity group of the previous level's pairs that holds it; a
+    previous window that starts above 1 is kept whole, so a group split by
+    refinement stays in."""
+    lo, hi = max(cluster.lo - 1, 1), cluster.hi + 1
     if prev.first > 1:
         lo, hi = min(lo, prev.first), max(hi, prev.last)
     for g in prev.groups:
@@ -254,22 +259,23 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
     """The eigenpairs of one level: a window around the cluster when the
     previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
 
-    The window is lo-1..hi+1, widened at either end to the previous level's
-    multiplicity group that holds it (``_window``), and is solved by
-    shift-invert at the midpoint of the previous level's values at its two
-    ends.  On the previous level that shift has both ends at equal distance
-    and every eigenvalue outside the window farther away, so its nearest
-    pairs are exactly the window; without the widening, an end that is half
-    of a multiple eigenvalue ties with its twin outside the window.  The
-    spaces are nested, so the values only fall from there.  The window is
-    kept when the factor's inertia puts it in place and no value exceeds
+    The window is max(lo-1, 1)..hi+1, widened at either end to the previous
+    level's multiplicity group that holds it (``_window``), and is solved
+    by shift-invert at the midpoint of the previous level's values at its
+    two ends.  On the previous level that shift has both ends at equal
+    distance and every eigenvalue outside the window farther away, so its
+    nearest pairs are exactly the window; without the widening, an end that
+    is half of a multiple eigenvalue ties with its twin outside the window.
+    The spaces are nested, so the values only fall from there.  The window
+    is kept when the factor's inertia puts it in place and no value exceeds
     the previous level's at the same index, a cross-check of that count.  A
     window that misses or raises SolverError is replaced by the lowest-pairs
-    solve.  With lo <= 2 no eigenvalue lies below the window to skip, so
-    those clusters always take the lowest pairs.
+    solve.  A window from index 1 skips no eigenvalue below it, but holds
+    fewer pairs than the lowest-pairs solve and sits around a centred
+    shift, so its Lanczos run is shorter.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
-    if (prev is not None and cluster.lo >= 3 and prev.last > cluster.hi
+    if (prev is not None and prev.last > cluster.hi
             and m == cluster.hi + EXTRA_PAIRS):
         lo, hi = _window(cluster, prev)
         old = prev.values[prev.positions(lo, hi)]
@@ -287,6 +293,31 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
         log.debug("window at shift %.9g rejected (%s); solving for the "
                   "lowest %d pairs", shift, reason, m)
     return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed)
+
+
+def _moment_weight(space) -> np.ndarray:
+    """x^2 - y^2 at the free dofs, about the centre of the mesh's bounding
+    box: the weight that fixes the basis inside multiple eigenvalues."""
+    coords = space.tri.coords
+    centre = 0.5 * (coords.min(axis=0) + coords.max(axis=0))
+    xy = space.dof_coords[space.free] - centre
+    return xy[:, 0] ** 2 - xy[:, 1] ** 2
+
+
+def _rotate_multiple(space, A, M, pairs: EigenPairSet, level: int,
+                     config: AdaptConfig) -> None:
+    """``eigen.rotate_multiple`` on one level's pairs, logging each group's
+    moment gap and warning where the gap is too small to fix the basis."""
+    for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
+                                  config.eig_tol):
+        group = [i + 1 for i in g]
+        log.debug("level %d: eigenvalues %s have moment gap %.3g",
+                  level, group, gap)
+        if gap < MOMENT_GAP_FLOOR:
+            log.warning(
+                "level %d: eigenvalues %s have moment gap %.3g below %g; "
+                "their basis is left as the solver returned it",
+                level, group, gap, MOMENT_GAP_FLOOR)
 
 
 def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
@@ -341,6 +372,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
         t0 = time.monotonic()
         try:
             pairs = _solve_level(A, M, cluster, pairs, config)
+            _rotate_multiple(space, A, M, pairs, level, config)
         except SolverError as exc:
             stop_reason, failure = "solver_failure", str(exc)
             break
@@ -407,8 +439,8 @@ def run(config: AdaptConfig) -> AdaptHistory:
         if _cluster_cuts_multiplicity(cluster, multiplicity):
             log.warning(
                 "cluster %d..%d splits a numerically multiple eigenvalue "
-                "(1-based groups %s); the estimator depends on the basis "
-                "the solver returns inside it", cluster.lo, cluster.hi,
+                "(1-based groups %s); the estimator depends on which of "
+                "its basis vectors fall inside", cluster.lo, cluster.hi,
                 [[i + 1 for i in g] for g in multiplicity])
 
     return AdaptHistory(

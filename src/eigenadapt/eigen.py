@@ -23,7 +23,9 @@ adaptive loop then falls back to the lowest eigenpairs.
 
 Tiny problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
-first nonzero coefficient is positive.
+first nonzero coefficient is positive.  Inside a numerically multiple
+eigenvalue roundoff still picks the basis; ``rotate_multiple`` replaces it
+by one fixed by weighted moments.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ _LANCZOS_TOL_MARGIN = 1e-3
 _PIVOT_TOL = 1e-10
 # relative gap below which neighbouring eigenvalues count as one multiple value
 MULTIPLICITY_RTOL = 1e-8
+# smallest gap between the weighted moments of a multiple eigenvalue's basis,
+# relative to the weight's largest magnitude, at which the basis is rotated
+MOMENT_GAP_FLOOR = 1e-3
 
 
 @dataclass
@@ -258,17 +263,11 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
 
     _sign_normalize(vectors)
 
-    Av = A @ vectors
     Mv = M @ vectors
-    vnorm = np.linalg.norm(vectors, axis=0)
-    residuals = np.linalg.norm(Av - values[None, :] * Mv, axis=0) / (values * vnorm)
-
+    residuals = _residuals(A, Mv, values, vectors)
     if np.any(values <= 0.0):
         raise SolverError("nonpositive eigenvalue; operator pencil is not SPD")
-    if np.any(residuals > tol):
-        worst = float(residuals.max())
-        raise SolverError(
-            f"eigensolver residual {worst:.3e} exceeds tolerance {tol:.3e}")
+    _check_residuals(residuals, tol)
 
     gram = vectors.T @ Mv
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
@@ -277,6 +276,59 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     first = below - int(np.count_nonzero(values < shift)) + 1
     return EigenPairSet(values=values, vectors=vectors, residuals=residuals,
                         first=first)
+
+
+def _residuals(A, Mv: np.ndarray, values: np.ndarray,
+               vectors: np.ndarray) -> np.ndarray:
+    """Relative residuals |A v - lam M v| / (lam |v|), given Mv = M v."""
+    Av = A @ vectors
+    return (np.linalg.norm(Av - values[None, :] * Mv, axis=0)
+            / (values * np.linalg.norm(vectors, axis=0)))
+
+
+def _check_residuals(residuals: np.ndarray, tol: float) -> None:
+    if np.any(residuals > tol):
+        raise SolverError(f"eigensolver residual {float(residuals.max()):.3e} "
+                          f"exceeds tolerance {tol:.3e}")
+
+
+def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
+                    tol: float) -> list[tuple[list[int], float]]:
+    """Fix the basis inside each multiple eigenvalue of ``pairs``, in place.
+
+    Inside a numerically multiple eigenvalue any orthonormal basis is a
+    solution, and roundoff picks the one the solver returns.  Each group of
+    ``multiplicity_groups`` whose values agree to ``tol`` relative is
+    rotated onto the eigenvectors of its weighted mass matrix
+    W = V^T diag(weight) M V (symmetrized), in ascending order of the
+    moments, and sign-normalized again; the basis then depends on the
+    subspace and the weight only.  The rotated residuals are recomputed and
+    one above ``tol`` raises SolverError.  A group whose moment gap (the
+    smallest distance between eigenvalues of W, over the largest |weight|)
+    is below ``MOMENT_GAP_FLOOR`` cannot fix its basis that way and is left
+    as solved.  Returns (0-based spectrum indices, moment gap) for every
+    group within ``tol``.
+    """
+    scale = float(np.max(np.abs(weight)))
+    out = []
+    for g in multiplicity_groups(pairs.values):
+        vals = pairs.values[g]
+        if vals[-1] - vals[0] > tol * vals[-1]:
+            continue
+        V = pairs.vectors[:, g]
+        W = (weight[:, None] * V).T @ (M @ V)
+        moments, Q = np.linalg.eigh(0.5 * (W + W.T))
+        gap = float(np.min(np.diff(moments))) / scale
+        out.append(([i + pairs.first - 1 for i in g], gap))
+        if gap < MOMENT_GAP_FLOOR:
+            continue
+        V = V @ Q
+        _sign_normalize(V)
+        residuals = _residuals(A, M @ V, vals, V)
+        _check_residuals(residuals, tol)
+        pairs.vectors[:, g] = V
+        pairs.residuals[g] = residuals
+    return out
 
 
 def multiplicity_groups(values: np.ndarray) -> list[list[int]]:

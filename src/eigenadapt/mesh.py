@@ -383,7 +383,8 @@ def check_mesh(tri: Triangulation) -> None:
 
     Checks positive CCW areas, at most two triangles per edge (building the
     edge topology), dirichlet flags matching boundary-edge endpoints, and
-    the generation/area law area(T) = root_area(T) * 2**(-gen(T)).
+    the generation/area law area(T) = root_area(T) * 2**(-gen(T)) with a
+    finite root_area.
     """
     areas = triangle_areas(tri.coords, tri.tris)
     if np.any(areas <= 0.0):
@@ -392,7 +393,8 @@ def check_mesh(tri: Triangulation) -> None:
                           tri.dirichlet):
         raise MeshError("dirichlet flags do not match boundary edges")
     law = tri.root_area * np.exp2(-tri.gen.astype(np.float64))
-    if not np.all(np.abs(areas - law) <= 1e-12 * tri.root_area):
+    if not (np.all(np.isfinite(tri.root_area))
+            and np.all(np.abs(areas - law) <= 1e-12 * tri.root_area)):
         raise MeshError("generation/area law violated")
 
 

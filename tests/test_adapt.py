@@ -4,10 +4,15 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenadapt
 from eigenadapt import adapt, eigen, mesh
 from eigenadapt.adapt import (
     AdaptConfig,
@@ -23,7 +28,7 @@ from eigenadapt.adapt import (
     write_history_csv,
     write_summary_json,
 )
-from eigenadapt.cli import preset_configs
+from eigenadapt.cli import _THREAD_VARS, preset_configs
 from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
                               multiplicity_groups, separation_diagnostic,
                               solve_smallest)
@@ -229,6 +234,72 @@ def _untimed(path):
     return [[row[c] for c in header if not c.startswith("t_")] for row in rows]
 
 
+def _assert_same_run(a, b):
+    """Equal untimed histories: the same levels, dof and element counts and
+    marks, and estimators, eigenvalues and mesh sizes equal to roundoff
+    (the BLAS thread count changes the order of floating-point sums)."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        np.testing.assert_allclose(np.array(ra, dtype=np.float64),
+                                   np.array(rb, dtype=np.float64),
+                                   rtol=1e-10, atol=0.0)
+
+
+# the slit_multiple preset: omega2's double lambda_2 = lambda_3 is the cluster
+SLIT_MULTIPLE = dict(domain="omega2", cluster_lo=2, cluster_hi=3,
+                     marked_subdivision="bisect")
+
+
+def test_slit_run_does_not_depend_on_start_vector_or_element_order(
+        tmp_path, monkeypatch):
+    # from level 7 on lambda_2 and lambda_3 agree to roundoff, so the basis
+    # the solver returns for them follows the start vector and the dof
+    # numbering; the rotation by moments fixes it (before, seeds 0, 1 and 2
+    # ran 10, 10 and 11 levels, and a shuffled initial mesh 9)
+    def history(seed):
+        path = tmp_path / "history.csv"
+        write_history_csv(run(AdaptConfig(**SLIT_MULTIPLE, max_dof=2000,
+                                          seed=seed)), path)
+        return _untimed(path)
+
+    plain = history(0)
+    assert len(plain) >= 9
+    for seed in (1, 2):
+        _assert_same_run(plain, history(seed))
+
+    def shuffled(spec, n, orig=adapt.initial_mesh):
+        tri = orig(spec, n)
+        order = np.random.default_rng(0).permutation(tri.n_elements)
+        return Triangulation.from_arrays(tri.coords, tri.tris[order],
+                                         tri.dirichlet)
+
+    monkeypatch.setattr(adapt, "initial_mesh", shuffled)
+    _assert_same_run(plain, history(0))
+
+
+def test_slit_run_does_not_depend_on_the_thread_count(tmp_path):
+    # past level 19 (N 11,069) 1 and 2 BLAS threads used to pick different
+    # bases inside the double eigenvalue and then different meshes
+    src = str(Path(eigenadapt.__file__).resolve().parents[1])
+    config = tmp_path / "slit.cfg"
+    AdaptConfig(**SLIT_MULTIPLE, max_dof=12000).to_file(config)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from eigenadapt.cli import main; sys.exit(main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", code, src, "run", "--config", str(config),
+         "--out", str(tmp_path / threads)],
+        env={**env, "EIGENADAPT_THREADS": threads},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for threads in ("1", "2")]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    one, two = (_untimed(tmp_path / t / "history.csv") for t in ("1", "2"))
+    assert len(one) >= 19
+    _assert_same_run(one, two)
+
+
 def test_history_csv_roundtrip(tmp_path):
     hist = run(_small_config(record_secondary_estimator=True))
     path = tmp_path / "history.csv"
@@ -309,6 +380,24 @@ def test_summary_flags_cluster_cutting_a_multiple_eigenvalue(caplog,
     assert summary_dict(cut)["cluster_cuts_multiplicity"] is True
     assert "cluster 1..2 splits a numerically multiple eigenvalue" in caplog.text
     assert "[[2, 3]]" in caplog.text
+
+
+def test_moment_gaps_are_logged_and_a_small_one_warns(caplog, monkeypatch):
+    # the square's 5 pi^2 pair is rotated on every level that shows it
+    with caplog.at_level("DEBUG", logger="eigenadapt.adapt"):
+        run(_small_config(cluster_hi=3))
+    gaps = [r for r in caplog.records if "moment gap" in r.getMessage()]
+    assert gaps and all(r.levelname == "DEBUG" for r in gaps)
+    caplog.clear()
+    # a constant weight gives equal moments, which cannot order a basis
+    monkeypatch.setattr(adapt, "_moment_weight",
+                        lambda space: np.ones(space.free.size))
+    with caplog.at_level("WARNING", logger="eigenadapt.adapt"):
+        run(_small_config(cluster_hi=3))
+    warned = [r.getMessage() for r in caplog.records]
+    assert any("eigenvalues [2, 3] have moment gap" in m for m in warned)
+    assert all("below 0.001; their basis is left as the solver returned it"
+               in m for m in warned)
 
 
 def test_summary_reports_dof_overshoot():
@@ -432,7 +521,7 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
     assert {id(t) for t in sorted_tris} == {id(m.tris) for m in meshes}
 
 
-# --- spectrum slicing: from level 1 on, clusters with lo >= 3 solve a window ---
+# --- spectrum slicing: from level 1 on, every cluster solves a window ---
 
 def _record_solves(monkeypatch, move_shift=None):
     """Record (shift, first index or None when it raised) of every solve
@@ -491,10 +580,31 @@ def test_window_failure_falls_back_to_lowest_pairs(monkeypatch):
                                [r.lambdas for r in plain.rows], rtol=1e-10)
 
 
-def test_clusters_from_index_2_never_slice(monkeypatch):
+@pytest.mark.parametrize("kw", [
+    # the double lambda_2 = lambda_3 of the slit domain is the cluster
+    dict(**SLIT_MULTIPLE, max_dof=800),
+    # lambda_2 = lambda_3 = 5 pi^2 widens the window 1..2 to 1..3
+    dict(cluster_lo=1, cluster_hi=1),
+], ids=["omega2-2..3", "unit_square-1..1"])
+def test_windows_from_index_1_match_lowest_pairs_on_final_mesh(monkeypatch,
+                                                               kw):
     calls = _record_solves(monkeypatch)
-    run(_small_config(cluster_lo=2, cluster_hi=3))
-    assert len(calls) > 1 and all(c == (0.0, 1) for c in calls)
+    hist = run(_small_config(**kw))
+    assert hist.stop_reason == "max_dof"
+    # level 0 solves the lowest pairs; the final level a window from 1
+    assert calls[0] == (0.0, 1)
+    assert calls[-1][0] > 0.0 and calls[-1][1] == 1
+    assert hist.multiplicity == [[1, 2]]
+    cluster = ClusterSelection(hist.config.cluster_lo, hist.config.cluster_hi)
+    A, M = assemble(build_space(hist.final_mesh, 1))
+    full = solve_smallest(A, M, cluster.hi + 3)
+    np.testing.assert_allclose(hist.rows[-1].lambdas,
+                               full.values[cluster.lo - 1:cluster.hi],
+                               rtol=1e-10, atol=0.0)
+    ref = separation_diagnostic(full, cluster)
+    for name in ("m_j_discrete", "gap_below", "gap_above"):
+        assert getattr(hist.separation, name) == pytest.approx(
+            getattr(ref, name), rel=1e-10)
 
 
 def _pair_set(values, first):

@@ -7,10 +7,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from eigenadapt.eigen import (
+    MOMENT_GAP_FLOOR,
     ClusterSelection,
     EigenPairSet,
     factorize_spd,
     multiplicity_groups,
+    rotate_multiple,
     separation_diagnostic,
     solve_smallest,
 )
@@ -179,6 +181,38 @@ def test_multiplicity_groups():
     vals = np.array([1.0, 2.0, 2.0 * (1.0 + 1e-12), 5.0])
     assert multiplicity_groups(vals) == [[1, 2]]
     assert multiplicity_groups(np.array([1.0, 2.0, 4.0])) == []
+
+
+def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
+    # the uniformly refined square keeps 5 pi^2 double to roundoff
+    space = build_space(
+        uniform_refine(initial_mesh(builtin_domain("unit_square"), 4)), 1)
+    A, M = assemble(space)
+    xy = space.dof_coords[space.free] - 0.5
+    weight = xy[:, 0] ** 2 - xy[:, 1] ** 2
+    a = solve_smallest(A, M, 4)
+    # any other orthonormal basis of the 5 pi^2 pair solves it as well
+    c, s = np.cos(0.5), np.sin(0.5)
+    b = EigenPairSet(values=a.values.copy(), vectors=a.vectors.copy(),
+                     residuals=a.residuals.copy())
+    b.vectors[:, 1:3] = a.vectors[:, 1:3] @ np.array([[c, -s], [s, c]])
+    for pairs in (a, b):
+        values = pairs.values.copy()
+        [(group, gap)] = rotate_multiple(pairs, A, M, weight, 1e-9)
+        assert group == [1, 2] and gap > MOMENT_GAP_FLOOR
+        np.testing.assert_array_equal(pairs.values, values)
+        assert np.all(pairs.residuals <= 1e-9)
+        np.testing.assert_allclose(pairs.vectors.T @ M @ pairs.vectors,
+                                   np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(a.vectors, b.vectors, atol=1e-8)
+    # equal moments cannot order a basis: the group is left as solved
+    before = a.vectors.copy()
+    [(group, gap)] = rotate_multiple(a, A, M, np.ones_like(weight), 1e-9)
+    assert group == [1, 2] and gap < MOMENT_GAP_FLOOR
+    np.testing.assert_array_equal(a.vectors, before)
+    # values that agree to the group tolerance but not to the solve's
+    # are not rotated
+    assert rotate_multiple(a, A, M, weight, 1e-20) == []
 
 
 def _pairs_from_values(values):

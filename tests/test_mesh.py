@@ -178,6 +178,11 @@ def test_generation_area_law():
     with np.errstate(invalid="ignore"), \
             pytest.raises(MeshError, match="generation/area law violated"):
         check_mesh(overflow)
+    # an infinite root area with the true generations gives |area - inf| =
+    # inf <= 1e-12 * inf, which must not pass either
+    infinite = dataclasses.replace(tri, root_area=np.full(tri.n_elements, np.inf))
+    with pytest.raises(MeshError, match="generation/area law violated"):
+        check_mesh(infinite)
 
 
 def test_nestedness_in_parent():
