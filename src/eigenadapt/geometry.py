@@ -2,7 +2,8 @@
 
 A domain is an axis-aligned rectilinear polygon, optionally cut by straight
 slits.  Initial meshes are criss-cross lattices: every lattice square inside
-the polygon is split along its upper-left to lower-right diagonal.  Slits
+the polygon is split along its upper-left to lower-right diagonal, the
+refinement edge of both halves, so every initial mesh is matched.  Slits
 that run along lattice lines are realized by duplicating the mesh vertices
 strictly inside the slit, one copy per side, so the two sides are decoupled
 topologically while the slit tip stays a single shared vertex.
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeometryError
-from .mesh import Triangulation, _edge_keys, assign_refinement_edges, triangle_areas
+from .mesh import Triangulation, _edge_keys, triangle_areas
 
 BUILTIN_DOMAINS = ("omega1", "omega2", "omega3", "unit_square")
 
@@ -184,7 +185,8 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     """Criss-cross initial mesh with n lattice subdivisions per unit length.
 
     Every lattice square whose center is inside the polygon contributes two
-    triangles split along its upper-left to lower-right diagonal.  Polygon
+    triangles split along its upper-left to lower-right diagonal, the
+    refinement edge of both whatever snapping does to the lengths.  Polygon
     vertices must lie on the lattice.  Slit endpoints may be off-lattice by
     less than half a spacing; the nearest lattice node is then moved onto
     the endpoint, provided both lie on the same polygon edges, and triangle
@@ -217,8 +219,8 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     corners = np.stack([a, a + 1, a + width + 1, a + width], axis=1)
     nodes, local = np.unique(corners, return_inverse=True)
     a, b, c, d = local.reshape(-1, 4).T
-    # below and above the diagonal d-b
-    tris = np.stack([a, b, d, b, c, d], axis=1).reshape(-1, 3)
+    # below and above the diagonal d-b, the refinement edge of both
+    tris = np.stack([a, b, d, c, d, b], axis=1).reshape(-1, 3)
     coords = np.column_stack([(imin + nodes % width) / n,
                               (jmin + nodes // width) / n])
 
@@ -243,7 +245,6 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     if moved.any() and np.any(triangle_areas(coords, tris) <= 0.0):
         raise GeometryError("snapping a slit endpoint flipped a triangle")
 
-    tris = assign_refinement_edges(coords, tris)
     dirichlet = _meet(coords, edges).any(axis=1)
 
     # resolve slits: the chain of lattice vertices on a slit, in order along

@@ -22,10 +22,9 @@ Two refinement strategies are exposed:
 - ``bisec_lg1``:  the same pass, then MeshError if two edge neighbors are
                   more than ``MAX_ADJACENT_GEN_DIFF`` generations apart.
                   Bisection from a matched labelling (each refinement edge is
-                  its mate's too, as on the lattice meshes) keeps them within
-                  one (Binev, Dahmen and DeVore, Numer. Math. 97 (2004));
-                  slit ends snapped at odd n raise it to 2.  Only generations
-                  set by hand have failed the check
+                  its mate's too, as on every initial mesh) keeps them within
+                  one (Binev, Dahmen and DeVore, Numer. Math. 97 (2004)).
+                  Only generations set by hand have failed the check
 
 Slit domains are handled transparently: the two sides of a slit use distinct
 vertex indices, so slit faces are boundary edges to the mesh kernel and never
@@ -43,7 +42,8 @@ from .errors import MeshError
 
 REFINE_STRATEGIES = ("nvb", "bisec_lg1")
 
-# grading bound bisec_lg1 checks; bisection from unmatched labellings reaches it
+# grading bound bisec_lg1 checks; matched labellings stay within 1, and
+# meshes read from files may carry any labelling
 MAX_ADJACENT_GEN_DIFF = 2
 
 
@@ -271,11 +271,6 @@ def _edge_topology(tris, nv: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def build_neighbors(tris) -> np.ndarray:
-    """Neighbor table from connectivity; raises on nonconforming input."""
-    return _edge_topology(tris, int(tris.max(initial=-1)) + 1)[4]
-
-
 def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
     """One closure-and-bisection pass; ``parent`` of the result indexes ``tri``."""
     tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
@@ -396,26 +391,6 @@ def check_mesh(tri: Triangulation) -> None:
     if not (np.all(np.isfinite(tri.root_area))
             and np.all(np.abs(areas - law) <= 1e-12 * tri.root_area)):
         raise MeshError("generation/area law violated")
-
-
-def assign_refinement_edges(coords, tris) -> np.ndarray:
-    """Rotate vertex triples so the refinement edge sits opposite local 0.
-
-    The refinement edge of each triangle is its longest edge; exact length
-    ties are broken by the lexicographically smallest sorted vertex pair,
-    which is a global total order on edges and therefore cannot produce
-    compatibility cycles.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    tris = np.asarray(tris, dtype=np.int64)
-    p = coords[tris]
-    d = p[:, LOCAL_EDGES[:, 0]] - p[:, LOCAL_EDGES[:, 1]]
-    len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    # per row: longest edge first, then the smaller index pair (edge key)
-    order = np.lexsort((_edge_keys(tris, len(coords)).ravel(), -len2.ravel(),
-                        np.repeat(np.arange(len(tris)), 3)))
-    best = order[::3] % 3
-    return np.take_along_axis(tris, (best[:, None] + np.arange(3)) % 3, axis=1)
 
 
 def write_mesh(tri: Triangulation, path) -> None:

@@ -23,7 +23,9 @@ from eigenadapt.fem import (
     write_matrix_market,
 )
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import Triangulation, assign_refinement_edges
+from eigenadapt.mesh import Triangulation
+
+from mesh_helpers import assign_refinement_edges
 
 
 def _unit_triangle_space(degree=1):

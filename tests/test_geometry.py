@@ -11,6 +11,8 @@ from eigenadapt.geometry import (BUILTIN_DOMAINS, DomainSpec, builtin_domain,
                                  slit_tips, write_domain)
 from eigenadapt.mesh import check_mesh
 
+from mesh_helpers import is_matched
+
 
 def test_builtin_ids():
     for name in BUILTIN_DOMAINS:
@@ -138,3 +140,4 @@ def test_rectangle_meshes_cover_area(w, h, n):
     check_mesh(tri)
     assert tri.n_elements == 2 * w * h * n * n
     np.testing.assert_allclose(tri.areas.sum(), w * h, rtol=1e-12)
+    assert is_matched(tri)

@@ -14,7 +14,8 @@ import pytest
 
 from eigenadapt.errors import GeometryError
 from eigenadapt.geometry import BUILTIN_DOMAINS, DomainSpec, builtin_domain, initial_mesh
-from eigenadapt.mesh import assign_refinement_edges
+
+from mesh_helpers import assign_refinement_edges, is_matched
 
 _SQUARE = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
@@ -42,7 +43,9 @@ NS = (1, 2, 3, 4, 8, 10, 16)
 
 # recorded from the exact-rational construction, except omega3 and
 # off_lattice_both at n = 1: that construction moved a polygon-boundary node
-# inward onto an interior slit endpoint, which now raises
+# inward onto an interior slit endpoint, which now raises; and
+# off_lattice_both at n = 2, where it labelled refinement edges by length
+# and the snapped slit ends made an edge off the lattice diagonal the longest
 EXPECTED = {
     'omega1': {
         1: 'GeometryError: polygon vertex (1/2, 0) is not on the 1/1 lattice',
@@ -118,7 +121,7 @@ EXPECTED = {
     },
     'off_lattice_both': {
         1: 'GeometryError: slit endpoint (1.0, 1.74) is too far from the lattice to snap',
-        2: '3b20fc8efd5fd842',
+        2: '12db58a0a84a23fe',
         3: '969c56ab8ebabcfd',
         4: 'c98f1ef544a990ca',
         8: '24028e7a3dc1a948',
@@ -179,6 +182,7 @@ def test_initial_mesh_covers_polygon(name):
         except GeometryError:
             continue
         np.testing.assert_allclose(tri.areas.sum(), area, rtol=1e-12, err_msg=f"n = {n}")
+        assert is_matched(tri), f"n = {n}"
 
 
 @pytest.mark.parametrize("shift", range(3))

@@ -8,13 +8,13 @@ import pytest
 import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
+from eigenadapt.errors import GeometryError
 from eigenadapt.geometry import BUILTIN_DOMAINS, builtin_domain, initial_mesh
 from eigenadapt.mesh import (
     MAX_ADJACENT_GEN_DIFF,
     MarkSet,
     MeshError,
     Triangulation,
-    assign_refinement_edges,
     check_mesh,
     max_adjacent_gen_diff,
     min_angle_deg,
@@ -23,6 +23,8 @@ from eigenadapt.mesh import (
     uniform_refine,
     write_mesh,
 )
+
+from mesh_helpers import assign_refinement_edges, check_neighbors, is_matched
 
 
 def _single_triangle():
@@ -92,23 +94,35 @@ def test_nvb_chain_conforming_but_ungraded():
         check_mesh(tri)
 
 
-@pytest.mark.parametrize("domain", BUILTIN_DOMAINS)
-@pytest.mark.parametrize("n", [4, 8])
+def _initial_meshes():
+    """Built-in meshes at n = 2..16 keyed by (n, domain), where they build:
+    omega1 at even n only, the slit domains from n = 4 on where their slit
+    ends snap."""
+    meshes = {}
+    for n in range(2, 17):
+        for domain in BUILTIN_DOMAINS:
+            try:
+                meshes[n, domain] = initial_mesh(builtin_domain(domain), n)
+            except GeometryError:
+                pass
+    return meshes
+
+
+INITIAL_MESHES = _initial_meshes()
+
+
+@pytest.mark.parametrize("n, domain", list(INITIAL_MESHES))
 def test_initial_meshes_are_matched(domain, n):
-    # each refinement edge is the refinement edge of its mate too, or on
-    # the boundary: the labelling bisection grades by itself
-    mates = initial_mesh(builtin_domain(domain), n).edge_mates[:, 0]
-    assert np.all((mates == -1) | (mates % 3 == 0))
+    assert is_matched(INITIAL_MESHES[n, domain])
 
 
 @pytest.mark.parametrize("domain, n, gap", [
-    *((domain, 4, 1) for domain in BUILTIN_DOMAINS),
-    # at odd n the snapped slit ends unmatch a few pairs
-    ("omega2", 5, 2), ("omega3", 5, 2)])
+    (domain, n, 1) for n in (4, 5, 7) for domain in BUILTIN_DOMAINS
+    if (n, domain) in INITIAL_MESHES])
 def test_bisection_from_initial_meshes_keeps_the_grading_bound(domain, n, gap):
     # 200 rounds pass the 3000-element reset once on every domain
     rng = np.random.default_rng(7)
-    base = initial_mesh(builtin_domain(domain), n)
+    base = INITIAL_MESHES[n, domain]
     tri, gaps = base, set()
     for _ in range(200):
         if tri.n_elements > 3000:
@@ -463,6 +477,8 @@ def _check_topology_by_brute_force(tri):
             ends = tri.tris[t, [(e + 1) % 3, (e + 2) % 3]]
             mate_ends = tri.tris[s, [(f + 1) % 3, (f + 2) % 3]]
             assert mate_ends.tolist() == ends[::-1].tolist()
+    # the vectorized oracle criterion 8 runs agrees on every mesh here
+    check_neighbors(tri.tris, neighbors)
     return holders
 
 
@@ -495,6 +511,24 @@ def test_edge_topology_of_refined_meshes():
         _check_topology_by_brute_force(tri)
     _check_topology_by_brute_force(uniform_refine(initial_mesh(builtin_domain("omega2"), 4)))
     _check_topology_by_brute_force(_delaunay_square(7, 80))
+
+
+def test_neighbor_oracle_rejects_corrupted_tables():
+    tri = _delaunay_square(7, 80)
+    nb = np.array(tri.neighbors)
+    (t, e), (b, f) = np.argwhere(nb >= 0)[0], np.argwhere(nb == -1)[0]
+    other = next(x for x in range(tri.n_elements) if x not in (t, nb[t, e]))
+    for (row, slot), value in [((t, e), -1), ((t, e), t), ((t, e), other),
+                               ((b, f), other), ((t, e), tri.n_elements)]:
+        bad = nb.copy()
+        bad[row, slot] = value
+        with pytest.raises(AssertionError):
+            check_neighbors(tri.tris, bad)
+    # the right neighbors in the wrong slots
+    bad = nb.copy()
+    bad[t] = np.roll(bad[t], 1)
+    with pytest.raises(AssertionError):
+        check_neighbors(tri.tris, bad)
 
 
 # three counterclockwise triangles on edge 0-1: two above it, one below
