@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 import os
 import sys
 
@@ -61,23 +62,20 @@ def render_mesh_svg(tri, path) -> None:
     ys = tri.coords[:, 1]
     x0, y0 = float(xs.min()), float(ys.min())
     w, h = float(xs.max()) - x0, float(ys.max()) - y0
-
-    def fmt(v: float) -> str:
-        return f"{v:.6g}"
-
     stroke = 0.002 * max(w, h)
-    # each vertex is formatted once, not once per triangle that holds it
-    pts = [f"{fmt(x)} {fmt(y)}" for x, y in tri.coords.tolist()]
+    # one % operation formats every vertex, once, and a second every path
+    pts = ("%.6g %.6g\n" * tri.n_vertices
+           % tuple(tri.coords.ravel().tolist())).split("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">\n'
-            f'<g transform="translate(0,{fmt(y0 + y0 + h)}) scale(1,-1)" '
-            f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}" '
-            'stroke-linejoin="round">\n')
-        fh.writelines(f'<path d="M{pts[a]}L{pts[b]}L{pts[c]}Z"/>\n'
-                      for a, b, c in tri.tris.tolist())
+            '<svg xmlns="http://www.w3.org/2000/svg" '
+            'viewBox="%.6g %.6g %.6g %.6g">\n'
+            '<g transform="translate(0,%.6g) scale(1,-1)" '
+            'fill="none" stroke="#000" stroke-width="%.6g" '
+            'stroke-linejoin="round">\n' % (x0, y0, w, h, y0 + y0 + h, stroke))
+        fh.write('<path d="M%sL%sL%sZ"/>\n' * tri.n_elements
+                 % operator.itemgetter(*tri.tris.ravel().tolist())(pts))
         fh.write("</g>\n</svg>\n")
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .eigen import ClusterSelection, EigenPairSet
-from .fem import (_M2_REF, FeSpace, block_laplacians, element_gradients,
+from .fem import (_MASS_REF, FeSpace, block_laplacians, element_gradients,
                   shape_values)
 from .mesh import LOCAL_EDGES
 
@@ -175,7 +175,7 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
         s = _fold(np.add, c)
         mass = (_fold(np.add, c * c) + s * s) / 12.0
     else:
-        mass = np.einsum("ktj,ktj->kt", c @ _M2_REF, c)
+        mass = np.einsum("ktj,ktj->kt", c @ _MASS_REF[2], c)
     elem_sq = np.sum(lam * lam * tri.areas * mass, axis=0)
     j = _gradients_and_jumps(space, c)[1]
     # edge integral of the squared jump: |E| times the mean of the products

@@ -1,8 +1,10 @@
 """P1/P2 Lagrange elements: spaces, exact assembly, point evaluation.
 
-Element matrices are closed-form expressions in the element area and the
-pairwise inner products of the barycentric gradients, so assembly involves
-no numerical quadrature.  Homogeneous Dirichlet conditions are imposed by
+Element stiffness matrices and Laplacians contract the pairwise inner
+products of the barycentric gradients with the reference tables
+``_REF_TABLES``, built once per degree from ``shape_derivatives``, and mass
+matrices scale ``_MASS_REF``: one code path for P1 and P2, and no
+quadrature at assembly.  Homogeneous Dirichlet conditions are imposed by
 eliminating constrained rows and columns, never by penalties.
 
 P2 local dof order is (v0, v1, v2, e0, e1, e2) where edge dof ``e_m`` sits
@@ -27,20 +29,20 @@ import scipy.sparse
 
 from .mesh import LOCAL_EDGES, Triangulation
 
-# reference P1 mass matrix over the element area
-_M1_REF = np.array([[2.0, 1.0, 1.0],
-                    [1.0, 2.0, 1.0],
-                    [1.0, 1.0, 2.0]]) / 12.0
-
-# reference P2 mass matrix over the element area, dof order (v0,v1,v2,e0,e1,e2)
-_M2_REF = np.array([
-    [6.0, -1.0, -1.0, -4.0, 0.0, 0.0],
-    [-1.0, 6.0, -1.0, 0.0, -4.0, 0.0],
-    [-1.0, -1.0, 6.0, 0.0, 0.0, -4.0],
-    [-4.0, 0.0, 0.0, 32.0, 16.0, 16.0],
-    [0.0, -4.0, 0.0, 16.0, 32.0, 16.0],
-    [0.0, 0.0, -4.0, 16.0, 16.0, 32.0],
-]) / 180.0
+# reference mass matrices over the element area, per degree
+_MASS_REF = {
+    1: np.array([[2.0, 1.0, 1.0],
+                 [1.0, 2.0, 1.0],
+                 [1.0, 1.0, 2.0]]) / 12.0,
+    2: np.array([
+        [6.0, -1.0, -1.0, -4.0, 0.0, 0.0],
+        [-1.0, 6.0, -1.0, 0.0, -4.0, 0.0],
+        [-1.0, -1.0, 6.0, 0.0, 0.0, -4.0],
+        [-4.0, 0.0, 0.0, 32.0, 16.0, 16.0],
+        [0.0, -4.0, 0.0, 16.0, 32.0, 16.0],
+        [0.0, 0.0, -4.0, 16.0, 16.0, 32.0],
+    ]) / 180.0,
+}
 
 
 @dataclass
@@ -118,44 +120,18 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
 
 
 def local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Exact element stiffness and mass matrices, shapes (nt, nd, nd)."""
-    tri = space.tri
-    area = tri.areas
-    d = space.grad_products
-    if space.degree == 1:
-        K = area[:, None, None] * d
-        M = area[:, None, None] * _M1_REF
-        return K, M
-    nt = tri.n_elements
-    K = np.empty((nt, 6, 6))
-    a43 = 4.0 * area / 3.0
-    a83 = 8.0 * area / 3.0
-    for i in range(3):
-        K[:, i, i] = area * d[:, i, i]
-        for j in range(i + 1, 3):
-            vij = -area * d[:, i, j] / 3.0
-            K[:, i, j] = vij
-            K[:, j, i] = vij
-    for i in range(3):
-        for m in range(3):
-            if m == i:
-                K[:, i, 3 + m] = 0.0
-                K[:, 3 + m, i] = 0.0
-            else:
-                b = 3 - i - m
-                vim = a43 * d[:, i, b]
-                K[:, i, 3 + m] = vim
-                K[:, 3 + m, i] = vim
-    for m in range(3):
-        a, b = LOCAL_EDGES[m]
-        K[:, 3 + m, 3 + m] = a83 * (d[:, a, a] + d[:, b, b] + d[:, a, b])
-        for n in range(m + 1, 3):
-            r = 3 - m - n
-            vmn = a83 * d[:, m, n] + a43 * (d[:, n, r] + d[:, m, r] + d[:, r, r])
-            K[:, 3 + m, 3 + n] = vmn
-            K[:, 3 + n, 3 + m] = vmn
-    M = area[:, None, None] * _M2_REF
-    return K, M
+    """Exact element stiffness and mass matrices, shapes (nt, nd, nd).
+
+    A stiffness entry sums integer multiples of the gradient products, the
+    diagonal ones last: an entry that a right angle zeroes in exact
+    arithmetic, where the off-diagonal products sum to minus a diagonal
+    one, is exactly zero.  (a, b) and (b, a) read one computed value."""
+    area = space.tri.areas
+    (w, T, col), _ = _REF_TABLES[space.degree]
+    K = space.grad_products.reshape(-1, 9)[:, _PRODUCT_ORDER] @ T
+    K *= (w * area)[:, None]
+    K = np.take(K, col, axis=1).reshape(-1, *col.shape)
+    return K, area[:, None, None] * _MASS_REF[space.degree]
 
 
 def _scatter(space: FeSpace, local: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -228,6 +204,33 @@ def shape_derivatives(degree: int, bary) -> np.ndarray:
     return out
 
 
+# the gradient products d[i, j], flattened, off-diagonal ones first
+_PRODUCT_ORDER = np.array([1, 2, 3, 5, 6, 7, 0, 4, 8])
+
+
+def _reference_tables(degree: int):
+    """Tables from D = shape_derivatives(degree, .), which is affine.
+
+    Stiffness (w, T, col): for a <= b, column col[a, b] of T sums
+    D[a, i] D[b, j] over the three edge midpoints (rows ij in
+    ``_PRODUCT_ORDER``), over the common divisor of those integers; the
+    product is quadratic, so w T is its exact element mean.  Laplacian:
+    L[ij, a] = D(e_j)[a, i] - D(0)[a, i], the constant second derivative
+    of phi_a in lambda_i and lambda_j."""
+    D = shape_derivatives(degree, (1.0 - np.eye(3)) / 2.0)
+    nd = D.shape[1]
+    a, b = np.triu_indices(nd)
+    T = np.einsum("pai,pbj->ijab", D, D).reshape(9, nd, nd)[_PRODUCT_ORDER][:, a, b]
+    g = np.gcd.reduce(T.astype(np.int64).ravel())
+    col = np.empty((nd, nd), dtype=np.int64)
+    col[a, b] = col[b, a] = np.arange(a.size)
+    L = shape_derivatives(degree, np.eye(3)) - shape_derivatives(degree, np.zeros(3))
+    return (g / 3.0, T / g, col), L.transpose(2, 0, 1).reshape(9, nd)
+
+
+_REF_TABLES = {p: _reference_tables(p) for p in (1, 2)}
+
+
 def evaluate(f: FeFunction, elem: int, bary) -> float:
     """Value of f at a barycentric point of one element."""
     vals = shape_values(f.space.degree, bary)
@@ -265,17 +268,10 @@ def element_gradients(space: FeSpace, c: np.ndarray, bary) -> np.ndarray:
 
 def block_laplacians(space: FeSpace, c: np.ndarray) -> np.ndarray:
     """Constant per-element Laplacians from element coefficients ``c`` of
-    shape (..., nt, nd), as in :func:`element_gradients`; shape (..., nt).
-    Zero for P1."""
-    lap = np.zeros(c.shape[:-1])
-    if space.degree == 1:
-        return lap
-    d = space.grad_products
-    for i in range(3):
-        lap += 4.0 * c[..., i] * d[:, i, i]
-    for m, (a, b) in enumerate(LOCAL_EDGES):
-        lap += 8.0 * c[..., 3 + m] * d[:, a, b]
-    return lap
+    shape (..., nt, nd), as in :func:`element_gradients`; shape (..., nt),
+    summed in dof order whatever the layout of ``c``.  Zero for P1."""
+    lap_phi = space.grad_products.reshape(-1, 9) @ _REF_TABLES[space.degree][1]
+    return sum(c[..., a] * lap_phi[:, a] for a in range(lap_phi.shape[1]))
 
 
 def element_laplacians(f: FeFunction) -> np.ndarray:

@@ -17,8 +17,8 @@ Construction is whole-array work on the integer lattice: the square centers
 are tested in integer units of half a spacing and node coordinates are
 i / n, a correctly rounded quotient.  Exact fractions remain only where a
 float result could round: the shoelace sign of the polygon, the midpoint of
-a slit that meets an edge, and whether a polygon vertex or slit endpoint
-lies on the 1/n lattice.
+a slit that meets an edge, and where a polygon vertex or slit endpoint
+lies relative to the 1/n lattice.
 """
 
 from __future__ import annotations
@@ -187,10 +187,10 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     Every lattice square whose center is inside the polygon contributes two
     triangles split along its upper-left to lower-right diagonal, the
     refinement edge of both whatever snapping does to the lengths.  Polygon
-    vertices must lie on the lattice.  Slit endpoints may be off-lattice by
-    less than half a spacing; the nearest lattice node is then moved onto
-    the endpoint, provided both lie on the same polygon edges, and triangle
-    positivity is re-checked.
+    vertices must lie on the lattice.  A slit endpoint within half a
+    spacing of a lattice node, bound included and decided exactly, moves its
+    nearest node onto it (of two equally near, the lower or left), provided
+    both lie on the same polygon edges; triangle positivity is re-checked.
     """
     if n < 1:
         raise GeometryError("n must be a positive integer")
@@ -221,28 +221,31 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     a, b, c, d = local.reshape(-1, 4).T
     # below and above the diagonal d-b, the refinement edge of both
     tris = np.stack([a, b, d, c, d, b], axis=1).reshape(-1, 3)
-    coords = np.column_stack([(imin + nodes % width) / n,
-                              (jmin + nodes // width) / n])
+    node_ij = np.column_stack([imin + nodes % width, jmin + nodes // width])
+    coords = node_ij / n
 
-    # snap off-lattice slit endpoints onto the nearest lattice node; a node
-    # moves only within the polygon edges it lies on (interior to interior,
-    # or along one edge), so the mesh still covers the polygon
+    # move each slit endpoint's nearest lattice node onto it (an endpoint on
+    # the lattice claims its own); a node moves only within the polygon
+    # edges it lies on, so the mesh still covers the polygon
     edges = _polygon_edges(spec)
-    moved = np.zeros(len(coords), dtype=bool)
+    claimed = np.zeros(len(coords), dtype=bool)
     for r in (r for slit in spec.slits for r in slit):
-        if _lattice_index(r, n) is not None:
-            continue
-        d2 = np.sum((coords - np.asarray(r)) ** 2, axis=1)
-        k = int(np.argmin(d2))
+        # exact lattice distances over a float shortlist; ties go to the
+        # first node, numbered row by row from the lower left
+        d2 = np.sum((node_ij - np.asarray(r) * n) ** 2, axis=1)
+        near = np.flatnonzero(d2 <= 2.0 * d2.min())
+        exact = [sum((i - _fr(x) * n) ** 2 for i, x in zip(ij, r))
+                 for ij in node_ij[near].tolist()]
+        k = int(near[exact.index(min(exact))])
         on = _meet([coords[k], r], edges)
-        if d2[k] >= 1.0 / (n * n) / 4.0 or np.any(on[0] != on[1]):
+        if 4 * min(exact) > 1 or np.any(on[0] != on[1]):
             raise GeometryError(
                 f"slit endpoint {r} is too far from the lattice to snap")
-        if moved[k]:
+        if claimed[k]:
             raise GeometryError("two slit endpoints snap to the same node")
-        moved[k] = True
+        claimed[k] = True
         coords[k] = r
-    if moved.any() and np.any(triangle_areas(coords, tris) <= 0.0):
+    if claimed.any() and np.any(triangle_areas(coords, tris) <= 0.0):
         raise GeometryError("snapping a slit endpoint flipped a triangle")
 
     dirichlet = _meet(coords, edges).any(axis=1)

@@ -15,6 +15,7 @@ from eigenadapt.adapt import AdaptConfig, read_history_csv
 from eigenadapt.cli import main, preset_configs, render_mesh_svg
 from eigenadapt.errors import ConfigError
 from eigenadapt.geometry import builtin_domain, initial_mesh
+from eigenadapt.mesh import MarkSet, refine
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -51,6 +52,43 @@ def test_svg_two_triangles(tmp_path):
     render_mesh_svg(initial_mesh(builtin_domain("omega3"), 6), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "0e92df99dc4d9ee500a0864f25516eff7ef3370a3632a9321c364c3a9a377e29")
+
+
+def _reference_svg(tri, path):
+    """The per-vertex, per-path SVG writer that ``render_mesh_svg``
+    replaced: its oracle."""
+    xs, ys = tri.coords[:, 0], tri.coords[:, 1]
+    x0, y0 = float(xs.min()), float(ys.min())
+    w, h = float(xs.max()) - x0, float(ys.max()) - y0
+
+    def fmt(v):
+        return f"{v:.6g}"
+
+    stroke = 0.002 * max(w, h)
+    pts = [f"{fmt(x)} {fmt(y)}" for x, y in tri.coords.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(w)} {fmt(h)}">\n'
+            f'<g transform="translate(0,{fmt(y0 + y0 + h)}) scale(1,-1)" '
+            f'fill="none" stroke="#000" stroke-width="{fmt(stroke)}" '
+            'stroke-linejoin="round">\n')
+        fh.writelines(f'<path d="M{pts[a]}L{pts[b]}L{pts[c]}Z"/>\n'
+                      for a, b, c in tri.tris.tolist())
+        fh.write("</g>\n</svg>\n")
+
+
+def test_svg_matches_reference_writer_on_refined_mesh(tmp_path):
+    # omega3's snapped tips and NVB midpoints give coordinates that round
+    tri = initial_mesh(builtin_domain("omega3"), 8)
+    rng = np.random.default_rng(4)
+    while tri.n_elements < 4000:
+        marked = np.flatnonzero(rng.random(tri.n_elements) < 0.2)
+        tri = refine(tri, MarkSet.from_iterable(marked))
+    render_mesh_svg(tri, tmp_path / "new.svg")
+    _reference_svg(tri, tmp_path / "ref.svg")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 def test_svg_lshape_via_cli(tmp_path, capsys):

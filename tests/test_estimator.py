@@ -315,7 +315,10 @@ def _estimator_digests():
 # may move them without any estimator change; 13 of them were re-recorded
 # when the factorization gained its reverse Cuthill-McKee pre-order and
 # Lanczos its residual-derived stopping tolerance (eigenvalues moved by at
-# most 1.6e-15 relative, eta by at most 5.8e-13 of its maximum).
+# most 1.6e-15 relative, eta by at most 5.8e-13 of its maximum).  None moved
+# when the element stiffness and Laplacians came to be read from reference
+# tables built from the shape derivatives: on these n = 8 meshes every
+# coordinate is dyadic, and both are bit-identical to the closed forms.
 RECORDED_ESTIMATOR_DIGESTS = {
     "omega1_p1_pointwise_11_solved": "2f5abc2ad78ad984",
     "omega1_p1_pointwise_11_random": "47fada85c8481ca6",

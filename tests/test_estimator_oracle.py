@@ -16,9 +16,8 @@ import pytest
 from eigenadapt.eigen import ClusterSelection, solve_smallest
 from eigenadapt.estimator import (eta_energy, eta_energy_functions,
                                   eta_pointwise, eta_pointwise_functions)
-from eigenadapt.fem import (_M1_REF, _M2_REF, FeFunction, assemble,
-                            build_space, element_laplacians, shape_derivatives,
-                            shape_values)
+from eigenadapt.fem import (_MASS_REF, FeFunction, assemble, build_space,
+                            element_laplacians, shape_derivatives, shape_values)
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import LOCAL_EDGES, uniform_refine
 
@@ -115,7 +114,7 @@ def _oracle_energy(space, lambdas, coeff_list):
     f = FeFunction(space, coeffs)
     h = space.tri.h
     c = coeffs[space.elem_dofs]
-    ref = _M1_REF if space.degree == 1 else _M2_REF
+    ref = _MASS_REF[space.degree]
     mass = np.einsum("tik,ij,tjk->tk", c, ref, c)
     elem_sq = np.sum(lam * lam * space.tri.areas[:, None] * mass, axis=1)
     j = _jump_endpoint_values(space.tri, _corner_gradients(f))

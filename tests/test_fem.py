@@ -23,7 +23,7 @@ from eigenadapt.fem import (
     write_matrix_market,
 )
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import Triangulation
+from eigenadapt.mesh import LOCAL_EDGES, MarkSet, Triangulation, refine
 
 from mesh_helpers import assign_refinement_edges
 
@@ -56,6 +56,86 @@ def test_p1_reference_element_matrices():
     M_ref = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     np.testing.assert_allclose(K[0], K_ref, atol=1e-15)
     np.testing.assert_allclose(M[0], M_ref, atol=1e-17)
+
+
+def _closed_form_p2_stiffness(space):
+    """P2 element stiffness matrices in closed form: the oracle for the
+    reference-table contraction of ``local_matrices``."""
+    area = space.tri.areas
+    d = space.grad_products
+    K = np.empty((space.tri.n_elements, 6, 6))
+    a43 = 4.0 * area / 3.0
+    a83 = 8.0 * area / 3.0
+    for i in range(3):
+        K[:, i, i] = area * d[:, i, i]
+        for j in range(i + 1, 3):
+            vij = -area * d[:, i, j] / 3.0
+            K[:, i, j] = vij
+            K[:, j, i] = vij
+    for i in range(3):
+        for m in range(3):
+            if m == i:
+                K[:, i, 3 + m] = 0.0
+                K[:, 3 + m, i] = 0.0
+            else:
+                b = 3 - i - m
+                vim = a43 * d[:, i, b]
+                K[:, i, 3 + m] = vim
+                K[:, 3 + m, i] = vim
+    for m in range(3):
+        a, b = LOCAL_EDGES[m]
+        K[:, 3 + m, 3 + m] = a83 * (d[:, a, a] + d[:, b, b] + d[:, a, b])
+        for n in range(m + 1, 3):
+            r = 3 - m - n
+            vmn = a83 * d[:, m, n] + a43 * (d[:, n, r] + d[:, m, r] + d[:, r, r])
+            K[:, 3 + m, 3 + n] = vmn
+            K[:, 3 + n, 3 + m] = vmn
+    return K
+
+
+def _nvb_refined(domain, n, rounds, rng):
+    tri = initial_mesh(builtin_domain(domain), n)
+    for _ in range(rounds):
+        marked = np.flatnonzero(rng.random(tri.n_elements) < 0.3)
+        tri = refine(tri, MarkSet.from_iterable(marked))
+    return tri
+
+
+def _random_triangles(rng, nt):
+    coords = rng.uniform(-1.0, 1.0, (3 * nt, 2))
+    tris = np.arange(3 * nt).reshape(nt, 3)
+    e1 = coords[tris[:, 1]] - coords[tris[:, 0]]
+    e2 = coords[tris[:, 2]] - coords[tris[:, 0]]
+    cw = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0.0
+    tris[cw] = tris[cw][:, ::-1]
+    return Triangulation.from_arrays(coords, tris)
+
+
+def test_p2_stiffness_matches_closed_form_oracle():
+    # n = 6, 7 and omega3's snapped tips give coordinates that are not
+    # dyadic, so the products carry rounding; n = 8 is exact throughout
+    rng = np.random.default_rng(11)
+    meshes = [_nvb_refined(dom, n, 3, rng) for dom, n in
+              (("omega1", 8), ("omega2", 6), ("omega3", 8), ("unit_square", 7))]
+    meshes.append(_random_triangles(rng, 2000))
+    for tri in meshes:
+        space = build_space(tri, 2)
+        K, _ = local_matrices(space)
+        oracle = _closed_form_p2_stiffness(space)
+        scale = np.abs(oracle).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(K - oracle) <= 4.0 * np.finfo(float).eps * scale)
+        # every exact zero, structural (e_i against v_i) or from a right
+        # angle, stays exact
+        assert np.all(K[oracle == 0.0] == 0.0)
+        assert np.array_equal(K, K.transpose(0, 2, 1))
+
+
+def test_p1_stiffness_is_area_times_gradient_products():
+    tri = _nvb_refined("omega3", 7, 3, np.random.default_rng(12))
+    space = build_space(tri, 1)
+    K, _ = local_matrices(space)
+    np.testing.assert_array_equal(
+        K, tri.areas[:, None, None] * space.grad_products)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -1,5 +1,7 @@
 """Domain descriptions and structured initial meshes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,58 @@ def test_perturbed_tips_are_mesh_vertices():
     for tx, ty in np.array(slit_tips(spec), dtype=float):
         d = np.hypot(tri.coords[:, 0] - tx, tri.coords[:, 1] - ty)
         assert d.min() < 1e-12
+
+
+# sha256 of coords, tris and dirichlet, recorded when slit ends were still
+# snapped by float distance; no even-n mesh moved with the exact rule
+EVEN_N_DIGESTS = {
+    "omega2": {4: "d2d901e992e23833", 6: "370ed819f16e9992", 8: "2315fa2e1f56b364",
+               10: "c1751f8b5483c130", 12: "aec957d9078b408e", 14: "a7aefeab640a3260", 16: "f4d02fd6fedbcd92"},
+    "omega3": {4: "61b8523ce014e75d", 6: "f9975c3f46d88f8b", 8: "a8b2eb3ec7e45ebb",
+               10: "0a68611aea05b26c", 12: "dd2537974be358c5", 14: "8d778c4db48b5c2f", 16: "27a5435daf5fa14c"},
+}
+
+
+def _mesh_digest(tri):
+    h = hashlib.sha256()
+    for arr in (tri.coords, tri.tris, tri.dirichlet):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["omega2", "omega3"])
+def test_slit_domains_build_at_every_n(name):
+    # the ends at 0.5 are exactly half a spacing off the lattice at odd n
+    for n in range(4, 17):
+        tri = initial_mesh(builtin_domain(name), n)
+        check_mesh(tri)
+        assert is_matched(tri), n
+        if n % 2 == 0:
+            assert _mesh_digest(tri) == EVEN_N_DIGESTS[name][n], n
+
+
+def test_half_spacing_tie_moves_lower_or_left_node():
+    tri = initial_mesh(builtin_domain("omega2"), 9)
+    on_axes = {tuple(p) for p in np.round(tri.coords, 12).tolist()
+               if 0.0 in p}
+    # each tip replaces the lower or left of its two nodes; the other stays
+    for tip, moved, kept in (((0.5, 0.0), 4, 5), ((0.0, 0.5), 4, 5),
+                             ((-0.5, 0.0), -5, -4), ((0.0, -0.5), -5, -4)):
+        axis = (1.0, 0.0) if tip[1] == 0.0 else (0.0, 1.0)
+        assert tip in on_axes
+        assert tuple(round(moved / 9 * a, 12) for a in axis) not in on_axes
+        assert tuple(round(kept / 9 * a, 12) for a in axis) in on_axes
+
+
+def test_endpoint_on_lattice_keeps_its_node():
+    # (0.9, 1) is nearest the node at (1, 1), the other slit's end: moving
+    # that node would leave the slit (1, 1)-(2, 1) without its end vertex
+    spec = DomainSpec("shared_node", ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
+                      (((1.0, 1.0), (2.0, 1.0)), ((0.0, 1.0), (0.9, 1.0))))
+    with pytest.raises(GeometryError, match="snap to the same node"):
+        initial_mesh(spec, 4)
+    tri = initial_mesh(spec, 8)
+    assert np.any(np.all(tri.coords == [1.0, 1.0], axis=1))
 
 
 def test_slit_edges_are_boundary():
