@@ -431,8 +431,6 @@ def run(config: AdaptConfig) -> AdaptHistory:
                             subdivision=config.marked_subdivision)
         row.t_refine_ms = (time.monotonic() - t0) * 1e3
 
-    if stop_reason is None:  # loop exhausted without a break
-        stop_reason = "max_levels"
     if pairs is not None and pairs.last > cluster.hi:
         separation = separation_diagnostic(pairs, cluster)
         multiplicity = pairs.groups

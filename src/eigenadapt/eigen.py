@@ -4,11 +4,13 @@ The discrete problem is A v = lambda M v with A the Dirichlet-eliminated
 stiffness matrix (symmetric positive definite) and M the mass matrix.
 ``solve_smallest`` runs shift-invert Lanczos (ARPACK through scipy, with
 full reorthogonalization) from a seeded deterministic vector.  The operator
-applies one sparse LU of A - sigma M: the dofs are pre-ordered by reverse
-Cuthill-McKee, then SuperLU factors in symmetric mode with minimum degree
-ordering on the symmetrized pattern and no pivoting.  ARPACK stops at a
-Ritz accuracy of ``_LANCZOS_TOL_MARGIN`` times the residual tolerance the
-solve accepts, not at machine precision.
+applies one sparse LU of A - sigma M in the caller's numbering: SuperLU
+factors in symmetric mode with minimum degree ordering on the symmetrized
+pattern and no pivoting.  Minimum degree breaks ties in input order, and
+the free dofs come numbered by coordinate (``fem.build_space``), the
+tie-break that keeps the fill low.  ARPACK stops at a Ritz accuracy of
+``_LANCZOS_TOL_MARGIN`` times the residual tolerance the solve accepts,
+not at machine precision.
 
 At shift zero the factored matrix is A itself and the solve returns the
 lowest eigenpairs.  At a nonzero shift it returns the window of eigenpairs
@@ -132,46 +134,27 @@ def _sign_normalize(vectors: np.ndarray) -> None:
             v *= -1.0
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """SuperLU factor of A[perm][:, perm]; ``solve`` works in A's numbering."""
+def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of an SPD matrix for repeated solves, in A's numbering.
 
-    lu: scipy.sparse.linalg.SuperLU
-    perm: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for a vector or an (n, k) block."""
-        x = np.empty_like(b, dtype=np.float64)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
-
-
-def factorize_spd(A) -> SpdFactor:
-    """Sparse LU of an SPD matrix for repeated solves.
-
-    The unknowns are first renumbered by reverse Cuthill-McKee: minimum
-    degree alone factors and solves several times slower on some numberings
-    at equal fill, because its tie-breaking follows the input order.
-    SuperLU then runs in symmetric mode with minimum degree ordering on
-    A + A^T and a pivot threshold of zero, so every nonzero diagonal entry
-    is taken as the pivot: an SPD matrix is factored without row
-    interchanges.  An exactly singular matrix raises SolverError.
+    SuperLU runs in symmetric mode with minimum degree ordering on A + A^T
+    and a pivot threshold of zero, so every nonzero diagonal entry is taken
+    as the pivot: an SPD matrix is factored without row interchanges.
+    Minimum degree breaks ties in input order, so the fill and the solve
+    time follow the caller's numbering; ``fem.build_space`` numbers the free
+    dofs by coordinate for that.  An exactly singular matrix raises
+    SolverError.
     """
-    # csgraph takes ~15 ms to import; only the solve phase pays for it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    Acsr = A.tocsr()
-    perm = reverse_cuthill_mckee(Acsr, symmetric_mode=True)
     try:
-        lu = scipy.sparse.linalg.splu(
-            Acsr[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return scipy.sparse.linalg.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
-    return SpdFactor(lu, perm)
 
 
-def _shifted_factor(A, M, shift: float) -> tuple[SpdFactor, int]:
+def _shifted_factor(A, M, shift: float
+                    ) -> tuple[scipy.sparse.linalg.SuperLU, int]:
     """``factorize_spd`` of the indefinite A - shift M, and its number of
     negative pivots: the count of eigenvalues below the shift.
 
@@ -182,11 +165,11 @@ def _shifted_factor(A, M, shift: float) -> tuple[SpdFactor, int]:
     lu = factorize_spd(shifted)
     # reading U builds CSC copies of L and U that live as long as the factor
     del shifted
-    if not np.array_equal(lu.lu.perm_r, lu.lu.perm_c):
+    if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             f"factor at shift {shift:.9g} interchanged rows; its inertia "
             f"does not count the eigenvalues below the shift")
-    pivots = lu.lu.U.diagonal()
+    pivots = lu.U.diagonal()
     ratio = np.min(np.abs(pivots)) / np.max(np.abs(pivots))
     if ratio <= _PIVOT_TOL:
         raise SolverError(
@@ -200,15 +183,14 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     """Compute the m eigenpairs of A v = lambda M v nearest ``shift``.
 
     At the default shift zero these are the m smallest.  (A - shift M)^-1
-    is applied through ``factorize_spd``: reverse Cuthill-McKee pre-order,
-    then symmetric-mode SuperLU with minimum degree on the symmetrized
-    pattern and no pivoting.  ARPACK stops once its Ritz values are
-    accurate to ``_LANCZOS_TOL_MARGIN * tol`` relative, which leaves the
-    residuals far below ``tol``; the residuals are then recomputed, and any
-    one above ``tol`` raises SolverError.  The result's ``first`` is the
-    1-based index of its lowest value: the number of negative pivots of
-    the factor (the eigenvalues below the shift), minus the computed values
-    below the shift, plus one.
+    is applied through ``factorize_spd``: symmetric-mode SuperLU with
+    minimum degree on the symmetrized pattern and no pivoting.  ARPACK
+    stops once its Ritz values are accurate to ``_LANCZOS_TOL_MARGIN * tol``
+    relative, which leaves the residuals far below ``tol``; the residuals
+    are then recomputed, and any one above ``tol`` raises SolverError.  The
+    result's ``first`` is the 1-based index of its lowest value: the number
+    of negative pivots of the factor (the eigenvalues below the shift),
+    minus the computed values below the shift, plus one.
 
     Parameters
     ----------
@@ -220,7 +202,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         Acceptance threshold for the relative residuals.
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
-    lu : SpdFactor, optional
+    lu : SuperLU, optional
         ``factorize_spd`` factor of A to reuse at shift zero; factored here
         when omitted.
     shift : float

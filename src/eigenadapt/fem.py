@@ -5,7 +5,10 @@ products of the barycentric gradients with the reference tables
 ``_REF_TABLES``, built once per degree from ``shape_derivatives``, and mass
 matrices scale ``_MASS_REF``: one code path for P1 and P2, and no
 quadrature at assembly.  Homogeneous Dirichlet conditions are imposed by
-eliminating constrained rows and columns, never by penalties.
+eliminating constrained rows and columns, never by penalties.  The free
+dofs are numbered by coordinate, x then y: the sparse factorizations of
+the assembled matrices take this numbering as the minimum degree
+ordering's tie-break, and a spatially coherent one keeps their fill low.
 
 P2 local dof order is (v0, v1, v2, e0, e1, e2) where edge dof ``e_m`` sits
 on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
@@ -54,7 +57,8 @@ class FeSpace:
     elem_dofs: np.ndarray      # (nt, 3) or (nt, 6) global dof per local dof
     dof_coords: np.ndarray     # (ndof, 2) nodal points
     is_dirichlet: np.ndarray   # (ndof,) bool
-    free: np.ndarray           # free dof indices, ascending
+    free: np.ndarray           # free dof indices by coordinate, x then y:
+                               # the minimum degree ordering's tie-break
 
     @property
     def n_dofs(self) -> int:
@@ -114,7 +118,8 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
         mid = 0.5 * (tri.coords[lo] + tri.coords[hi])
         dof_coords = np.concatenate([tri.coords, mid], axis=0)
         is_dirichlet = np.concatenate([tri.dirichlet, count == 1])
-    free = np.nonzero(~is_dirichlet)[0].astype(np.int64)
+    free = np.flatnonzero(~is_dirichlet)
+    free = free[np.lexsort(dof_coords[free].T[::-1])]
     return FeSpace(tri, degree, elem_dofs.astype(np.int64), dof_coords,
                    is_dirichlet, free)
 

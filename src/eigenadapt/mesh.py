@@ -182,7 +182,8 @@ class Triangulation:
         opposite local vertex 0.  No triangles, non-finite coordinates,
         negative generations or ones too large for the area law, and an
         edge held by three triangles or run the same way by two raise
-        MeshError; ``dirichlet`` defaults to all boundary-edge endpoints.
+        MeshError; so do ``dirichlet`` flags other than the boundary-edge
+        endpoints, which they default to.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
@@ -204,14 +205,16 @@ class Triangulation:
         gen = np.zeros(nt, np.int64) if gen is None else np.array(gen, np.int64)
         if np.any(gen < 0):
             raise MeshError("element generations must be >= 0")
-        dirichlet = (_boundary_vertices(nv, topology) if dirichlet is None
-                     else np.array(dirichlet, bool))
+        boundary = _boundary_vertices(nv, topology)
+        if dirichlet is not None and not np.array_equal(
+                np.asarray(dirichlet, bool), boundary):
+            raise MeshError("dirichlet flags do not match boundary edges")
         with np.errstate(over="ignore"):
             root_area = areas * np.exp2(gen.astype(np.float64))
         if not np.all(np.isfinite(root_area)):
             raise MeshError("element generations too large for the area law")
         idx = np.arange(nt, dtype=np.int64)
-        tri = Triangulation(coords, tris, gen, dirichlet, idx, idx.copy(),
+        tri = Triangulation(coords, tris, gen, boundary, idx, idx.copy(),
                             root_area)
         tri._topology = topology  # fills the cache; computed from these tris
         return tri

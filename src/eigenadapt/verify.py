@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adapt import EXTRA_PAIRS
 from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
 from .errors import SolverError
 from .estimator import eta_pointwise
@@ -230,7 +231,7 @@ def reliability_efficiency_report(
         space = build_space(tri, degree)
         A, M = assemble(space)
         lu = factorize_spd(A)
-        m = min(cluster.hi + 3, space.free.size)
+        m = min(cluster.hi + EXTRA_PAIRS, space.free.size)
         pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed, lu=lu)
         if pairs.values.size < cluster.hi:
             raise SolverError("space too small for the requested cluster")

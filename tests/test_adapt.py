@@ -207,6 +207,29 @@ def test_run_eta_target_stop():
     assert len(hist.rows) == 1
 
 
+def test_run_stops_when_the_estimator_vanishes(monkeypatch):
+    # the real estimator on level 0, an all-zero one from level 1 on
+    real, calls = adapt.eta_pointwise, []
+
+    def vanishing(space, pairs, cluster):
+        rep = real(space, pairs, cluster)
+        if calls:
+            zero = np.zeros_like(rep.eta)
+            rep = dataclasses.replace(rep, eta=zero, elem_part=zero,
+                                      jump_part=zero, eta_max=0.0, eta_l2=0.0)
+        calls.append(rep)
+        return rep
+
+    monkeypatch.setattr(adapt, "eta_pointwise", vanishing)
+    hist = run(_small_config(max_dof=100000))
+    assert hist.stop_reason == "estimator_zero"
+    assert hist.failure is None
+    assert len(hist.rows) == len(calls) == 2
+    assert hist.rows[0].marked > 0
+    assert hist.rows[-1].marked == 0
+    assert hist.rows[-1].eta_pointwise == 0.0
+
+
 def test_run_solver_failure_is_reported_not_raised():
     hist = run(_small_config(eig_tol=1e-30))
     assert hist.stop_reason == "solver_failure"

@@ -298,6 +298,50 @@ def test_exit_code_2_on_non_utf8_input(tmp_path, capsys, argv):
     assert err.startswith("eigenadapt: ") and err.count("\n") == 1
 
 
+_SQUARE = "polygon\n0 0\n1 0\n1 1\n0 1\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     "polygon 1\n0 0\n1 0\n1 1\n0 1\n", "'polygon' takes no arguments"),
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     _SQUARE + "slit 0.5 0 0.5\n", "slit needs x1 y1 x2 y2"),
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     _SQUARE + "slit 0.5 0 0.5 half\n",
+     "line 6: could not convert string to float: 'half'"),
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     "polygon\n0 0\n1 zero\n1 1\n0 1\n",
+     "line 3: could not convert string to float: 'zero'"),
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     _SQUARE + "hole 0.5 0.5\n",
+     "line 6: cannot parse 'hole 0.5 0.5'"),
+    (["mesh", "dump", "--domain", "{f}", "--out", "{d}/mesh.txt"],
+     "polygon\n0 0\n1 0\n1 1\n",
+     "domain file must list a polygon with >= 4 vertices"),
+    (["rate", "--history", "{f}", "--field", "pointwise"],
+     "\n".join([_HISTORY_HEADER, _HISTORY_ROWS[0], "1,400,80"]) + "\n",
+     "malformed row '1,400,80"),
+    (["mesh", "svg", "--out", "{d}/mesh.svg"], "",
+     "need either --path or --domain"),
+    (["mesh", "load", "--path", "{f}"],
+     "vertices 3\ntriangles 1\n0 0 1\n1 0 1\n0 1 1\n0 2 1 0\n",
+     "triangle 0 has non-positive area -0.5"),
+    (["mesh", "load", "--path", "{f}"],
+     "vertices 5\ntriangles 4\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n0.5 0.5 1\n"
+     "4 0 1 0\n4 1 2 0\n4 2 3 0\n4 3 0 0\n",
+     "dirichlet flags do not match boundary edges"),
+], ids=["polygon-argument", "slit-arity", "slit-float", "polygon-float",
+        "unparsable-line", "short-polygon", "history-row", "mesh-source",
+        "clockwise-triangle", "interior-dirichlet-vertex"])
+def test_exit_code_2_on_malformed_input(tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "input.txt"
+    bad.write_text(text)
+    assert main([a.format(f=bad, d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eigenadapt: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert main(["mesh", "dump", "--domain", "omega9",
                  "--out", str(tmp_path / "x.txt")]) == 2
@@ -392,8 +436,8 @@ def test_threads_env_applied(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_lazy_scipy_modules_unloaded():
-    # scipy.io serves only the Matrix Market writer and csgraph only the
-    # factorization; neither belongs in every run's start-up
+    # scipy.io serves only the Matrix Market writer and csgraph nothing;
+    # neither belongs in every run's start-up
     src = str(Path(eigenadapt.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import eigenadapt.adapt, eigenadapt.cli; "

@@ -49,6 +49,24 @@ def test_free_dof_counts():
         build_space(sq, 3)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("domain", ["unit_square", "omega1", "omega2",
+                                    "omega3"])
+def test_free_dofs_are_numbered_by_coordinate(domain, degree):
+    tri = initial_mesh(builtin_domain(domain), 6)
+    for _ in range(2):
+        space = build_space(tri, degree)
+        free = space.free
+        np.testing.assert_array_equal(np.sort(free),
+                                      np.flatnonzero(~space.is_dirichlet))
+        x, y = space.dof_coords[free].T
+        # x ascending, then y, then the dof index (lexsort is stable)
+        step = np.sign(np.stack([np.diff(x), np.diff(y), np.diff(free)]))
+        first = step[np.argmax(step != 0, axis=0), np.arange(step.shape[1])]
+        assert np.all(first == 1)
+        tri = refine(tri, MarkSet.from_iterable(range(0, tri.n_elements, 3)))
+
+
 def test_p1_reference_element_matrices():
     space = _unit_triangle_space()
     K, M = local_matrices(space)

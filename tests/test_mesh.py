@@ -267,6 +267,7 @@ triangles 2
      "a mesh needs at least one triangle"),
     ("1 2 3 0\n", "1 2 3 99999\n",
      "element generations too large for the area law"),
+    ("1 1 1", "1 1 0", "dirichlet flags do not match boundary edges"),
 ])
 def test_read_mesh_rejects_malformed_files(tmp_path, old, new, message):
     path = tmp_path / "mesh.txt"
