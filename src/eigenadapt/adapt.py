@@ -34,7 +34,7 @@ from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
 from .geometry import initial_mesh, resolve_domain, slit_tips
 from .marking import mark_doerfler, mark_max
-from .mesh import (MAX_ADJACENT_GEN_DIFF, REFINE_STRATEGIES, MarkSet,
+from .mesh import (MAX_ADJACENT_GEN_DIFF, REFINE_STRATEGIES, SUBDIVISIONS,
                    Triangulation, refine)
 
 log = logging.getLogger(__name__)
@@ -88,10 +88,9 @@ class AdaptConfig:
                 f"got {self.doerfler_bulk!r}")
         if self.refine not in REFINE_STRATEGIES:
             raise ConfigError(f"unknown refine strategy {self.refine!r}")
-        if self.marked_subdivision not in ("quarter", "bisect"):
+        if self.marked_subdivision not in SUBDIVISIONS:
             raise ConfigError(
-                f"marked_subdivision must be 'quarter' or 'bisect', "
-                f"got {self.marked_subdivision!r}")
+                f"unknown marked_subdivision {self.marked_subdivision!r}")
         if self.max_dof < 1:
             raise ConfigError(f"max_dof must be >= 1, got {self.max_dof}")
         if self.max_levels < 1:
@@ -195,7 +194,7 @@ class AdaptHistory:
     multiplicity: list[list[int]]         # multiple groups among the final
                                           # pairs, 0-based spectrum indices
     snapshots: list[tuple[int, Triangulation]]
-    final_mesh: Triangulation | None
+    final_mesh: Triangulation | None      # mesh of the last row, if any
     tips: np.ndarray               # (n_tips, 2) slit tip coordinates
     tip_min_h: list[list[float]]   # per level, per slit tip: min h nearby
 
@@ -207,27 +206,6 @@ class AdaptHistory:
             raise ValueError(f"unknown estimator field {which!r}")
         attr = "eta_pointwise" if which == "pointwise" else "eta_energy"
         return np.array([getattr(r, attr) for r in self.rows], dtype=np.float64)
-
-
-def refine_marked(tri: Triangulation, marked: MarkSet, strategy: str,
-                  subdivision: str = "quarter") -> Triangulation:
-    """The loop's Refine step: subdivide every marked element.
-
-    With ``subdivision="quarter"`` (the default) two bisection passes run:
-    the marked elements, then all their children, each pass with its
-    conformity closure and, for bisec_lg1, the grading check.  Quartering
-    halves h_T of marked elements per level, which keeps the marked fraction
-    moderate and the estimator decay smooth on the reentrant-corner runs.
-    With ``subdivision="bisect"`` a single pass runs; the finer level
-    granularity refines symmetric regions more evenly, which matters on the
-    slit domains where a double eigenvalue should stay degenerate
-    discretely.
-    """
-    cur = refine(tri, marked, strategy=strategy)
-    if subdivision == "bisect":
-        return cur
-    kids = np.nonzero(np.isin(cur.parent, marked.elements))[0]
-    return refine(cur, MarkSet.from_iterable(kids), strategy=strategy)
 
 
 def _cluster_cuts_multiplicity(cluster: ClusterSelection,
@@ -336,7 +314,8 @@ def run(config: AdaptConfig) -> AdaptHistory:
 
     A solver failure does not raise: the history collected so far is
     returned with stop_reason "solver_failure" and the message in
-    ``failure``.
+    ``failure``; its pairs, diagnostics and final mesh are those of the
+    last recorded level.
     """
     config.validate()
     spec = resolve_domain(config.domain)
@@ -352,7 +331,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
     failure = None
     separation = None
     multiplicity: list[list[int]] = []
-    pairs = None
+    pairs = final_mesh = None
 
     for level in range(config.max_levels + 1):
         space = build_space(tri, config.degree)
@@ -371,11 +350,12 @@ def run(config: AdaptConfig) -> AdaptHistory:
         t_assemble = (time.monotonic() - t0) * 1e3
         t0 = time.monotonic()
         try:
-            pairs = _solve_level(A, M, cluster, pairs, config)
-            _rotate_multiple(space, A, M, pairs, level, config)
+            solved = _solve_level(A, M, cluster, pairs, config)
+            _rotate_multiple(space, A, M, solved, level, config)
         except SolverError as exc:
             stop_reason, failure = "solver_failure", str(exc)
             break
+        pairs, final_mesh = solved, tri
         t_solve = (time.monotonic() - t0) * 1e3
 
         t0 = time.monotonic()
@@ -426,9 +406,12 @@ def run(config: AdaptConfig) -> AdaptHistory:
             break
         row.marked = int(marked.elements.size)
 
+        # a solver failure on the next level leaves this level's mesh, kept
+        # without the edge data cached on tri, as the snapshots are
+        final_mesh = dataclasses.replace(tri)
         t0 = time.monotonic()
-        tri = refine_marked(tri, marked, strategy=config.refine,
-                            subdivision=config.marked_subdivision)
+        tri = refine(tri, marked, strategy=config.refine,
+                     subdivision=config.marked_subdivision)
         row.t_refine_ms = (time.monotonic() - t0) * 1e3
 
     if pairs is not None and pairs.last > cluster.hi:
@@ -444,7 +427,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
     return AdaptHistory(
         config=config, rows=rows, stop_reason=stop_reason, failure=failure,
         separation=separation, multiplicity=multiplicity, snapshots=snapshots,
-        final_mesh=tri, tips=tips, tip_min_h=tip_rows)
+        final_mesh=final_mesh, tips=tips, tip_min_h=tip_rows)
 
 
 def fit_rate(history: AdaptHistory, which: str) -> float:
@@ -512,8 +495,9 @@ def write_history_csv(history: AdaptHistory, path: str | os.PathLike) -> None:
 
 
 def read_history_csv(path: str | os.PathLike):
-    """Read a history CSV back as (header list, list of row dicts)."""
-    lines = _read_lines(path)
+    """Read a history CSV back as (header list, list of row dicts); blank
+    lines are skipped."""
+    lines = [line for line in _read_lines(path) if line.strip()]
     header = lines[0].strip().split(",") if lines else []
     out = []
     for line in lines[1:]:

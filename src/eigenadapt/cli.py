@@ -45,7 +45,8 @@ def _cap_threads() -> None:
     cap = os.environ.get("EIGENADAPT_THREADS")
     if not cap:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    # str.isdigit alone accepts digits that int or BLAS cannot read
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError(
             f"EIGENADAPT_THREADS must be a positive integer, got {cap!r}")
     for var in _THREAD_VARS:

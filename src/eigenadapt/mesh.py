@@ -41,6 +41,7 @@ import numpy as np
 from .errors import MeshError
 
 REFINE_STRATEGIES = ("nvb", "bisec_lg1")
+SUBDIVISIONS = ("quarter", "bisect")
 
 # grading bound bisec_lg1 checks; matched labellings stay within 1, and
 # meshes read from files may carry any labelling
@@ -274,8 +275,10 @@ def _edge_topology(tris, nv: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
-    """One closure-and-bisection pass; ``parent`` of the result indexes ``tri``."""
+def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
+            origin: np.ndarray | None = None) -> Triangulation:
+    """One closure-and-bisection pass, then the ``bisec_lg1`` check;
+    ``parent`` of the result indexes ``tri``, or ``origin``'s mesh through it."""
     tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
     # an edge held by one triangle lies on the boundary
     keys, edge, count = tri.edges
@@ -312,13 +315,20 @@ def _bisect(tri: Triangulation, elems: np.ndarray) -> Triangulation:
                              1 + s1, np.full(nt, 2)])
     keep = np.column_stack([np.ones(nt, dtype=bool), s2, s0, s1])
     parent = np.nonzero(keep)[0]
-    out_tris = kids[keep]
-    return Triangulation(
-        coords, out_tris, tri.gen[parent] + depth[keep], dirichlet, parent,
-        tri.root[parent], tri.root_area[parent])
+    out = Triangulation(
+        coords, kids[keep], tri.gen[parent] + depth[keep], dirichlet,
+        parent if origin is None else origin[parent], tri.root[parent],
+        tri.root_area[parent])
+    if strategy == "bisec_lg1":
+        gap = max_adjacent_gen_diff(out)
+        if gap > MAX_ADJACENT_GEN_DIFF:
+            raise MeshError(f"edge neighbors {gap} generations apart after "
+                            f"refinement (bound {MAX_ADJACENT_GEN_DIFF})")
+    return out
 
 
-def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triangulation:
+def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
+           subdivision: str = "bisect") -> Triangulation:
     """Refine a triangulation by newest vertex bisection.
 
     The refinement edge of every marked triangle is marked, and the marking
@@ -328,35 +338,35 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb") -> Triang
     that bisects every marked triangle.  ``bisec_lg1`` then raises
     MeshError when two edge neighbors of the result are more than
     ``MAX_ADJACENT_GEN_DIFF`` generations apart, a bound that refinement
-    from the meshes of ``initial_mesh`` keeps.  The input mesh is left
-    untouched, and the result depends only on the marked set, not on its
-    order.
+    from the meshes of ``initial_mesh`` keeps.  ``subdivision="quarter"``
+    repeats the pass and check on the children of the marked triangles.
+    ``parent`` of the result indexes ``tri``, which is left untouched, and
+    the result depends only on the marked set, not on its order.
     """
     if strategy not in REFINE_STRATEGIES:
         raise MeshError(f"unknown refinement strategy {strategy!r}")
+    if subdivision not in SUBDIVISIONS:
+        raise MeshError(f"unknown subdivision {subdivision!r}")
     elems = np.asarray(marked.elements, dtype=np.int64)
     if elems.size and (elems.min() < 0 or elems.max() >= tri.n_elements):
         raise MeshError("marked set contains out-of-range element indices")
-    out = _bisect(tri, elems)
-    if strategy == "bisec_lg1":
-        gap = max_adjacent_gen_diff(out)
-        if gap > MAX_ADJACENT_GEN_DIFF:
-            raise MeshError(f"edge neighbors {gap} generations apart after "
-                            f"refinement (bound {MAX_ADJACENT_GEN_DIFF})")
+    out = _bisect(tri, elems, strategy)
+    if subdivision == "quarter":
+        hit = np.zeros(tri.n_elements, dtype=bool)
+        hit[elems] = True
+        out = _bisect(out, np.flatnonzero(hit[out.parent]), strategy, out.parent)
     return out
 
 
 def uniform_refine(tri: Triangulation) -> Triangulation:
-    """Two all-element bisection passes.
+    """Quarter every element.
 
     On meshes whose refinement edges are mutually paired (the structured
     initial meshes and their uniform refinements) this quadruples the element
     count and adds 2 to every generation.
     """
-    out = tri
-    for _ in range(2):
-        out = refine(out, MarkSet(np.arange(out.n_elements, dtype=np.int64)), "nvb")
-    return out
+    return refine(tri, MarkSet(np.arange(tri.n_elements, dtype=np.int64)),
+                  "nvb", "quarter")
 
 
 def min_angle_deg(tri: Triangulation) -> float:

@@ -4,7 +4,8 @@
 rule; ``initial_mesh`` needs no labelling, because its lattice meshes are
 matched by construction, which ``is_matched`` tests.  ``check_neighbors`` is
 an oracle for the neighbor table that shares no code with the mesh kernel's
-edge sort.
+edge sort, and ``check_nested`` asserts that every child lies inside its
+parent.
 """
 
 import numpy as np
@@ -65,3 +66,18 @@ def check_neighbors(tris, neighbors):
     off = (tris[s] != u[t, e, None]) & (tris[s] != v[t, e, None])
     assert np.all(s != t) and np.all(off.sum(axis=1) == 1)
     assert np.array_equal(neighbors[s, off.argmax(axis=1)], t)
+
+
+def check_nested(parent_mesh, child_mesh):
+    """Assert every child's corners have barycentric coordinates in [0, 1]
+    in the ``parent_mesh`` triangle that ``child_mesh.parent`` names."""
+    p0 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 0]]
+    e1 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 1]] - p0
+    e2 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 2]] - p0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    for k in range(3):
+        d = child_mesh.coords[child_mesh.tris[:, k]] - p0
+        lam1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+        lam2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+        assert np.all(lam1 >= -1e-12) and np.all(lam2 >= -1e-12)
+        assert np.all(lam1 + lam2 <= 1.0 + 1e-12)

@@ -22,7 +22,6 @@ from eigenadapt.adapt import (
     fit_rate,
     fit_rate_levels,
     read_history_csv,
-    refine_marked,
     run,
     summary_dict,
     write_history_csv,
@@ -35,7 +34,7 @@ from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
 from eigenadapt.errors import ConfigError, SolverError
 from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
-from eigenadapt.mesh import MarkSet, Triangulation
+from eigenadapt.mesh import MarkSet, Triangulation, refine, uniform_refine
 
 # frozen reference decay of the pointwise estimator on the L-shape run
 # (levels 0, 4, 8, 12, 16): dof counts and global estimator values
@@ -159,17 +158,17 @@ def test_fit_rate_reference_track():
     assert -1.05 <= all_levels <= -0.85
 
 
-def test_refine_marked_subdivision_depths():
+def test_refine_subdivision_depths():
     tri = initial_mesh(builtin_domain("omega1"), 4)
     marked = MarkSet.from_iterable([5])
-    quartered = refine_marked(tri, marked, strategy="bisec_lg1")
-    kids = np.nonzero(quartered.root == 5)[0]
+    quartered = refine(tri, marked, strategy="bisec_lg1",
+                       subdivision="quarter")
+    kids = np.nonzero(quartered.parent == 5)[0]
     assert kids.size == 4
     assert np.all(quartered.gen[kids] == 2)
     np.testing.assert_allclose(quartered.areas[kids], tri.areas[5] / 4.0)
-    halved = refine_marked(tri, marked, strategy="bisec_lg1",
-                           subdivision="bisect")
-    kids = np.nonzero(halved.root == 5)[0]
+    halved = refine(tri, marked, strategy="bisec_lg1", subdivision="bisect")
+    kids = np.nonzero(halved.parent == 5)[0]
     assert kids.size == 2
     assert np.all(halved.gen[kids] == 1)
     np.testing.assert_allclose(halved.areas[kids], tri.areas[5] / 2.0)
@@ -234,6 +233,38 @@ def test_run_solver_failure_is_reported_not_raised():
     hist = run(_small_config(eig_tol=1e-30))
     assert hist.stop_reason == "solver_failure"
     assert hist.failure
+
+
+def test_run_solver_failure_keeps_the_last_recorded_level(monkeypatch):
+    cfg = _small_config(cluster_lo=2, cluster_hi=3, max_dof=20000)
+    # a run stopped after level 0 by its estimator target
+    level0 = summary_dict(run(dataclasses.replace(cfg, eta_target=1e9)))
+    real, calls = adapt.rotate_multiple, []
+
+    def fails_on_level_1(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolverError("injected failure")
+        return real(*args)
+
+    monkeypatch.setattr(adapt, "rotate_multiple", fails_on_level_1)
+    hist = run(cfg)
+    assert hist.stop_reason == "solver_failure"
+    assert len(hist.rows) == 1
+    assert hist.final_mesh.n_elements == hist.rows[0].nelem
+    failed = summary_dict(hist)
+    assert failed["separation"] == level0["separation"]
+    assert failed["multiplicity_groups"] == level0["multiplicity_groups"]
+
+
+def test_read_history_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "history.csv"
+    write_history_csv(run(_small_config(max_levels=1, max_dof=100000)), path)
+    header, rows = read_history_csv(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n \n")
+    assert read_history_csv(path) == (header, rows)
+    assert len(rows) == 2
 
 
 def test_run_rejects_max_dof_below_initial():
@@ -487,8 +518,7 @@ def test_tip_min_h_matches_per_corner_oracle_on_uniform_levels(domain):
         # exact equality; NaN (no element near a tip) equals NaN
         np.testing.assert_array_equal(adapt._tip_min_h(tri, tips),
                                       _tip_min_h_oracle(tri, tips))
-        everything = MarkSet.from_iterable(np.arange(tri.tris.shape[0]))
-        tri = refine_marked(tri, everything, strategy="nvb")
+        tri = uniform_refine(tri)
 
 
 def test_tip_min_h_matches_per_corner_oracle_on_nvb_levels(monkeypatch):

@@ -423,6 +423,16 @@ def test_threads_env_validation(tmp_path, monkeypatch, capsys):
     assert "EIGENADAPT_THREADS" in capsys.readouterr().err
 
 
+# a superscript two and an Arabic-Indic three pass str.isdigit, and BLAS
+# parses neither
+@pytest.mark.parametrize("cap", ["\u00b2", "\u0663"])
+def test_threads_env_rejects_non_ascii_digits(tmp_path, monkeypatch, capsys,
+                                               cap):
+    monkeypatch.setenv("EIGENADAPT_THREADS", cap)
+    assert main(["mesh", "load", "--path", str(tmp_path / "whatever")]) == 2
+    assert "EIGENADAPT_THREADS" in capsys.readouterr().err
+
+
 def test_threads_env_applied(tmp_path, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

@@ -12,6 +12,7 @@ from eigenadapt.errors import GeometryError
 from eigenadapt.geometry import BUILTIN_DOMAINS, builtin_domain, initial_mesh
 from eigenadapt.mesh import (
     MAX_ADJACENT_GEN_DIFF,
+    REFINE_STRATEGIES,
     MarkSet,
     MeshError,
     Triangulation,
@@ -24,7 +25,8 @@ from eigenadapt.mesh import (
     write_mesh,
 )
 
-from mesh_helpers import assign_refinement_edges, check_neighbors, is_matched
+from mesh_helpers import (assign_refinement_edges, check_neighbors,
+                          check_nested, is_matched)
 
 
 def _single_triangle():
@@ -73,6 +75,8 @@ def test_refine_rejects_bad_input():
         refine(tri, MarkSet.from_iterable([0]), strategy="red_green")
     with pytest.raises(MeshError):
         refine(tri, MarkSet.from_iterable([7]))
+    with pytest.raises(MeshError):
+        refine(tri, MarkSet.from_iterable([0]), subdivision="thirds")
 
 
 def test_bisec_lg1_generation_grading():
@@ -202,16 +206,28 @@ def test_generation_area_law():
 def test_nestedness_in_parent():
     tri = initial_mesh(builtin_domain("omega1"), 4)
     out = refine(tri, MarkSet.from_iterable(range(0, tri.n_elements, 3)))
-    p0 = tri.coords[tri.tris[out.parent, 0]]
-    e1 = tri.coords[tri.tris[out.parent, 1]] - p0
-    e2 = tri.coords[tri.tris[out.parent, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    for k in range(3):
-        d = out.coords[out.tris[:, k]] - p0
-        lam1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-        lam2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-        assert np.all(lam1 >= -1e-12) and np.all(lam2 >= -1e-12)
-        assert np.all(lam1 + lam2 <= 1.0 + 1e-12)
+    check_nested(tri, out)
+
+
+@pytest.mark.parametrize("strategy", REFINE_STRATEGIES)
+def test_quarter_parent_indexes_the_input(strategy):
+    tri = initial_mesh(builtin_domain("omega1"), 4)
+    marked = MarkSet.from_iterable(range(0, tri.n_elements, 3))
+    out = refine(tri, marked, strategy, subdivision="quarter")
+    check_nested(tri, out)
+    # the children of each input triangle tile it
+    np.testing.assert_allclose(
+        np.bincount(out.parent, out.areas, tri.n_elements), tri.areas,
+        rtol=1e-12)
+    assert np.all(out.gen[np.isin(out.parent, marked.elements)] >= 2)
+    check_mesh(out)
+    # the mesh of a pass on the marked triangles and one on their children
+    once = refine(tri, marked, strategy)
+    kids = np.flatnonzero(np.isin(once.parent, marked.elements))
+    twice = refine(once, MarkSet(kids), strategy)
+    for name in ("coords", "tris", "gen", "dirichlet", "root", "root_area"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(twice, name))
+    np.testing.assert_array_equal(out.parent, once.parent[twice.parent])
 
 
 def test_refine_determinism():

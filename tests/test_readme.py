@@ -8,7 +8,7 @@ from pathlib import Path
 
 from eigenadapt.adapt import AdaptConfig, write_history_csv
 from eigenadapt.cli import PRESETS
-from eigenadapt.mesh import REFINE_STRATEGIES
+from eigenadapt.mesh import REFINE_STRATEGIES, SUBDIVISIONS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -39,6 +39,12 @@ def test_refine_row_names_every_strategy():
     meaning = re.search(r"^\| `refine` \| `\w+` \| (.*) \|$", README,
                         flags=re.M).group(1)
     assert tuple(re.findall(r"`(\w+)`", meaning)) == REFINE_STRATEGIES
+
+
+def test_marked_subdivision_row_names_every_subdivision():
+    meaning = re.search(r"^\| `marked_subdivision` \| `\w+` \| (.*) \|$",
+                        README, flags=re.M).group(1)
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == SUBDIVISIONS
 
 
 def test_presets_table_lists_every_preset():
