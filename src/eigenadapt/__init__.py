@@ -11,7 +11,8 @@ Module layout:
 
 - ``geometry``:  domain descriptions and structured initial meshes
 - ``mesh``:      conforming triangulations and bisection refinement
-- ``fem``:       P1/P2 spaces, stiffness/mass assembly, point evaluation
+- ``fem``:       P1/P2 spaces, stiffness/mass assembly, shape functions,
+                 element values, gradients and Laplacians
 - ``eigen``:     sparse generalized eigensolver and cluster diagnostics
 - ``estimator``: pointwise and energy-norm a posteriori indicators
 - ``marking``:   maximum and Doerfler marking strategies

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,14 +125,6 @@ class AdaptConfig:
         cfg = cls(**values)
         cfg.validate()
         return cfg
-
-    def to_file(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in dataclasses.fields(self):
-                v = getattr(self, f.name)
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                fh.write(f"{f.name} = {v}\n")
 
 
 def _read_lines(path: str | os.PathLike) -> list[str]:

@@ -15,11 +15,9 @@ on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
 numbering (``Triangulation.edges``, keyed by the sorted vertex index pair),
 so the two sides of a slit get independent dofs.
 
-Values and Laplacians of an FeFunction take one coefficient vector or an
-(ndof, k) block of them.  ``element_gradients`` and ``block_laplacians``
-work on element coefficients ``coeffs[..., elem_dofs]`` with the functions
-on leading axes: the estimators pass a whole cluster as one (k, nt, nd)
-block.
+``element_gradients`` and ``block_laplacians`` work on element
+coefficients ``coeffs[..., elem_dofs]`` with the functions on leading axes:
+the estimators pass a whole cluster as one (k, nt, nd) block.
 """
 
 from __future__ import annotations
@@ -64,10 +62,6 @@ class FeSpace:
     def n_dofs(self) -> int:
         return self.dof_coords.shape[0]
 
-    @property
-    def n_free(self) -> int:
-        return self.free.shape[0]
-
     @cached_property
     def bary_grads(self) -> np.ndarray:
         """Barycentric coordinate gradients, shape (nt, 3, 2)."""
@@ -81,16 +75,6 @@ class FeSpace:
         does not hold it alongside the mesh's cached edge tangents."""
         g = self.bary_grads
         return np.einsum("tik,tjk->tij", g, g)
-
-
-@dataclass
-class FeFunction:
-    """Coefficient vector over all dofs of a space (Dirichlet entries zero
-    for conforming functions; raw coefficient vectors are also accepted).
-    An (ndof, k) block holds k functions at once."""
-
-    space: FeSpace
-    coeffs: np.ndarray
 
 
 def barycentric_gradients(tri: Triangulation) -> np.ndarray:
@@ -163,13 +147,6 @@ def assemble(space: FeSpace
                  for loc in local_matrices(space))
 
 
-def write_matrix_market(A, path) -> None:
-    """Write a symmetric sparse matrix in Matrix Market format."""
-    import scipy.io  # ~15 ms to import; only this writer needs it
-
-    scipy.io.mmwrite(str(path), A, symmetry="symmetric")
-
-
 def shape_values(degree: int, bary) -> np.ndarray:
     """Shape function values at barycentric points.
 
@@ -236,22 +213,10 @@ def _reference_tables(degree: int):
 _REF_TABLES = {p: _reference_tables(p) for p in (1, 2)}
 
 
-def evaluate(f: FeFunction, elem: int, bary) -> float:
-    """Value of f at a barycentric point of one element."""
-    vals = shape_values(f.space.degree, bary)
-    return float(vals @ f.coeffs[f.space.elem_dofs[elem]])
-
-
-def evaluate_gradient(f: FeFunction, elem: int, bary) -> np.ndarray:
-    """Gradient of f at a barycentric point of one element."""
-    table = shape_derivatives(f.space.degree, bary)
-    return f.coeffs[f.space.elem_dofs[elem]] @ (table @ f.space.bary_grads[elem])
-
-
-def values_at_bary(f: FeFunction, bary) -> np.ndarray:
-    """Values of f at one barycentric point in every element, shape (nt,)."""
-    vals = shape_values(f.space.degree, bary)
-    return f.coeffs[f.space.elem_dofs] @ vals
+def values_at_bary(space: FeSpace, coeffs: np.ndarray, bary) -> np.ndarray:
+    """Values of the function with dof coefficients ``coeffs`` at one
+    barycentric point in every element, shape (nt,)."""
+    return coeffs[space.elem_dofs] @ shape_values(space.degree, bary)
 
 
 def element_gradients(space: FeSpace, c: np.ndarray, bary) -> np.ndarray:
@@ -279,26 +244,9 @@ def block_laplacians(space: FeSpace, c: np.ndarray) -> np.ndarray:
     return sum(c[..., a] * lap_phi[:, a] for a in range(lap_phi.shape[1]))
 
 
-def element_laplacians(f: FeFunction) -> np.ndarray:
-    """Constant per-element Laplacian of f, shape (nt,) or (nt, k) for an
-    (ndof, k) block.  Zero for P1."""
-    return block_laplacians(f.space, f.coeffs.T[..., f.space.elem_dofs]).T
-
-
-def interpolate(space: FeSpace, g) -> FeFunction:
-    """Nodal interpolant of a callable g(x, y); Dirichlet dofs are zeroed."""
-    x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-    coeffs = np.asarray(g(x, y), dtype=np.float64)
-    if coeffs.shape != (space.n_dofs,):
-        raise ValueError("interpolated callable must be vectorized over nodes")
-    coeffs = coeffs.copy()
-    coeffs[space.is_dirichlet] = 0.0
-    return FeFunction(space, coeffs)
-
-
-def from_free_vector(space: FeSpace, vec: np.ndarray) -> FeFunction:
-    """Expand free-dof coefficients, a vector or an (n_free, k) block, to a
-    full FeFunction."""
+def from_free_vector(space: FeSpace, vec: np.ndarray) -> np.ndarray:
+    """Expand free-dof coefficients, a vector or an (n_free, k) block, to
+    coefficients over all dofs, zero on the Dirichlet ones."""
     coeffs = np.zeros((space.n_dofs,) + vec.shape[1:])
     coeffs[space.free] = vec
-    return FeFunction(space, coeffs)
+    return coeffs

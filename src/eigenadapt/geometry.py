@@ -285,19 +285,9 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     return Triangulation.from_arrays(coords, tris, dirichlet=dirichlet)
 
 
-def write_domain(spec: DomainSpec, path) -> None:
-    """Write the plain-text domain format (polygon block plus slit lines)."""
-    lines = ["# domain description", "polygon"]
-    for x, y in spec.polygon:
-        lines.append(f"{x!r} {y!r}")
-    for (x1, y1), (x2, y2) in spec.slits:
-        lines.append(f"slit {x1!r} {y1!r} {x2!r} {y2!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def parse_domain(text: str, name: str = "custom") -> DomainSpec:
-    """Parse the plain-text domain format; see :func:`write_domain`."""
+    """Parse a ``polygon`` line, one ``x y`` vertex per line, then
+    ``slit x1 y1 x2 y2`` lines; ``#`` starts a comment."""
     polygon: list[Point] = []
     slits: list[tuple[Point, Point]] = []
     in_polygon = seen_polygon = False

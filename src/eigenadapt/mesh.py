@@ -24,7 +24,7 @@ Two refinement strategies are exposed:
                   Bisection from a matched labelling (each refinement edge is
                   its mate's too, as on every initial mesh) keeps them within
                   one (Binev, Dahmen and DeVore, Numer. Math. 97 (2004)).
-                  Only generations set by hand have failed the check
+                  Only generations set by hand have failed the check.
 
 Slit domains are handled transparently: the two sides of a slit use distinct
 vertex indices, so slit faces are boundary edges to the mesh kernel and never

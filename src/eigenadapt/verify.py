@@ -21,10 +21,10 @@ from .adapt import EXTRA_PAIRS
 from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
 from .errors import SolverError
 from .estimator import eta_pointwise
-from .fem import (FeFunction, FeSpace, assemble, build_space, from_free_vector,
+from .fem import (FeSpace, assemble, build_space, from_free_vector,
                   shape_values, values_at_bary)
 from .geometry import builtin_domain, initial_mesh
-from .mesh import Triangulation, uniform_refine
+from .mesh import uniform_refine
 
 # 16-point symmetric triangle quadrature, exact to total degree 8
 # (Lyness-Jespersen family; tabulated by Dunavant, IJNME 21 (1985), rule 8).
@@ -104,7 +104,7 @@ def _quadrature_rhs(space: FeSpace, source) -> np.ndarray:
     coords = space.tri.coords[space.tri.tris]      # (nt, 3, 2)
     areas = space.tri.areas
     b = np.zeros(space.is_dirichlet.size)
-    phis = np.stack([shape_values(space.degree, tuple(q)) for q in bary])
+    phis = shape_values(space.degree, bary)
     for q in range(bary.shape[0]):
         X = np.einsum("c,tcd->td", bary[q], coords)
         fvals = np.asarray(source(X[:, 0], X[:, 1]), dtype=np.float64)
@@ -113,13 +113,13 @@ def _quadrature_rhs(space: FeSpace, source) -> np.ndarray:
     return b
 
 
-def poisson_ritz(space: FeSpace, source, lu=None) -> FeFunction:
+def poisson_ritz(space: FeSpace, source, lu=None) -> np.ndarray:
     """Solve a(r, w) = (source, w) for all interior test functions w.
 
     ``source`` is a vectorized callable f(x, y).  ``lu`` is a
     ``factorize_spd`` factor of the space's stiffness matrix; without it the
-    matrix is assembled and factored here.  The returned function has zero
-    Dirichlet values.
+    matrix is assembled and factored here.  Returns the coefficients over
+    all dofs, zero on the Dirichlet ones.
     """
     if lu is None:
         lu = factorize_spd(assemble(space)[0])
@@ -127,17 +127,18 @@ def poisson_ritz(space: FeSpace, source, lu=None) -> FeFunction:
     return from_free_vector(space, lu.solve(b))
 
 
-def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> FeFunction:
+def ritz_project(space: FeSpace, pair: SquareEigenpair, lu=None) -> np.ndarray:
     """Ritz projection of an analytic eigenpair: a(r, w) = lam (u, w)."""
     lam = pair.lam
     return poisson_ritz(space, lambda x, y: lam * pair(x, y), lu)
 
 
-def cluster_project(space: FeSpace, r: FeFunction, pairs: EigenPairSet,
-                    cluster: ClusterSelection, M) -> FeFunction:
-    """M-orthogonal projection of r onto the span of the cluster vectors."""
+def cluster_project(space: FeSpace, r: np.ndarray, pairs: EigenPairSet,
+                    cluster: ClusterSelection, M) -> np.ndarray:
+    """M-orthogonal projection of the coefficients r onto the span of the
+    cluster vectors."""
     idx = pairs.positions(cluster.lo, cluster.hi)
-    r_free = r.coeffs[space.free]
+    r_free = r[space.free]
     Mr = M @ r_free
     out = np.zeros_like(r_free)
     for i in idx:
@@ -152,34 +153,24 @@ def _bary_lattice(order: int) -> np.ndarray:
     return np.array(pts)
 
 
-def linf_error(exact, approx: FeFunction, samples_per_element: int = 8) -> float:
-    """Sampled max of |exact - approx| on a per-element barycentric lattice.
+def linf_error(exact, space: FeSpace, coeffs: np.ndarray,
+               samples_per_element: int = 8) -> float:
+    """Sampled max of |exact - u| on a per-element barycentric lattice, for
+    the function u with dof coefficients ``coeffs``.
 
     A lower bound of the true max-norm error; the lattice order is the
     caller's accuracy knob (>= 4 enforced).
     """
     if samples_per_element < 4:
         raise ValueError("lattice order must be >= 4")
-    space = approx.space
     coords = space.tri.coords[space.tri.tris]
     worst = 0.0
     for b in _bary_lattice(samples_per_element):
         X = np.einsum("c,tcd->td", b, coords)
         ex = np.asarray(exact(X[:, 0], X[:, 1]), dtype=np.float64)
-        worst = max(worst, float(np.max(np.abs(ex - values_at_bary(approx, b)))))
+        err = np.abs(ex - values_at_bary(space, coeffs, b))
+        worst = max(worst, float(np.max(err)))
     return worst
-
-
-def energy_error_sq(space: FeSpace, pair: SquareEigenpair,
-                    r: FeFunction) -> float:
-    """a(u - r, u - r) for the Ritz projection r of an analytic pair.
-
-    Galerkin orthogonality gives a(u - r, u - r) = a(u, u) - a(r, r)
-    = lam - r^T A r, requiring no quadrature of the error itself.
-    """
-    A, _ = assemble(space)
-    rf = r.coeffs[space.free]
-    return float(pair.lam - rf @ (A @ rf))
 
 
 @dataclass
@@ -199,16 +190,6 @@ class ReliabilityReport:
     band_factor: float
     rel_bounded: bool     # max/min of ratio_rel within band_factor
     eff_bounded: bool
-
-    def write_csv(self, path) -> None:
-        lo, hi = self.cluster
-        cols = ",".join(f"err_linf_{j}" for j in range(lo, hi + 1))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"level,ndof,eta,{cols},ratio_rel,ratio_eff\n")
-            for r in self.rows:
-                errs = ",".join(f"{e:.17g}" for e in r.err_linf)
-                fh.write(f"{r.level},{r.ndof},{r.eta:.17g},{errs},"
-                         f"{r.ratio_rel:.17g},{r.ratio_eff:.17g}\n")
 
 
 def reliability_efficiency_report(
@@ -241,7 +222,7 @@ def reliability_efficiency_report(
             u = modes[j - 1]
             r = ritz_project(space, u, lu)
             lam_u = cluster_project(space, r, pairs, cluster, M)
-            errs.append(linf_error(u, lam_u, samples_per_element))
+            errs.append(linf_error(u, space, lam_u, samples_per_element))
         err_max, err_sum = max(errs), sum(errs)
         rows.append(ReliabilityRow(
             level=level, ndof=int(space.free.size), eta=rep.eta_max,

@@ -446,7 +446,7 @@ def test_threads_env_applied(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_lazy_scipy_modules_unloaded():
-    # scipy.io serves only the Matrix Market writer and csgraph nothing;
+    # nothing in eigenadapt imports scipy.io or scipy.sparse.csgraph, and
     # neither belongs in every run's start-up
     src = str(Path(eigenadapt.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "

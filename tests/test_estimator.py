@@ -12,15 +12,10 @@ from eigenadapt.estimator import (
     eta_pointwise,
     eta_pointwise_functions,
 )
-from eigenadapt.fem import (
-    FeFunction,
-    assemble,
-    build_space,
-    element_laplacians,
-    evaluate_gradient,
-    values_at_bary,
-)
+from eigenadapt.fem import assemble, block_laplacians, build_space, values_at_bary
 from eigenadapt.geometry import builtin_domain, initial_mesh
+
+from fe_helpers import evaluate_gradient
 
 # golden level-0 values on the omega1 n=8 mesh, J = {12, 13}, frozen from
 # the dense-oracle-verified solve in this repository
@@ -113,10 +108,10 @@ def _energy_oracle(space, lambdas, coeff_list):
     elem_sq = np.zeros(nt)
     jump_sq = np.zeros(nt)
     for lam, coeffs in zip(lambdas, coeff_list):
-        f = FeFunction(space, np.asarray(coeffs, dtype=float))
+        f = np.asarray(coeffs, dtype=float)
         usq = np.zeros(nt)
         for bary, w in _DUNAVANT6:
-            usq += w * values_at_bary(f, np.asarray(bary)) ** 2
+            usq += w * values_at_bary(space, f, np.asarray(bary)) ** 2
         elem_sq += lam * lam * tri.areas * usq
         for t in range(nt):
             for e, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -131,8 +126,10 @@ def _energy_oracle(space, lambdas, coeff_list):
                 acc = 0.0
                 for s, w in _GAUSS3:
                     point = pa + s * edge
-                    gt = evaluate_gradient(f, t, _bary_of_point(tri, t, point))
-                    gn = evaluate_gradient(f, nb, _bary_of_point(tri, nb, point))
+                    gt = evaluate_gradient(space, f, t,
+                                           _bary_of_point(tri, t, point))
+                    gn = evaluate_gradient(space, f, nb,
+                                           _bary_of_point(tri, nb, point))
                     acc += w * float((gt - gn) @ normal) ** 2
                 jump_sq[t] += length * acc
     return np.sqrt(tri.h ** 2 * elem_sq + tri.h * jump_sq)
@@ -173,11 +170,10 @@ def _bary_lattice(n=20):
 
 def _sampled_elem_part(space, lam, coeffs):
     """Lattice-sampled h^2 max |lam u + Laplace u| per element."""
-    f = FeFunction(space, coeffs)
-    lap = element_laplacians(f)
+    lap = block_laplacians(space, coeffs[space.elem_dofs])
     best = np.zeros(space.tri.n_elements)
     for bary in _bary_lattice():
-        vals = np.abs(lam * values_at_bary(f, bary) + lap)
+        vals = np.abs(lam * values_at_bary(space, coeffs, bary) + lap)
         np.maximum(best, vals, out=best)
     return space.tri.h ** 2 * best
 

@@ -16,18 +16,18 @@ import pytest
 from eigenadapt.eigen import ClusterSelection, solve_smallest
 from eigenadapt.estimator import (eta_energy, eta_energy_functions,
                                   eta_pointwise, eta_pointwise_functions)
-from eigenadapt.fem import (_MASS_REF, FeFunction, assemble, build_space,
-                            element_laplacians, shape_derivatives, shape_values)
+from eigenadapt.fem import (_MASS_REF, assemble, block_laplacians, build_space,
+                            shape_derivatives, shape_values)
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import LOCAL_EDGES, uniform_refine
 
 _INTERIOR_EPS = 1e-12
 
 
-def _corner_gradients(f):
-    """Gradient of f at the three corners of every element, (nt, 3, 2, k)."""
-    space = f.space
-    c = f.coeffs[space.elem_dofs]
+def _corner_gradients(space, coeffs):
+    """Gradient at the three corners of every element of the (ndof, k)
+    coefficient block, (nt, 3, 2, k)."""
+    c = coeffs[space.elem_dofs]
     g = space.bary_grads[(...,) + (None,) * (c.ndim - 2)]
     corners = np.eye(3)[:1] if space.degree == 1 else np.eye(3)
     out = np.zeros(c.shape[:1] + (len(corners), 2) + c.shape[2:])
@@ -38,8 +38,9 @@ def _corner_gradients(f):
     return np.repeat(out, 3, axis=1) if space.degree == 1 else out
 
 
-def _residual_max_p2(lam, f, cg):
-    q = lam * f.coeffs[f.space.elem_dofs] + element_laplacians(f)[:, None]
+def _residual_max_p2(lam, space, coeffs, cg):
+    lap = block_laplacians(space, coeffs.T[..., space.elem_dofs]).T
+    q = lam * coeffs[space.elem_dofs] + lap[:, None]
     best = np.max(np.abs(q[:, :3]), axis=1)
     for m, (a, b) in enumerate(LOCAL_EDGES):
         qa, qb, qm = q[:, a], q[:, b], q[:, 3 + m]
@@ -94,13 +95,12 @@ def _unit_scaled(coeff_list):
 def _oracle_pointwise(space, lambdas, coeff_list):
     lam = np.asarray(lambdas, dtype=np.float64)
     coeffs, scale = _unit_scaled(coeff_list)
-    f = FeFunction(space, coeffs)
-    cg = _corner_gradients(f)
+    cg = _corner_gradients(space, coeffs)
     h = space.tri.h
     if space.degree == 1:
         best = lam * np.max(np.abs(coeffs[space.elem_dofs]), axis=1)
     else:
-        best = _residual_max_p2(lam, f, cg)
+        best = _residual_max_p2(lam, space, coeffs, cg)
     jumps = _jump_endpoint_values(space.tri, cg)
     jump_sum = np.sum(np.max(np.abs(jumps), axis=(1, 2)), axis=1)
     elem_part = h * h * np.sum(best, axis=1)
@@ -111,13 +111,12 @@ def _oracle_pointwise(space, lambdas, coeff_list):
 def _oracle_energy(space, lambdas, coeff_list):
     lam = np.asarray(lambdas, dtype=np.float64)
     coeffs, scale = _unit_scaled(coeff_list)
-    f = FeFunction(space, coeffs)
     h = space.tri.h
     c = coeffs[space.elem_dofs]
     ref = _MASS_REF[space.degree]
     mass = np.einsum("tik,ij,tjk->tk", c, ref, c)
     elem_sq = np.sum(lam * lam * space.tri.areas[:, None] * mass, axis=1)
-    j = _jump_endpoint_values(space.tri, _corner_gradients(f))
+    j = _jump_endpoint_values(space.tri, _corner_gradients(space, coeffs))
     j1, j2 = j[:, :, 0], j[:, :, 1]
     edge_int = space.tri.edge_lengths[:, :, None] * (j1 * j1 + j1 * j2 + j2 * j2) / 3.0
     jump_sq = np.sum(np.sum(edge_int, axis=1), axis=1) * h

@@ -4,27 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.io
 
 from eigenadapt.fem import (
-    FeFunction,
     assemble,
     block_laplacians,
     build_space,
     element_gradients,
-    element_laplacians,
-    evaluate,
-    evaluate_gradient,
     from_free_vector,
-    interpolate,
     local_matrices,
     shape_values,
     values_at_bary,
-    write_matrix_market,
 )
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import LOCAL_EDGES, MarkSet, Triangulation, refine
 
+from fe_helpers import evaluate_gradient, interpolate
 from mesh_helpers import assign_refinement_edges
 
 
@@ -40,11 +34,11 @@ def _all_free(space):
 
 
 def test_free_dof_counts():
-    assert build_space(initial_mesh(builtin_domain("omega1"), 8), 1).n_free == 33
+    assert build_space(initial_mesh(builtin_domain("omega1"), 8), 1).free.size == 33
     sq = initial_mesh(builtin_domain("unit_square"), 2)
-    assert build_space(sq, 1).n_free == 1
+    assert build_space(sq, 1).free.size == 1
     # 1 interior vertex + 8 interior edge midpoints
-    assert build_space(sq, 2).n_free == 9
+    assert build_space(sq, 2).free.size == 9
     with pytest.raises(ValueError):
         build_space(sq, 3)
 
@@ -173,7 +167,7 @@ def test_assembly_symmetry_and_constant_nullspace(degree):
 def test_constrained_operators_spd(degree):
     space = build_space(initial_mesh(builtin_domain("omega1"), 8), degree)
     A, M = assemble(space)
-    assert A.shape == (space.n_free, space.n_free)
+    assert A.shape == (space.free.size, space.free.size)
     np.linalg.cholesky(A.toarray())
     np.linalg.cholesky(M.toarray())
 
@@ -181,17 +175,17 @@ def test_constrained_operators_spd(degree):
 def test_quadratic_form_exactness_p1():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 4), 1)
     A, M = assemble(_all_free(space))
-    u = FeFunction(space, space.dof_coords[:, 0].copy())
-    np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 3.0, rtol=1e-14)
+    u = space.dof_coords[:, 0].copy()
+    np.testing.assert_allclose(u @ (A @ u), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(u @ (M @ u), 1.0 / 3.0, rtol=1e-14)
 
 
 def test_quadratic_form_exactness_p2():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
     A, M = assemble(_all_free(space))
-    u = FeFunction(space, space.dof_coords[:, 0] ** 2)
-    np.testing.assert_allclose(u.coeffs @ (A @ u.coeffs), 4.0 / 3.0, rtol=1e-14)
-    np.testing.assert_allclose(u.coeffs @ (M @ u.coeffs), 1.0 / 5.0, rtol=1e-14)
+    u = space.dof_coords[:, 0] ** 2
+    np.testing.assert_allclose(u @ (A @ u), 4.0 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(u @ (M @ u), 1.0 / 5.0, rtol=1e-14)
 
 
 def test_patch_test_linear():
@@ -216,17 +210,17 @@ def test_nodal_basis_kronecker(degree):
 def test_p1_gradient_constant():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 1)
     rng = np.random.default_rng(0)
-    f = FeFunction(space, rng.standard_normal(space.n_dofs))
-    g1 = evaluate_gradient(f, 3, np.array([1.0, 1.0, 1.0]) / 3.0)
-    g2 = evaluate_gradient(f, 3, np.array([0.6, 0.3, 0.1]))
+    f = rng.standard_normal(space.n_dofs)
+    g1 = evaluate_gradient(space, f, 3, np.array([1.0, 1.0, 1.0]) / 3.0)
+    g2 = evaluate_gradient(space, f, 3, np.array([0.6, 0.3, 0.1]))
     np.testing.assert_allclose(g1, g2, rtol=1e-13)
-    cg = _corner_gradients(f)
+    cg = _corner_gradients(space, f)
     np.testing.assert_allclose(cg[3], np.broadcast_to(g1, (3, 2)), rtol=1e-13)
 
 
-def _corner_gradients(f):
+def _corner_gradients(space, f):
     """(nt, 3, 2) gradients of f at the three corners of every element."""
-    gx, gy = element_gradients(f.space, f.coeffs[f.space.elem_dofs], np.eye(3))
+    gx, gy = element_gradients(space, f[space.elem_dofs], np.eye(3))
     return np.stack([gx, gy], axis=-1)
 
 
@@ -249,12 +243,12 @@ def test_p2_reproduces_quadratic():
     space = build_space(tri, 2)
     f = interpolate(space, lambda x, y: x * (1.0 - x))
     t, bary = _locate(tri, np.array([0.5, 0.25]))
-    np.testing.assert_allclose(evaluate(f, t, bary), 0.25, rtol=1e-14)
+    np.testing.assert_allclose(values_at_bary(space, f, bary)[t], 0.25,
+                               rtol=1e-14)
     # raw nodal coefficients reproduce quadratics everywhere, not just at nodes
     x = space.dof_coords[:, 0]
-    raw = FeFunction(space, x * (1.0 - x))
     cents = tri.coords[tri.tris].mean(axis=1)
-    vals = values_at_bary(raw, np.array([1.0, 1.0, 1.0]) / 3.0)
+    vals = values_at_bary(space, x * (1.0 - x), np.array([1.0, 1.0, 1.0]) / 3.0)
     np.testing.assert_allclose(vals, cents[:, 0] * (1.0 - cents[:, 0]), atol=1e-15)
 
 
@@ -263,58 +257,51 @@ def test_interpolate_nodal_values():
     g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     f = interpolate(space, g)
     x, y = space.dof_coords.T
-    np.testing.assert_allclose(f.coeffs, g(x, y), atol=1e-15)
+    np.testing.assert_allclose(f, g(x, y), atol=1e-15)
     # exact at nodes but not at element midpoints
     t, bary = _locate(space.tri, np.array([0.4375, 0.5625]))
     exact = g(0.4375, 0.5625)
-    assert abs(evaluate(f, t, bary) - exact) > 1e-4
+    assert abs(values_at_bary(space, f, bary)[t] - exact) > 1e-4
     zero = interpolate(space, lambda x, y: np.zeros_like(x))
-    assert np.all(zero.coeffs == 0.0)
+    assert np.all(zero == 0.0)
 
 
 def test_interpolate_zeroes_dirichlet():
     space = build_space(initial_mesh(builtin_domain("omega1"), 4), 2)
     f = interpolate(space, lambda x, y: np.ones_like(x))
-    assert np.all(f.coeffs[space.is_dirichlet] == 0.0)
-    assert np.all(f.coeffs[space.free] == 1.0)
+    assert np.all(f[space.is_dirichlet] == 0.0)
+    assert np.all(f[space.free] == 1.0)
 
 
 def test_from_free_vector():
     space = build_space(initial_mesh(builtin_domain("omega1"), 8), 1)
-    vec = np.arange(1.0, space.n_free + 1.0)
+    vec = np.arange(1.0, space.free.size + 1.0)
     f = from_free_vector(space, vec)
-    np.testing.assert_array_equal(f.coeffs[space.free], vec)
-    assert np.all(f.coeffs[space.is_dirichlet] == 0.0)
+    np.testing.assert_array_equal(f[space.free], vec)
+    assert np.all(f[space.is_dirichlet] == 0.0)
 
 
 def test_element_laplacians():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
-    f = FeFunction(space, (space.dof_coords ** 2).sum(axis=1))
-    np.testing.assert_allclose(element_laplacians(f), 4.0, rtol=1e-13)
+    f = (space.dof_coords ** 2).sum(axis=1)
+    np.testing.assert_allclose(block_laplacians(space, f[space.elem_dofs]),
+                               4.0, rtol=1e-13)
     p1 = build_space(space.tri, 1)
-    g = FeFunction(p1, p1.dof_coords[:, 0].copy())
-    assert np.all(element_laplacians(g) == 0.0)
+    g = p1.dof_coords[:, 0]
+    assert np.all(block_laplacians(p1, g[p1.elem_dofs]) == 0.0)
 
 
 def test_p2_corner_gradients_match_pointwise():
     space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 2)
     rng = np.random.default_rng(5)
-    f = FeFunction(space, rng.standard_normal(space.n_dofs))
-    cg = _corner_gradients(f)
+    f = rng.standard_normal(space.n_dofs)
+    cg = _corner_gradients(space, f)
     eye = np.eye(3)
     for t in (0, 5):
         for corner in range(3):
             np.testing.assert_allclose(
-                cg[t, corner], evaluate_gradient(f, t, eye[corner]), rtol=1e-12)
-
-
-def test_matrix_market_export(tmp_path):
-    space = build_space(initial_mesh(builtin_domain("unit_square"), 2), 1)
-    A, _ = assemble(space)
-    path = tmp_path / "stiffness.mtx"
-    write_matrix_market(A, path)
-    back = scipy.io.mmread(path)
-    np.testing.assert_allclose(back.toarray(), A.toarray(), rtol=1e-15)
+                cg[t, corner], evaluate_gradient(space, f, t, eye[corner]),
+                rtol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -323,19 +310,18 @@ def test_block_evaluation_matches_single_vectors(degree):
     block = np.random.default_rng(3).standard_normal((space.n_dofs, 3))
     c = block.T[:, space.elem_dofs]                 # (k, nt, nd)
     gx, gy = element_gradients(space, c, np.eye(3))
-    lap = element_laplacians(FeFunction(space, block))
+    lap = block_laplacians(space, c)
     assert gx.shape == gy.shape == (3, space.tri.n_elements, 3)
-    np.testing.assert_array_equal(block_laplacians(space, c), lap.T)
+    assert lap.shape == (3, space.tri.n_elements)
     for k in range(3):
-        single = FeFunction(space, block[:, k].copy())
-        sx, sy = element_gradients(space, single.coeffs[space.elem_dofs],
-                                   np.eye(3))
+        single = block[:, k][space.elem_dofs]
+        sx, sy = element_gradients(space, single, np.eye(3))
         np.testing.assert_array_equal(gx[k], sx)
         np.testing.assert_array_equal(gy[k], sy)
-        np.testing.assert_array_equal(lap[:, k], element_laplacians(single))
+        np.testing.assert_array_equal(lap[k], block_laplacians(space, single))
     full = from_free_vector(space, block[space.free])
-    np.testing.assert_array_equal(full.coeffs[space.free], block[space.free])
-    assert np.all(full.coeffs[space.is_dirichlet] == 0.0)
+    np.testing.assert_array_equal(full[space.free], block[space.free])
+    assert np.all(full[space.is_dirichlet] == 0.0)
 
 
 def test_p2_edge_dofs_in_sorted_vertex_pair_order():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eigenadapt.errors import GeometryError
 from eigenadapt.geometry import (BUILTIN_DOMAINS, DomainSpec, builtin_domain,
                                  initial_mesh, parse_domain, resolve_domain,
-                                 slit_tips, write_domain)
+                                 slit_tips)
 from eigenadapt.mesh import check_mesh
 
 from mesh_helpers import is_matched
@@ -155,7 +155,11 @@ def test_domain_serialization_roundtrip(tmp_path):
     for name in BUILTIN_DOMAINS:
         spec = builtin_domain(name)
         path = tmp_path / f"{name}.dom"
-        write_domain(spec, path)
+        path.write_text("# domain description\npolygon\n"
+                        + "".join(f"{x!r} {y!r}  # vertex {i}\n"
+                                  for i, (x, y) in enumerate(spec.polygon))
+                        + "".join(f"slit {p!r} {q!r} {r!r} {s!r}\n"
+                                  for (p, q), (r, s) in spec.slits))
         back = resolve_domain(str(path))
         assert np.allclose(np.asarray(back.polygon), np.asarray(spec.polygon))
         assert len(back.slits) == len(spec.slits)
