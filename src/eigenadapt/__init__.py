@@ -17,7 +17,6 @@ Module layout:
 - ``estimator``: pointwise and energy-norm a posteriori indicators
 - ``marking``:   maximum and Doerfler marking strategies
 - ``adapt``:     the adaptive loop, configs, histories, rate fits
-- ``verify``:    analytic unit-square benchmarks and projection errors
 - ``cli``:       the ``eigenadapt`` command line driver
 """
 

@@ -179,7 +179,7 @@ def _shifted_factor(A, M, shift: float
 
 
 def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
-                   lu=None, shift: float = 0.0) -> EigenPairSet:
+                   shift: float = 0.0) -> EigenPairSet:
     """Compute the m eigenpairs of A v = lambda M v nearest ``shift``.
 
     At the default shift zero these are the m smallest.  (A - shift M)^-1
@@ -202,9 +202,6 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         Acceptance threshold for the relative residuals.
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
-    lu : SuperLU, optional
-        ``factorize_spd`` factor of A to reuse at shift zero; factored here
-        when omitted.
     shift : float
         Center of the window.  A nonzero shift raises SolverError when the
         factor of A - shift M interchanged rows or has a pivot below
@@ -213,8 +210,6 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     n = A.shape[0]
     if m < 1 or m > n:
         raise ValueError(f"cannot compute {m} pairs on a dimension-{n} problem")
-    if lu is not None and shift != 0.0:
-        raise ValueError("a factor of A can only be reused at shift zero")
 
     if m > n - 2 or n < 5:
         dense_vals, dense_vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
@@ -226,7 +221,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         below = 0
         if shift != 0.0:
             lu, below = _shifted_factor(A, M, shift)
-        elif lu is None:
+        else:
             lu = factorize_spd(A)
         OPinv = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lu.solve, dtype=np.float64)

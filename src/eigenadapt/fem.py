@@ -1,4 +1,4 @@
-"""P1/P2 Lagrange elements: spaces, exact assembly, point evaluation.
+"""P1/P2 Lagrange elements: spaces and exact assembly.
 
 Element stiffness matrices and Laplacians contract the pairwise inner
 products of the barycentric gradients with the reference tables
@@ -213,12 +213,6 @@ def _reference_tables(degree: int):
 _REF_TABLES = {p: _reference_tables(p) for p in (1, 2)}
 
 
-def values_at_bary(space: FeSpace, coeffs: np.ndarray, bary) -> np.ndarray:
-    """Values of the function with dof coefficients ``coeffs`` at one
-    barycentric point in every element, shape (nt,)."""
-    return coeffs[space.elem_dofs] @ shape_values(space.degree, bary)
-
-
 def element_gradients(space: FeSpace, c: np.ndarray, bary) -> np.ndarray:
     """Gradient of every element's function at q barycentric points.
 
@@ -242,11 +236,3 @@ def block_laplacians(space: FeSpace, c: np.ndarray) -> np.ndarray:
     summed in dof order whatever the layout of ``c``.  Zero for P1."""
     lap_phi = space.grad_products.reshape(-1, 9) @ _REF_TABLES[space.degree][1]
     return sum(c[..., a] * lap_phi[:, a] for a in range(lap_phi.shape[1]))
-
-
-def from_free_vector(space: FeSpace, vec: np.ndarray) -> np.ndarray:
-    """Expand free-dof coefficients, a vector or an (n_free, k) block, to
-    coefficients over all dofs, zero on the Dirichlet ones."""
-    coeffs = np.zeros((space.n_dofs,) + vec.shape[1:])
-    coeffs[space.free] = vec
-    return coeffs

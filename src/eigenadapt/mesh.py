@@ -358,17 +358,6 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
     return out
 
 
-def uniform_refine(tri: Triangulation) -> Triangulation:
-    """Quarter every element.
-
-    On meshes whose refinement edges are mutually paired (the structured
-    initial meshes and their uniform refinements) this quadruples the element
-    count and adds 2 to every generation.
-    """
-    return refine(tri, MarkSet(np.arange(tri.n_elements, dtype=np.int64)),
-                  "nvb", "quarter")
-
-
 def min_angle_deg(tri: Triangulation) -> float:
     """Smallest interior angle of the mesh, in degrees.
 

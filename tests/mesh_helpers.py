@@ -2,16 +2,16 @@
 
 ``assign_refinement_edges`` labels hand-built meshes by the longest-edge
 rule; ``initial_mesh`` needs no labelling, because its lattice meshes are
-matched by construction, which ``is_matched`` tests.  ``check_neighbors`` is
-an oracle for the neighbor table that shares no code with the mesh kernel's
-edge sort, and ``check_nested`` asserts that every child lies inside its
-parent.
+matched by construction, which ``is_matched`` tests.  ``uniform_refine``
+quarters every element.  ``check_neighbors`` is an oracle for the neighbor
+table that shares no code with the mesh kernel's edge sort, and
+``check_nested`` asserts that every child lies inside its parent.
 """
 
 import numpy as np
 import scipy.sparse
 
-from eigenadapt.mesh import LOCAL_EDGES, _edge_keys
+from eigenadapt.mesh import LOCAL_EDGES, MarkSet, _edge_keys, refine
 
 
 def assign_refinement_edges(coords, tris) -> np.ndarray:
@@ -32,6 +32,17 @@ def assign_refinement_edges(coords, tris) -> np.ndarray:
                         np.repeat(np.arange(len(tris)), 3)))
     best = order[::3] % 3
     return np.take_along_axis(tris, (best[:, None] + np.arange(3)) % 3, axis=1)
+
+
+def uniform_refine(tri):
+    """Quarter every element.
+
+    On meshes whose refinement edges are mutually paired (the structured
+    initial meshes and their uniform refinements) this quadruples the element
+    count and adds 2 to every generation.
+    """
+    return refine(tri, MarkSet(np.arange(tri.n_elements, dtype=np.int64)),
+                  "nvb", "quarter")
 
 
 def is_matched(tri) -> bool:

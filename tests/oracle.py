@@ -1,10 +1,11 @@
-"""Independent verification oracles on the unit square.
+"""Independent verification oracles on the unit square and on rectangles.
 
-Provides analytic Dirichlet eigenpairs of the square, the Ritz projection
-onto the FE space (solving the constrained stiffness system with a
-quadrature right-hand side), the M-orthogonal projection onto a computed
-cluster span, sampled max-norm errors, and a per-level reliability and
-efficiency table pairing the pointwise estimator with sampled errors.
+Provides analytic Dirichlet eigenpairs of the rectangle (0,1)x(0,b), the
+Ritz projection onto the FE space (solving the constrained stiffness system
+with a quadrature right-hand side), the M-orthogonal projection onto a
+computed cluster span, sampled max-norm errors on one barycentric lattice,
+and a per-level reliability and efficiency table pairing the pointwise
+estimator with sampled errors (acceptance criterion 6).
 
 All right-hand-side integrals use an embedded 16-point symmetric triangle
 rule exact to polynomial degree 8.
@@ -17,14 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import EXTRA_PAIRS
-from .eigen import ClusterSelection, EigenPairSet, factorize_spd, solve_smallest
-from .errors import SolverError
-from .estimator import eta_pointwise
-from .fem import (FeSpace, assemble, build_space, from_free_vector,
-                  shape_values, values_at_bary)
-from .geometry import builtin_domain, initial_mesh
-from .mesh import uniform_refine
+from eigenadapt.adapt import EXTRA_PAIRS
+from eigenadapt.eigen import (ClusterSelection, EigenPairSet, factorize_spd,
+                              solve_smallest)
+from eigenadapt.errors import SolverError
+from eigenadapt.estimator import eta_pointwise
+from eigenadapt.fem import FeSpace, assemble, build_space, shape_values
+from eigenadapt.geometry import builtin_domain, initial_mesh
+
+from fe_helpers import from_free_vector, values_at_bary
+from mesh_helpers import uniform_refine
 
 # 16-point symmetric triangle quadrature, exact to total degree 8
 # (Lyness-Jespersen family; tabulated by Dunavant, IJNME 21 (1985), rule 8).
@@ -63,14 +66,16 @@ def triangle_quadrature() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SquareEigenpair:
-    """Analytic Dirichlet eigenpair of the unit square.
+    """Analytic Dirichlet eigenpair of the rectangle (0,1)x(0,b).
 
-    lam = (m^2 + n^2) pi^2 with L2-normalized eigenfunction
-    u(x, y) = 2 sin(m pi x) sin(n pi y).
+    lam = (m^2 + n^2 / b^2) pi^2 with L2-normalized eigenfunction
+    u(x, y) = (2 / sqrt(b)) sin(m pi x) sin(n pi y / b); the default b = 1
+    is the unit square.
     """
 
     m: int
     n: int
+    b: float = 1.0
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -78,24 +83,27 @@ class SquareEigenpair:
 
     @property
     def lam(self) -> float:
-        return (self.m ** 2 + self.n ** 2) * math.pi ** 2
+        return (self.m ** 2 + self.n ** 2 / self.b ** 2) * math.pi ** 2
 
     def __call__(self, x, y):
-        return 2.0 * np.sin(self.m * np.pi * np.asarray(x)) \
-            * np.sin(self.n * np.pi * np.asarray(y))
+        scale = 2.0 / math.sqrt(self.b)
+        return scale * np.sin(self.m * np.pi * np.asarray(x)) \
+            * np.sin(self.n * np.pi * np.asarray(y) / self.b)
 
 
-def square_modes(count: int) -> list[SquareEigenpair]:
-    """First ``count`` analytic square modes in ascending eigenvalue order.
+def square_modes(count: int, b: float = 1.0) -> list[SquareEigenpair]:
+    """First ``count`` analytic modes of (0,1)x(0,b) in ascending eigenvalue
+    order.
 
-    Ties (m^2 + n^2 equal) are ordered by m, fixing a deterministic basis
-    enumeration for multiple eigenvalues.
+    Ties (m^2 + n^2 / b^2 equal) are ordered by m, fixing a deterministic
+    basis enumeration for multiple eigenvalues.  Needs b >= 1: the square's
+    range of m, and n stretched by b, then hold the first ``count`` modes.
     """
     k = max(count, 1)
     bound = int(math.isqrt(2 * k + 16)) + 3
-    modes = sorted(((m * m + n * n, m, n)
-                    for m in range(1, bound) for n in range(1, bound)))
-    return [SquareEigenpair(m, n) for _, m, n in modes[:count]]
+    modes = sorted(((m * m + n * n / b ** 2, m, n) for m in range(1, bound)
+                    for n in range(1, math.ceil(b * bound))))
+    return [SquareEigenpair(m, n, b) for _, m, n in modes[:count]]
 
 
 def _quadrature_rhs(space: FeSpace, source) -> np.ndarray:
@@ -147,10 +155,12 @@ def cluster_project(space: FeSpace, r: np.ndarray, pairs: EigenPairSet,
     return from_free_vector(space, out)
 
 
-def _bary_lattice(order: int) -> np.ndarray:
-    pts = [(i / order, j / order, (order - i - j) / order)
-           for i in range(order + 1) for j in range(order + 1 - i)]
-    return np.array(pts)
+def bary_lattice(order: int) -> np.ndarray:
+    """The (order + 1)(order + 2) / 2 barycentric points (i, j, order - i - j)
+    / order of a triangle, i outer and j inner."""
+    return np.asarray([(i / order, j / order, (order - i - j) / order)
+                       for i in range(order + 1)
+                       for j in range(order + 1 - i)])
 
 
 def linf_error(exact, space: FeSpace, coeffs: np.ndarray,
@@ -165,12 +175,27 @@ def linf_error(exact, space: FeSpace, coeffs: np.ndarray,
         raise ValueError("lattice order must be >= 4")
     coords = space.tri.coords[space.tri.tris]
     worst = 0.0
-    for b in _bary_lattice(samples_per_element):
+    for b in bary_lattice(samples_per_element):
         X = np.einsum("c,tcd->td", b, coords)
         ex = np.asarray(exact(X[:, 0], X[:, 1]), dtype=np.float64)
         err = np.abs(ex - values_at_bary(space, coeffs, b))
         worst = max(worst, float(np.max(err)))
     return worst
+
+
+def cluster_errors(space: FeSpace, pairs: EigenPairSet,
+                   cluster: ClusterSelection, M, modes, lu,
+                   samples_per_element: int) -> list[float]:
+    """Sampled max error of each analytic mode u_j, j in the cluster, against
+    the M-orthogonal projection of its Ritz projection onto the discrete
+    cluster span.  ``modes[j - 1]`` is u_j and ``lu`` factors the stiffness
+    matrix."""
+    errs = []
+    for u in modes[cluster.lo - 1:cluster.hi]:
+        r = ritz_project(space, u, lu)
+        lam_u = cluster_project(space, r, pairs, cluster, M)
+        errs.append(linf_error(u, space, lam_u, samples_per_element))
+    return errs
 
 
 @dataclass
@@ -198,12 +223,10 @@ def reliability_efficiency_report(
         eig_tol: float = 1e-9, seed: int = 0) -> ReliabilityReport:
     """Track estimator vs sampled errors under uniform square refinement.
 
-    At each level the cluster eigenpairs are computed, each analytic
-    eigenfunction u_j (j in the cluster) is approximated by the
-    M-orthogonal projection of its Ritz projection onto the discrete
-    cluster span, and the sampled max error is compared with the pointwise
-    estimator.  Bounded ratio bands across levels are the testable content
-    of reliability and efficiency at this scale.
+    At each level the cluster eigenpairs are computed and the sampled
+    ``cluster_errors`` are compared with the pointwise estimator.  Bounded
+    ratio bands across levels are the testable content of reliability and
+    efficiency at this scale.
     """
     tri = initial_mesh(builtin_domain("unit_square"), n0)
     modes = square_modes(cluster.hi)
@@ -211,18 +234,14 @@ def reliability_efficiency_report(
     for level in range(levels):
         space = build_space(tri, degree)
         A, M = assemble(space)
-        lu = factorize_spd(A)
         m = min(cluster.hi + EXTRA_PAIRS, space.free.size)
-        pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed, lu=lu)
+        pairs = solve_smallest(A, M, m, tol=eig_tol, seed=seed)
         if pairs.values.size < cluster.hi:
             raise SolverError("space too small for the requested cluster")
         rep = eta_pointwise(space, pairs, cluster)
-        errs = []
-        for j in range(cluster.lo, cluster.hi + 1):
-            u = modes[j - 1]
-            r = ritz_project(space, u, lu)
-            lam_u = cluster_project(space, r, pairs, cluster, M)
-            errs.append(linf_error(u, space, lam_u, samples_per_element))
+        lu = factorize_spd(A)
+        errs = cluster_errors(space, pairs, cluster, M, modes, lu,
+                              samples_per_element)
         err_max, err_sum = max(errs), sum(errs)
         rows.append(ReliabilityRow(
             level=level, ndof=int(space.free.size), eta=rep.eta_max,

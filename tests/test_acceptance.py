@@ -19,19 +19,18 @@ from eigenadapt.adapt import AdaptConfig, fit_rate, run
 from eigenadapt.cli import execute_run, preset_configs
 from eigenadapt.eigen import ClusterSelection, solve_smallest
 from eigenadapt.estimator import eta_pointwise_functions
-from eigenadapt.fem import assemble, block_laplacians, build_space, values_at_bary
+from eigenadapt.fem import assemble, block_laplacians, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import (
     MarkSet,
     max_adjacent_gen_diff,
     min_angle_deg,
     refine,
-    uniform_refine,
 )
-from eigenadapt.verify import reliability_efficiency_report
 
-from fe_helpers import evaluate_gradient
-from mesh_helpers import check_neighbors
+from fe_helpers import evaluate_gradient, values_at_bary
+from mesh_helpers import check_neighbors, uniform_refine
+from oracle import bary_lattice, reliability_efficiency_report
 
 
 @contextlib.contextmanager
@@ -212,12 +211,6 @@ def test_criterion_6_reliability_efficiency_bands():
             f"rel x{a:.2f}/eff x{b:.2f}" for a, b in spreads))
 
 
-def _bary_lattice(order=20):
-    return np.asarray([(i / order, j / order, (order - i - j) / order)
-                       for i in range(order + 1)
-                       for j in range(order + 1 - i)])
-
-
 def _sampled_eta(space, lam, coeffs, lattice, edge_ts):
     """Lattice-sampled pointwise estimator, a lower bound of the exact one."""
     tri = space.tri
@@ -259,7 +252,7 @@ def test_criterion_7_estimator_exactness():
     detail = []
     with verdict(7, detail):
         rng = np.random.default_rng(42)
-        lattice = _bary_lattice(20)
+        lattice = bary_lattice(20)
         edge_ts = np.linspace(0.0, 1.0, 7)
         spaces = [build_space(initial_mesh(builtin_domain("unit_square"), 2), k)
                   for k in (1, 2)]

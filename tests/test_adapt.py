@@ -34,7 +34,9 @@ from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
 from eigenadapt.errors import ConfigError, SolverError
 from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
-from eigenadapt.mesh import MarkSet, Triangulation, refine, uniform_refine
+from eigenadapt.mesh import MarkSet, Triangulation, refine
+
+from mesh_helpers import uniform_refine
 
 # frozen reference decay of the pointwise estimator on the L-shape run
 # (levels 0, 4, 8, 12, 16): dof counts and global estimator values

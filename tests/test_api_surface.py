@@ -20,7 +20,6 @@ SRC = Path(eigenadapt.__file__).resolve().parent
 ALLOWED = {
     "mesh.check_mesh": "the benchmark worker checks every final mesh",
     "mesh.min_angle_deg": "acceptance criterion 8 bounds the angles",
-    "verify.reliability_efficiency_report": "acceptance criterion 6",
 }
 
 

@@ -12,10 +12,11 @@ from eigenadapt.estimator import (
     eta_pointwise,
     eta_pointwise_functions,
 )
-from eigenadapt.fem import assemble, block_laplacians, build_space, values_at_bary
+from eigenadapt.fem import assemble, block_laplacians, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
 
-from fe_helpers import evaluate_gradient
+from fe_helpers import evaluate_gradient, values_at_bary
+from oracle import bary_lattice
 
 # golden level-0 values on the omega1 n=8 mesh, J = {12, 13}, frozen from
 # the dense-oracle-verified solve in this repository
@@ -159,20 +160,11 @@ def test_energy_quadrature_oracle_p2(square_p2):
     np.testing.assert_allclose(rep.eta, oracle, rtol=1e-12, atol=1e-14)
 
 
-def _bary_lattice(n=20):
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = n - i - j
-            pts.append((i / n, j / n, k / n))
-    return np.asarray(pts)
-
-
 def _sampled_elem_part(space, lam, coeffs):
     """Lattice-sampled h^2 max |lam u + Laplace u| per element."""
     lap = block_laplacians(space, coeffs[space.elem_dofs])
     best = np.zeros(space.tri.n_elements)
-    for bary in _bary_lattice():
+    for bary in bary_lattice(20):
         vals = np.abs(lam * values_at_bary(space, coeffs, bary) + lap)
         np.maximum(best, vals, out=best)
     return space.tri.h ** 2 * best

@@ -19,7 +19,9 @@ from eigenadapt.estimator import (eta_energy, eta_energy_functions,
 from eigenadapt.fem import (_MASS_REF, assemble, block_laplacians, build_space,
                             shape_derivatives, shape_values)
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import LOCAL_EDGES, uniform_refine
+from eigenadapt.mesh import LOCAL_EDGES
+
+from mesh_helpers import uniform_refine
 
 _INTERIOR_EPS = 1e-12
 

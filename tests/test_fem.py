@@ -10,15 +10,14 @@ from eigenadapt.fem import (
     block_laplacians,
     build_space,
     element_gradients,
-    from_free_vector,
     local_matrices,
     shape_values,
-    values_at_bary,
 )
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import LOCAL_EDGES, MarkSet, Triangulation, refine
 
-from fe_helpers import evaluate_gradient, interpolate
+from fe_helpers import (evaluate_gradient, from_free_vector, interpolate,
+                        values_at_bary)
 from mesh_helpers import assign_refinement_edges
 
 

@@ -16,7 +16,9 @@ import pytest
 from eigenadapt.adapt import AdaptConfig, run
 from eigenadapt.fem import assemble, barycentric_gradients, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import LOCAL_EDGES, Triangulation, uniform_refine
+from eigenadapt.mesh import LOCAL_EDGES, Triangulation
+
+from mesh_helpers import uniform_refine
 
 
 def _tangents(tri):

@@ -21,12 +21,11 @@ from eigenadapt.mesh import (
     min_angle_deg,
     read_mesh,
     refine,
-    uniform_refine,
     write_mesh,
 )
 
 from mesh_helpers import (assign_refinement_edges, check_neighbors,
-                          check_nested, is_matched)
+                          check_nested, is_matched, uniform_refine)
 
 
 def _single_triangle():

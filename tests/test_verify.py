@@ -1,17 +1,24 @@
-"""Verification oracle tests: quadrature, analytic modes, projections."""
+"""Verification oracle tests: quadrature, analytic modes, projections, and
+the cluster estimator's bands as the gap inside the cluster closes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from eigenadapt.eigen import ClusterSelection, solve_smallest
-from eigenadapt.fem import assemble, build_space, from_free_vector
+from eigenadapt.eigen import ClusterSelection, factorize_spd, solve_smallest
+from eigenadapt.estimator import eta_pointwise
+from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import uniform_refine
-from eigenadapt.verify import (
+from eigenadapt.marking import mark_max
+from eigenadapt.mesh import Triangulation, refine
+
+from fe_helpers import from_free_vector, interpolate
+from mesh_helpers import uniform_refine
+from oracle import (
     ReliabilityReport,
     SquareEigenpair,
+    cluster_errors,
     cluster_project,
     linf_error,
     poisson_ritz,
@@ -20,8 +27,6 @@ from eigenadapt.verify import (
     square_modes,
     triangle_quadrature,
 )
-
-from fe_helpers import interpolate
 
 PI2 = math.pi * math.pi
 
@@ -174,8 +179,8 @@ def test_reliability_report_smoke():
 
 
 def test_reliability_report_assembles_and_factors_once_per_level(monkeypatch):
-    import eigenadapt.eigen as eigen_mod
-    import eigenadapt.verify as verify_mod
+    # counts the oracle's own Ritz factor; solve_smallest factors A again
+    import oracle as oracle_mod
 
     calls = {"assemble": 0, "factorize_spd": 0}
 
@@ -185,11 +190,53 @@ def test_reliability_report_assembles_and_factors_once_per_level(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(verify_mod, "assemble",
-                        counted("assemble", verify_mod.assemble))
-    factor = counted("factorize_spd", eigen_mod.factorize_spd)
-    monkeypatch.setattr(verify_mod, "factorize_spd", factor)
-    monkeypatch.setattr(eigen_mod, "factorize_spd", factor)
+    for name in calls:
+        monkeypatch.setattr(oracle_mod, name,
+                            counted(name, getattr(oracle_mod, name)))
     reliability_efficiency_report(ClusterSelection(2, 3), levels=4, n0=4,
                                   samples_per_element=4)
     assert calls == {"assemble": 4, "factorize_spd": 4}
+
+
+def _rectangle_mesh(b):
+    """The unit_square n = 8 mesh with y scaled by b: still matched, with
+    the area law recomputed."""
+    tri = initial_mesh(builtin_domain("unit_square"), 8)
+    return Triangulation.from_arrays(tri.coords * [1.0, b], tri.tris,
+                                     gen=tri.gen)
+
+
+def test_cluster_bands_do_not_depend_on_the_gap():
+    """The constants do not depend on the gap inside the cluster.
+
+    On (0,1)x(0,b), lambda_2 (mode (1,2)) and lambda_3 (mode (2,1)) are
+    split by 3 pi^2 (1 - 1/b^2).  Six P1 levels of maximum marking on the
+    J = 2..3 pointwise estimator, for each b: the pooled ratios of the
+    cluster estimator stay within one band, while the single-eigenvalue
+    estimator J = 2..2 on the same meshes fails by orders of magnitude
+    when the gap nearly closes.
+    """
+    band_factor = 10.0
+    pair, single = ClusterSelection(2, 3), ClusterSelection(2, 2)
+    rel, eff, single_rel = [], [], []
+    for b in (1.0, 1.0 + 1e-4, 1.0 + 1e-3, 1.01, 1.1):
+        modes = square_modes(3, b)
+        tri = _rectangle_mesh(b)
+        for level in range(6):
+            space = build_space(tri, 1)
+            A, M = assemble(space)
+            pairs = solve_smallest(A, M, 6)
+            lu = factorize_spd(A)
+            rep = eta_pointwise(space, pairs, pair)
+            errs = cluster_errors(space, pairs, pair, M, modes, lu, 6)
+            rel.append(max(errs) / rep.eta_max)
+            eff.append(rep.eta_max / sum(errs))
+            if b == 1.0 + 1e-4:
+                err, = cluster_errors(space, pairs, single, M, modes, lu, 6)
+                eta = eta_pointwise(space, pairs, single).eta_max
+                single_rel.append(err / eta)
+            if level < 5:
+                tri = refine(tri, mark_max(rep, 0.5), "nvb", "quarter")
+    assert max(rel) <= band_factor * min(rel), rel
+    assert max(eff) <= band_factor * min(eff), eff
+    assert max(single_rel) >= 10.0 * max(rel), single_rel
