@@ -437,8 +437,9 @@ def fit_rate_levels(levels, ndof, eta,
 
     ``window`` restricts to an inclusive level range whose ends may be None
     (open); without it, all levels with at least ``min_dof`` free dofs
-    enter.  Levels with a non-finite or non-positive eta never enter.
-    Raises ValueError unless >= 3 levels are usable.
+    enter.  Levels with a non-positive ndof or a non-finite or
+    non-positive eta never enter.  Raises ValueError unless >= 3 levels
+    are usable and their ndof take at least two values.
     """
     levels, ndof, eta = (np.asarray(a, dtype=np.float64)
                          for a in (levels, ndof, eta))
@@ -451,10 +452,13 @@ def fit_rate_levels(levels, ndof, eta,
             keep &= levels >= first
         if last is not None:
             keep &= levels <= last
-    keep &= np.isfinite(eta) & (eta > 0.0)
+    keep &= (ndof > 0.0) & np.isfinite(eta) & (eta > 0.0)
     if np.count_nonzero(keep) < 3:
         raise ValueError(
             f"rate fit needs >= 3 usable levels, have {np.count_nonzero(keep)}")
+    if np.unique(ndof[keep]).size < 2:
+        raise ValueError(f"rate fit needs >= 2 distinct ndof, all usable "
+                         f"levels have {ndof[keep][0]:.0f}")
     return fit_loglog_slope(ndof[keep], eta[keep]), keep
 
 

@@ -18,7 +18,9 @@ nearest the shift (spectrum slicing, Ericsson and Ruhe, Math. Comp. 35
 (1980)).  The window's place in the spectrum comes from the factor's
 inertia: with no row interchanges, U's diagonal is the D of an LDL^T
 factorization, and by Sylvester's law its negative entries count the
-eigenvalues below the shift.  A factor that interchanged rows, or whose
+eigenvalues below the shift.  The count is read after the Lanczos run:
+reading U builds CSC copies of L and U, which then never share the memory
+peak with ARPACK's basis.  A factor that interchanged rows, or whose
 smallest pivot is tiny against the largest, cannot be trusted for that
 count and raises SolverError; so does a shift on an eigenvalue.  The
 adaptive loop then falls back to the lowest eigenpairs.
@@ -153,18 +155,15 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
 
 
-def _shifted_factor(A, M, shift: float
-                    ) -> tuple[scipy.sparse.linalg.SuperLU, int]:
-    """``factorize_spd`` of the indefinite A - shift M, and its number of
-    negative pivots: the count of eigenvalues below the shift.
+def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
+    """Number of negative pivots of ``factorize_spd`` of A - shift M: the
+    count of eigenvalues below the shift.
 
     The count holds only for a factor without row interchanges and with
     pivots bounded away from zero; otherwise SolverError is raised.
+    Reading ``lu.U`` builds CSC copies of L and U that live as long as the
+    factor.
     """
-    shifted = A - shift * M
-    lu = factorize_spd(shifted)
-    # reading U builds CSC copies of L and U that live as long as the factor
-    del shifted
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             f"factor at shift {shift:.9g} interchanged rows; its inertia "
@@ -175,7 +174,7 @@ def _shifted_factor(A, M, shift: float
         raise SolverError(
             f"shift {shift:.9g} lies on an eigenvalue (smallest pivot "
             f"{ratio:.3e} of the largest)")
-    return lu, int(np.count_nonzero(pivots < 0.0))
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
@@ -190,7 +189,9 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     are then recomputed, and any one above ``tol`` raises SolverError.  The
     result's ``first`` is the 1-based index of its lowest value: the number
     of negative pivots of the factor (the eigenvalues below the shift),
-    minus the computed values below the shift, plus one.
+    minus the computed values below the shift, plus one.  The pivots are
+    counted after the Lanczos run, and the factor is released before the
+    residuals are checked.
 
     Parameters
     ----------
@@ -218,11 +219,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         values = dense_vals[keep]
         vectors = dense_vecs[:, keep]
     else:
-        below = 0
-        if shift != 0.0:
-            lu, below = _shifted_factor(A, M, shift)
-        else:
-            lu = factorize_spd(A)
+        lu = factorize_spd(A - shift * M if shift != 0.0 else A)
         OPinv = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
@@ -234,6 +231,10 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
             raise SolverError(
                 f"Lanczos failed to converge for {m} pairs on dimension {n}: "
                 f"{exc}") from exc
+        # counted only after the Lanczos run, so the CSC copies of L and U
+        # that reading the pivots builds never coexist with ARPACK's basis
+        below = _negative_pivots(lu, shift) if shift != 0.0 else 0
+        del lu, OPinv
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]

@@ -217,6 +217,13 @@ _HISTORY_ROWS = ["0,100,20,1.0,nan,19.0,5,0.3,0.3,1.0,1.0,1.0,1.0",
                  "2,1600,320,0.25,nan,17.5,9,0.1,0.05,1.0,1.0,1.0,1.0"]
 
 
+def _history_with_ndof(ndofs):
+    rows = [row.split(",") for row in _HISTORY_ROWS]
+    for row, ndof in zip(rows, ndofs, strict=True):
+        row[1] = str(ndof)
+    return "\n".join([_HISTORY_HEADER] + [",".join(r) for r in rows]) + "\n"
+
+
 @pytest.mark.parametrize("column", ["level", "ndof", "eta_pointwise"])
 def test_rate_rejects_history_without_column(tmp_path, capsys, column):
     keep = [i for i, c in enumerate(_HISTORY_HEADER.split(",")) if c != column]
@@ -321,6 +328,12 @@ _SQUARE = "polygon\n0 0\n1 0\n1 1\n0 1\n"
     (["rate", "--history", "{f}", "--field", "pointwise"],
      "\n".join([_HISTORY_HEADER, _HISTORY_ROWS[0], "1,400,80"]) + "\n",
      "malformed row '1,400,80"),
+    (["rate", "--history", "{f}", "--field", "pointwise"],
+     _history_with_ndof([2000, 2000, 2000]),
+     "rate fit needs >= 2 distinct ndof"),
+    (["rate", "--history", "{f}", "--field", "pointwise", "--from-level", "0"],
+     _history_with_ndof([-5, 0, 3]),
+     "rate fit needs >= 3 usable levels, have 1"),
     (["mesh", "svg", "--out", "{d}/mesh.svg"], "",
      "need either --path or --domain"),
     (["mesh", "load", "--path", "{f}"],
@@ -331,8 +344,9 @@ _SQUARE = "polygon\n0 0\n1 0\n1 1\n0 1\n"
      "4 0 1 0\n4 1 2 0\n4 2 3 0\n4 3 0 0\n",
      "dirichlet flags do not match boundary edges"),
 ], ids=["polygon-argument", "slit-arity", "slit-float", "polygon-float",
-        "unparsable-line", "short-polygon", "history-row", "mesh-source",
-        "clockwise-triangle", "interior-dirichlet-vertex"])
+        "unparsable-line", "short-polygon", "history-row", "history-one-ndof",
+        "history-nonpositive-ndof", "mesh-source", "clockwise-triangle",
+        "interior-dirichlet-vertex"])
 def test_exit_code_2_on_malformed_input(tmp_path, capsys, argv, text, message):
     bad = tmp_path / "input.txt"
     bad.write_text(text)

@@ -1,5 +1,7 @@
 """Generalized eigensolver and separation diagnostic tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -300,11 +302,35 @@ def test_window_on_the_dense_path():
     np.testing.assert_allclose(win.values, dense[1:3], rtol=1e-12)
 
 
-def test_shift_on_an_eigenvalue_is_a_solver_error():
-    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 8), 1))
+@pytest.mark.parametrize("rel", [0.0, 1e-15, 1e-13])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_shift_on_an_eigenvalue_is_a_solver_error(degree, rel):
+    # the inertia is read after the Lanczos run on the near-singular factor;
+    # its error must still be the one raised
+    space = build_space(initial_mesh(builtin_domain("unit_square"), 8), degree)
+    A, M = assemble(space)
     full = solve_smallest(A, M, 8)
-    with pytest.raises(SolverError, match="eigenvalue|singular"):
-        solve_smallest(A, M, 4, shift=full.values[4])
+    with pytest.raises(SolverError, match="lies on an eigenvalue"):
+        solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
+
+
+def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed():
+    # reading the pivots builds CSC copies of L and U (about 12 bytes per
+    # nonzero); they must not coexist with ARPACK's basis (20 vectors)
+    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 32), 2))
+    n = A.shape[0]
+    low = solve_smallest(A, M, 8)
+    shift = 0.5 * (low.values[3] + low.values[6])
+    copies = factorize_spd(A - shift * M).nnz * 12
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pairs = solve_smallest(A, M, 4, shift=shift)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (n, pairs.first) == (3969, 4)
+    assert peak < copies + 20 * n * 8
 
 
 def test_shift_zero_first_index_and_factor_reuse(square_ops):
