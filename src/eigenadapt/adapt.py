@@ -9,6 +9,11 @@ level (see ``_solve_level``).  Inside each numerically multiple eigenvalue
 the basis is then rotated by the ``x^2 - y^2`` moments about the centre of
 the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
 the config only, not on the basis the solver returns there.
+A level is one call of ``_level`` (build the space, assemble, solve,
+rotate, estimate, then mark) followed by ``refine``.  The space, A, M and
+the estimator reports are locals of that call, so the next level inherits
+only the refined mesh and the level's eigenpairs (the next window's
+shift); the history keeps its rows and the snapshots.
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -35,7 +40,7 @@ from .fem import assemble, build_space
 from .geometry import initial_mesh, resolve_domain, slit_tips
 from .marking import mark_doerfler, mark_max
 from .mesh import (MAX_ADJACENT_GEN_DIFF, REFINE_STRATEGIES, SUBDIVISIONS,
-                   Triangulation, refine)
+                   MarkSet, Triangulation, refine)
 
 log = logging.getLogger(__name__)
 
@@ -247,22 +252,32 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and prev.last > cluster.hi
             and m == cluster.hi + EXTRA_PAIRS):
-        lo, hi = _window(cluster, prev)
-        old = prev.values[prev.positions(lo, hi)]
-        shift = 0.5 * (old[0] + old[-1])
-        try:
-            pairs = solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
-                                   seed=config.seed, shift=shift)
-        except SolverError as exc:
-            reason = str(exc)
-        else:
-            if pairs.first == lo and np.all(pairs.values <= old):
-                return pairs
-            reason = (f"window {pairs.first}..{pairs.last}, values "
-                      f"{pairs.values.tolist()} against {old.tolist()}")
-        log.debug("window at shift %.9g rejected (%s); solving for the "
-                  "lowest %d pairs", shift, reason, m)
+        pairs = _window_pairs(A, M, cluster, prev, config, m)
+        if pairs is not None:
+            return pairs
     return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed)
+
+
+def _window_pairs(A, M, cluster: ClusterSelection, prev: EigenPairSet,
+                  config: AdaptConfig, m: int) -> EigenPairSet | None:
+    """The window solve of ``_solve_level``, or None when it is rejected;
+    a rejected window's pairs are released before the fallback solve."""
+    lo, hi = _window(cluster, prev)
+    old = prev.values[prev.positions(lo, hi)]
+    shift = 0.5 * (old[0] + old[-1])
+    try:
+        pairs = solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
+                               seed=config.seed, shift=shift)
+    except SolverError as exc:
+        reason = str(exc)
+    else:
+        if pairs.first == lo and np.all(pairs.values <= old):
+            return pairs
+        reason = (f"window {pairs.first}..{pairs.last}, values "
+                  f"{pairs.values.tolist()} against {old.tolist()}")
+    log.debug("window at shift %.9g rejected (%s); solving for the "
+              "lowest %d pairs", shift, reason, m)
+    return None
 
 
 def _moment_weight(space) -> np.ndarray:
@@ -301,6 +316,83 @@ def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
     return out
 
 
+def _assemble_and_solve(space, level: int, prev: EigenPairSet | None,
+                        cluster: ClusterSelection, config: AdaptConfig
+                        ) -> tuple[EigenPairSet, float, float]:
+    """Assemble and solve one level, and fix the basis inside its multiple
+    eigenvalues; returns the pairs and the assembly and solve times in ms.
+    A and M are released on return."""
+    t0 = time.monotonic()
+    A, M = assemble(space)
+    t1 = time.monotonic()
+    pairs = _solve_level(A, M, cluster, prev, config)
+    _rotate_multiple(space, A, M, pairs, level, config)
+    return pairs, (t1 - t0) * 1e3, (time.monotonic() - t1) * 1e3
+
+
+def _mark(primary: EstimatorReport, ndof: int, level: int,
+          config: AdaptConfig) -> tuple[str | None, MarkSet | None]:
+    """The stop criterion that holds after a level, or else the elements
+    the primary report marks; a report that marks none stops the run."""
+    if config.eta_target > 0.0 and primary.eta_global <= config.eta_target:
+        return "eta_target", None
+    if ndof >= config.max_dof:
+        return "max_dof", None
+    if level == config.max_levels:
+        return "max_levels", None
+    if config.marking == "max":
+        marked = mark_max(primary, config.theta)
+    else:
+        marked = mark_doerfler(primary, config.theta, bulk=config.doerfler_bulk)
+    if marked.elements.size == 0:
+        return "estimator_zero", None
+    return None, marked
+
+
+def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
+           cluster: ClusterSelection, config: AdaptConfig
+           ) -> tuple[EigenPairSet, LevelRecord, str | None, MarkSet | None]:
+    """Build the space on ``tri``, assemble, solve, rotate and estimate,
+    then mark: the level's pairs, its history row, the stop reason (None
+    to go on) and the marked elements (None on a stop).  The space, A, M
+    and the reports are locals of this call and of the steps it makes, so
+    none of them is left when the mesh is refined."""
+    space = build_space(tri, config.degree)
+    ndof = int(space.free.size)
+    if level == 0 and ndof >= config.max_dof:
+        raise ConfigError(
+            f"max_dof ({config.max_dof}) must exceed the initial dof "
+            f"count ({ndof})")
+    if level == 0 and ndof < cluster.hi:
+        raise ConfigError(
+            f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
+            f"({ndof})")
+    pairs, t_assemble, t_solve = _assemble_and_solve(space, level, prev,
+                                                     cluster, config)
+
+    t0 = time.monotonic()
+    want_pw = config.estimator == "pointwise" or config.record_secondary_estimator
+    want_en = config.estimator == "energy" or config.record_secondary_estimator
+    rep_pw = eta_pointwise(space, pairs, cluster) if want_pw else None
+    rep_en = eta_energy(space, pairs, cluster) if want_en else None
+    t_estimate = (time.monotonic() - t0) * 1e3
+
+    row = LevelRecord(
+        level=level, ndof=ndof, nelem=int(tri.tris.shape[0]),
+        eta_pointwise=rep_pw.eta_global if rep_pw else math.nan,
+        eta_energy=rep_en.eta_global if rep_en else math.nan,
+        lambdas=tuple(float(v) for v in
+                      pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
+        marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
+        t_assemble_ms=t_assemble, t_solve_ms=t_solve,
+        t_estimate_ms=t_estimate, t_refine_ms=0.0)
+    stop, marked = _mark(rep_pw if config.estimator == "pointwise" else rep_en,
+                         ndof, level, config)
+    if marked is not None:
+        row.marked = int(marked.elements.size)
+    return pairs, row, stop, marked
+
+
 def run(config: AdaptConfig) -> AdaptHistory:
     """Execute the adaptive loop defined by ``config``.
 
@@ -326,38 +418,14 @@ def run(config: AdaptConfig) -> AdaptHistory:
     pairs = final_mesh = None
 
     for level in range(config.max_levels + 1):
-        space = build_space(tri, config.degree)
-        ndof = int(space.free.size)
-        if level == 0 and ndof >= config.max_dof:
-            raise ConfigError(
-                f"max_dof ({config.max_dof}) must exceed the initial dof "
-                f"count ({ndof})")
-        if level == 0 and ndof < cluster.hi:
-            raise ConfigError(
-                f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
-                f"({ndof})")
-
-        t0 = time.monotonic()
-        A, M = assemble(space)
-        t_assemble = (time.monotonic() - t0) * 1e3
-        t0 = time.monotonic()
         try:
-            solved = _solve_level(A, M, cluster, pairs, config)
-            _rotate_multiple(space, A, M, solved, level, config)
+            pairs, row, stop_reason, marked = _level(tri, level, pairs,
+                                                     cluster, config)
         except SolverError as exc:
             stop_reason, failure = "solver_failure", str(exc)
             break
-        pairs, final_mesh = solved, tri
-        t_solve = (time.monotonic() - t0) * 1e3
-
-        t0 = time.monotonic()
-        want_pw = config.estimator == "pointwise" or config.record_secondary_estimator
-        want_en = config.estimator == "energy" or config.record_secondary_estimator
-        rep_pw = eta_pointwise(space, pairs, cluster) if want_pw else None
-        rep_en = eta_energy(space, pairs, cluster) if want_en else None
-        primary: EstimatorReport = rep_pw if config.estimator == "pointwise" else rep_en
-        t_estimate = (time.monotonic() - t0) * 1e3
-
+        final_mesh = tri
+        rows.append(row)
         if tri.tris.shape[0] > snapshot_threshold:
             # the history keeps copies that share the mesh arrays but not
             # the edge data cached on tri for this level's estimators
@@ -366,37 +434,8 @@ def run(config: AdaptConfig) -> AdaptHistory:
                 snapshot_threshold *= 4
         if tips.size:
             tip_rows.append(_tip_min_h(tri, tips))
-
-        row = LevelRecord(
-            level=level, ndof=ndof, nelem=int(tri.tris.shape[0]),
-            eta_pointwise=rep_pw.eta_global if rep_pw else math.nan,
-            eta_energy=rep_en.eta_global if rep_en else math.nan,
-            lambdas=tuple(float(v) for v in
-                          pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
-            marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
-            t_assemble_ms=t_assemble, t_solve_ms=t_solve,
-            t_estimate_ms=t_estimate, t_refine_ms=0.0)
-        rows.append(row)
-
-        if config.eta_target > 0.0 and primary.eta_global <= config.eta_target:
-            stop_reason = "eta_target"
+        if stop_reason is not None:
             break
-        if ndof >= config.max_dof:
-            stop_reason = "max_dof"
-            break
-        if level == config.max_levels:
-            stop_reason = "max_levels"
-            break
-
-        if config.marking == "max":
-            marked = mark_max(primary, config.theta)
-        else:
-            marked = mark_doerfler(primary, config.theta,
-                                   bulk=config.doerfler_bulk)
-        if marked.elements.size == 0:
-            stop_reason = "estimator_zero"
-            break
-        row.marked = int(marked.elements.size)
 
         # a solver failure on the next level leaves this level's mesh, kept
         # without the edge data cached on tri, as the snapshots are

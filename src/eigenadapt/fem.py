@@ -89,9 +89,9 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     if degree == 1:
-        elem_dofs = tri.tris.copy()
-        dof_coords = tri.coords.copy()
-        is_dirichlet = tri.dirichlet.copy()
+        # the mesh's arrays are read-only, so the space shares them
+        elem_dofs, dof_coords = tri.tris, tri.coords
+        is_dirichlet = tri.dirichlet
     else:
         # edge dofs follow the mesh's edge numbering; an edge held by one
         # triangle lies on the boundary
@@ -104,33 +104,25 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
         is_dirichlet = np.concatenate([tri.dirichlet, count == 1])
     free = np.flatnonzero(~is_dirichlet)
     free = free[np.lexsort(dof_coords[free].T[::-1])]
-    return FeSpace(tri, degree, elem_dofs.astype(np.int64), dof_coords,
-                   is_dirichlet, free)
+    return FeSpace(tri, degree, elem_dofs, dof_coords, is_dirichlet, free)
 
 
-def local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Exact element stiffness and mass matrices, shapes (nt, nd, nd).
+def local_stiffness(space: FeSpace) -> np.ndarray:
+    """Exact element stiffness matrices, shape (nt, nd, nd).
 
-    A stiffness entry sums integer multiples of the gradient products, the
-    diagonal ones last: an entry that a right angle zeroes in exact
-    arithmetic, where the off-diagonal products sum to minus a diagonal
-    one, is exactly zero.  (a, b) and (b, a) read one computed value."""
-    area = space.tri.areas
+    An entry sums integer multiples of the gradient products, the diagonal
+    ones last: an entry that a right angle zeroes in exact arithmetic,
+    where the off-diagonal products sum to minus a diagonal one, is exactly
+    zero.  (a, b) and (b, a) read one computed value."""
     (w, T, col), _ = _REF_TABLES[space.degree]
     K = space.grad_products.reshape(-1, 9)[:, _PRODUCT_ORDER] @ T
-    K *= (w * area)[:, None]
-    K = np.take(K, col, axis=1).reshape(-1, *col.shape)
-    return K, area[:, None, None] * _MASS_REF[space.degree]
+    K *= (w * space.tri.areas)[:, None]
+    return np.take(K, col, axis=1).reshape(-1, *col.shape)
 
 
-def _scatter(space: FeSpace, local: np.ndarray) -> scipy.sparse.csr_matrix:
-    nd = local.shape[1]
-    rows = np.repeat(space.elem_dofs, nd, axis=1).reshape(-1)
-    cols = np.tile(space.elem_dofs, (1, nd)).reshape(-1)
-    mat = scipy.sparse.coo_matrix(
-        (local.reshape(-1), (rows, cols)),
-        shape=(space.n_dofs, space.n_dofs))
-    return mat.tocsr()
+def local_mass(space: FeSpace) -> np.ndarray:
+    """Exact element mass matrices, shape (nt, nd, nd)."""
+    return space.tri.areas[:, None, None] * _MASS_REF[space.degree]
 
 
 def assemble(space: FeSpace
@@ -140,11 +132,26 @@ def assemble(space: FeSpace
     Rows and columns of the other dofs are eliminated; a space whose
     ``free`` lists every dof gives the unconstrained pair.  Local matrices
     are exactly symmetric and scattered pairwise, so ``A == A.T`` holds
-    bit for bit.
+    bit for bit.  A and M share one (row, col) index of the element
+    entries, in the int32 type scipy keeps without a copy.  The element
+    stiffness matrices are computed before the index, whose arrays then
+    reuse the memory of their temporaries, and are released once
+    scattered, before the mass matrices are built.
     """
-    f = space.free
-    return tuple(_scatter(space, loc)[f][:, f].tocsr()
-                 for loc in local_matrices(space))
+    K = local_stiffness(space)
+    nd = K.shape[1]
+    dofs = space.elem_dofs.astype(np.int32)
+    index = (np.repeat(dofs, nd, axis=1).ravel(),
+             np.tile(dofs, (1, nd)).ravel())
+    shape, f = (space.n_dofs, space.n_dofs), space.free
+
+    def scatter(local):
+        full = scipy.sparse.coo_matrix((local.ravel(), index), shape=shape)
+        return full.tocsr()[f][:, f]
+
+    A = scatter(K)
+    del K
+    return A, scatter(local_mass(space))
 
 
 def shape_values(degree: int, bary) -> np.ndarray:

@@ -4,12 +4,15 @@
 barycentric point from the shape-function tables, the per-point path that
 the estimators' whole-array kernels are checked against; ``interpolate`` is
 the nodal interpolant and ``from_free_vector`` expands free-dof
-coefficients to all dofs.
+coefficients to all dofs.  ``assemble_reference`` is the assembly path
+that ``fem.assemble`` must match bit for bit.
 """
 
 import numpy as np
+import scipy.sparse
 
-from eigenadapt.fem import shape_derivatives, shape_values
+from eigenadapt.fem import (local_mass, local_stiffness, shape_derivatives,
+                            shape_values)
 
 
 def values_at_bary(space, coeffs, bary) -> np.ndarray:
@@ -39,3 +42,19 @@ def from_free_vector(space, vec) -> np.ndarray:
     coeffs = np.zeros((space.n_dofs,) + vec.shape[1:])
     coeffs[space.free] = vec
     return coeffs
+
+
+def assemble_reference(space):
+    """Stiffness and mass on the free dofs, each scattered on its own from
+    int64 COO indices in the full dof numbering, then cut to the free rows
+    and columns by scipy's ``[f][:, f]``."""
+    nd = space.elem_dofs.shape[1]
+    dofs = space.elem_dofs.astype(np.int64)
+    rows = np.repeat(dofs, nd, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, nd)).reshape(-1)
+    f = space.free
+    return tuple(
+        scipy.sparse.coo_matrix((local.reshape(-1), (rows, cols)),
+                                shape=(space.n_dofs, space.n_dofs)
+                                ).tocsr()[f][:, f].tocsr()
+        for local in (local_stiffness(space), local_mass(space)))

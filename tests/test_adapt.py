@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -701,3 +702,51 @@ def test_windows_widened_to_a_twin_are_kept(monkeypatch):
     widened = [lv for lv, p in enumerate(per_level) if p[0] == (5, 2)]
     assert widened and len(per_level) - widened[0] >= 3
     assert per_level[widened[0]:] == [[(5, 2)]] * (len(per_level) - widened[0])
+
+
+@pytest.mark.parametrize("config", [
+    AdaptConfig(max_dof=3000, record_secondary_estimator=True),
+    AdaptConfig(degree=2, max_dof=3000)], ids=["p1_both_reports", "p2"])
+def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
+    """When ``refine`` runs, the level's space, A, M and reports are gone;
+    when the next level's space is built, the mesh refined into it, which
+    carried the edge data cached for the estimators, is gone too.
+    Reference counting alone frees them: no collection is forced."""
+    level = {}       # weak references to the current level's objects
+    meshes = []      # weak reference to every level's mesh
+    at_build, at_refine = [], []
+
+    def watch(name, on_call, keep):
+        fn = getattr(adapt, name)
+
+        def wrapper(*args, **kwargs):
+            on_call(*args)
+            out = fn(*args, **kwargs)
+            level.update((k, weakref.ref(v)) for k, v in keep(out).items())
+            return out
+        monkeypatch.setattr(adapt, name, wrapper)
+
+    def building(tri, degree):
+        at_build.append(sum(m() is not None for m in meshes))
+        meshes.append(weakref.ref(tri))
+        level.clear()
+
+    def refining(tri, marked):
+        alive = sorted(k for k, r in level.items() if r() is not None)
+        at_refine.append((sorted(level), alive))
+
+    def nothing(*args):
+        pass
+
+    watch("build_space", building, lambda space: {"space": space})
+    watch("assemble", nothing, lambda AM: {"A": AM[0], "M": AM[1]})
+    watch("eta_pointwise", nothing, lambda rep: {"pointwise": rep})
+    watch("eta_energy", nothing, lambda rep: {"energy": rep})
+    watch("refine", refining, lambda tri: {})
+    history = run(config)
+
+    assert history.stop_reason == "max_dof" and len(history.rows) >= 5
+    assert at_build == [0] * len(history.rows)
+    names = sorted(["space", "A", "M", "pointwise"]
+                   + ["energy"] * config.record_secondary_estimator)
+    assert at_refine == [(names, [])] * (len(history.rows) - 1)
