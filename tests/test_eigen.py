@@ -314,13 +314,21 @@ def test_shift_on_an_eigenvalue_is_a_solver_error(degree, rel):
         solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
 
 
-def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed():
+@pytest.fixture(scope="module")
+def square32_p2_window():
+    """P2 on the unit-square n = 32 mesh (N 3,969) with a shift midway
+    between lambda_4 and lambda_7."""
+    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 32), 2))
+    low = solve_smallest(A, M, 8)
+    return A, M, 0.5 * (low.values[3] + low.values[6])
+
+
+def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
+        square32_p2_window):
     # reading the pivots builds CSC copies of L and U (about 12 bytes per
     # nonzero); they must not coexist with ARPACK's basis (20 vectors)
-    A, M = assemble(build_space(initial_mesh(builtin_domain("unit_square"), 32), 2))
+    A, M, shift = square32_p2_window
     n = A.shape[0]
-    low = solve_smallest(A, M, 8)
-    shift = 0.5 * (low.values[3] + low.values[6])
     copies = factorize_spd(A - shift * M).nnz * 12
     tracemalloc.start()
     try:
@@ -331,6 +339,14 @@ def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed():
         tracemalloc.stop()
     assert (n, pairs.first) == (3969, 4)
     assert peak < copies + 20 * n * 8
+
+
+def test_factor_stores_no_relaxed_supernode_padding(square32_p2_window):
+    # relaxed supernodes would store explicit zeros that the CSC copies of
+    # L and U drop (283,864 stored against 267,988 at SuperLU's defaults)
+    A, M, shift = square32_p2_window
+    lu = factorize_spd(A - shift * M)
+    assert lu.nnz == lu.L.nnz + lu.U.nnz
 
 
 def test_shift_zero_first_index_and_factor_reuse(square_ops):
