@@ -9,8 +9,8 @@ factors in symmetric mode with minimum degree ordering on the symmetrized
 pattern and no pivoting, with fundamental supernodes only and one-column
 panels; on these 2D finite element matrices relaxed supernodes, which store
 explicit zeros, and wide panels cost more than they save (the final-level
-factorizations of the benchmark workloads take about 27% less time and 40%
-less memory).  Minimum degree breaks ties in input order, and
+factorizations of the benchmark workloads take about a quarter less time
+and a third less memory).  Minimum degree breaks ties in input order, and
 the free dofs come numbered by coordinate (``fem.build_space``), the
 tie-break that keeps the fill low.  ARPACK stops at a Ritz accuracy of
 ``_LANCZOS_TOL_MARGIN`` times the residual tolerance the solve accepts,
@@ -149,7 +149,7 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
     ``relax=1`` keeps every supernode fundamental (no explicit zeros are
     stored) and ``panel_size=1`` updates one column at a time; against
     SuperLU's defaults (10, 20) this cuts the final-level factor time of
-    the benchmark workloads by 25-30% and its working memory by about 40%.
+    the benchmark workloads by 24-28% and its memory growth by 26-38%.
     Minimum degree breaks ties in input order, so the fill and the solve
     time follow the caller's numbering; ``fem.build_space`` numbers the free
     dofs by coordinate for that.  An exactly singular matrix raises
