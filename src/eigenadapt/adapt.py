@@ -39,8 +39,8 @@ from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
 from .geometry import initial_mesh, resolve_domain, slit_tips
 from .marking import mark_doerfler, mark_max
-from .mesh import (MAX_ADJACENT_GEN_DIFF, REFINE_STRATEGIES, SUBDIVISIONS,
-                   MarkSet, Triangulation, refine)
+from .mesh import (REFINE_STRATEGIES, SUBDIVISIONS, MarkSet, Triangulation,
+                   refine)
 
 log = logging.getLogger(__name__)
 
@@ -194,15 +194,6 @@ class AdaptHistory:
     final_mesh: Triangulation | None      # mesh of the last row, if any
     tips: np.ndarray               # (n_tips, 2) slit tip coordinates
     tip_min_h: list[list[float]]   # per level, per slit tip: min h nearby
-
-    def ndofs(self) -> np.ndarray:
-        return np.array([r.ndof for r in self.rows], dtype=np.float64)
-
-    def etas(self, which: str) -> np.ndarray:
-        if which not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator field {which!r}")
-        attr = "eta_pointwise" if which == "pointwise" else "eta_energy"
-        return np.array([getattr(r, attr) for r in self.rows], dtype=np.float64)
 
 
 def _cluster_cuts_multiplicity(cluster: ClusterSelection,
@@ -464,8 +455,22 @@ def run(config: AdaptConfig) -> AdaptHistory:
 def fit_rate(history: AdaptHistory, which: str) -> float:
     """Least-squares slope of log10(eta) against log10(ndof) over the levels
     with at least 1000 free dofs; :func:`fit_rate_levels` fits a window."""
-    levels = [r.level for r in history.rows]
-    return fit_rate_levels(levels, history.ndofs(), history.etas(which))[0]
+    if which not in ESTIMATOR_KINDS:
+        raise ValueError(f"unknown estimator field {which!r}")
+    rows = history.rows
+    return fit_rate_levels([r.level for r in rows], [r.ndof for r in rows],
+                           [getattr(r, f"eta_{which}") for r in rows])[0]
+
+
+def fitted_slopes(history: AdaptHistory) -> dict[str, float | None]:
+    """:func:`fit_rate` of each estimator, None where the fit is refused."""
+    slopes = {}
+    for which in ESTIMATOR_KINDS:
+        try:
+            slopes[which] = fit_rate(history, which)
+        except ValueError:
+            slopes[which] = None
+    return slopes
 
 
 def fit_rate_levels(levels, ndof, eta,
@@ -555,17 +560,10 @@ def _json_safe(v):
 
 def summary_dict(history: AdaptHistory) -> dict:
     """JSON-ready run summary: config echo, stop state, slopes, diagnostics."""
-    cfg = dataclasses.asdict(history.config)
-    slopes = {}
-    for which in ESTIMATOR_KINDS:
-        try:
-            slopes[which] = fit_rate(history, which)
-        except ValueError:
-            slopes[which] = None
     final = history.rows[-1] if history.rows else None
     sep = history.separation
     summary = {
-        "config": cfg,
+        "config": dataclasses.asdict(history.config),
         "stop_reason": history.stop_reason,
         "failure": history.failure,
         "levels": len(history.rows),
@@ -575,7 +573,7 @@ def summary_dict(history: AdaptHistory) -> dict:
             "eta_energy": final.eta_energy,
             "lambdas": list(final.lambdas),
         },
-        "fitted_slopes": slopes,
+        "fitted_slopes": fitted_slopes(history),
         "separation": None if sep is None else {
             "m_j_discrete": sep.m_j_discrete, "gap_below": sep.gap_below,
             "gap_above": sep.gap_above,
@@ -594,16 +592,6 @@ def summary_dict(history: AdaptHistory) -> dict:
                              if history.tip_min_h else None)}
             for i, t in enumerate(history.tips)
         ],
-        "strategies": {
-            "estimator": history.config.estimator,
-            "marking": history.config.marking,
-            "doerfler_bulk": history.config.doerfler_bulk,
-            "refine": history.config.refine,
-            "marked_subdivision": history.config.marked_subdivision,
-            "grading_max_gen_diff": (MAX_ADJACENT_GEN_DIFF
-                                     if history.config.refine == "bisec_lg1" else None),
-        },
-        "seed": history.config.seed,
     }
     return _json_safe(summary)
 

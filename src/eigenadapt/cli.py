@@ -16,11 +16,8 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 
-The environment variable ``EIGENADAPT_THREADS`` caps internal parallelism;
-it is applied to the BLAS/OpenMP thread-count variables before numerical
-modules are imported, so it must be set before invoking the CLI. Presets
-execute their runs sequentially; each run writes only inside its own
-directory.
+Presets execute their runs sequentially; each run writes only inside its
+own directory.
 """
 
 from __future__ import annotations
@@ -35,23 +32,6 @@ from .errors import ConfigError, GeometryError, MeshError, SolverError
 
 PRESETS = ("lshape_products", "lshape_compare", "slit_multiple",
            "slit_perturbed_j2", "slit_perturbed_cluster")
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def _cap_threads() -> None:
-    # must run before numpy/scipy load their BLAS backends
-    cap = os.environ.get("EIGENADAPT_THREADS")
-    if not cap:
-        return
-    # str.isdigit alone accepts digits that int or BLAS cannot read
-    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
-        raise ConfigError(
-            f"EIGENADAPT_THREADS must be a positive integer, got {cap!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
-
 
 def render_mesh_svg(tri, path) -> None:
     """Write a stroke-only SVG of the triangulation, one path per triangle.
@@ -135,32 +115,26 @@ def _print_product_table(history) -> None:
 
 
 def _print_tip_report(name: str, history) -> None:
-    print(f"{name}: per-tip minimum element size (radius 0.05)")
+    from .adapt import TIP_RADIUS
+
+    print(f"{name}: per-tip minimum element size (radius {TIP_RADIUS})")
     for final in history.tip_min_h[-1:]:
         for (x, y), h in zip(history.tips, final):
             print(f"  tip ({x:+.3f}, {y:+.3f}): min h_T = {h:.3e}")
 
 
 def _print_slopes(name: str, history) -> None:
-    from .adapt import fit_rate
+    from .adapt import fitted_slopes
 
-    parts = []
-    for field in ("pointwise", "energy"):
-        try:
-            parts.append(f"{field} slope {fit_rate(history, field):+.4f}")
-        except ValueError:
-            parts.append(f"{field} slope n/a")
-    print(f"{name}: " + ", ".join(parts))
+    print(f"{name}: " + ", ".join(
+        f"{field} slope " + ("n/a" if slope is None else f"{slope:+.4f}")
+        for field, slope in fitted_slopes(history).items()))
 
 
 def cmd_run(args) -> int:
     from .adapt import AdaptConfig
 
-    config = AdaptConfig.from_file(args.config)
-    if args.max_dof is not None:
-        config = dataclasses.replace(config, max_dof=args.max_dof)
-        config.validate()
-    history = execute_run(config, args.out)
+    history = execute_run(AdaptConfig.from_file(args.config), args.out)
     _print_slopes(os.path.basename(args.out) or ".", history)
     print(f"stop: {history.stop_reason}; artifacts in {args.out}")
     if history.failure is not None:
@@ -185,13 +159,11 @@ def cmd_preset(args) -> int:
 
     if args.name == "lshape_products":
         _print_product_table(histories[0][1])
-    elif args.name == "lshape_compare":
-        for run_name, history in histories:
-            _print_slopes(run_name, history)
     else:
         for run_name, history in histories:
             _print_slopes(run_name, history)
-            _print_tip_report(run_name, history)
+            if history.tips.size:
+                _print_tip_report(run_name, history)
 
     print(f"artifacts in {os.path.join(args.out, args.name)}")
     for run_name, failure in failures:
@@ -204,7 +176,6 @@ def cmd_rate(args) -> int:
 
     from .adapt import fit_rate_levels, read_history_csv
 
-    col = {"pointwise": "eta_pointwise", "energy": "eta_energy"}[args.field]
     _, rows = read_history_csv(args.history)
     window = None
     if args.from_level is not None or args.to_level is not None:
@@ -213,7 +184,8 @@ def cmd_rate(args) -> int:
         ndof = np.array([int(r["ndof"]) for r in rows])
         slope, keep = fit_rate_levels(
             [int(r["level"]) for r in rows], ndof,
-            [float(r[col]) for r in rows], window, args.min_dof)
+            [float(r[f"eta_{args.field}"]) for r in rows], window,
+            args.min_dof)
     except KeyError as exc:
         raise ConfigError(f"{args.history}: no column {exc}") from exc
     except ValueError as exc:
@@ -277,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key = value config file")
     p_run.add_argument("--out", default=".",
                        help="output directory (default: current)")
-    p_run.add_argument("--max-dof", type=int, default=None,
-                       help="override the config's max_dof stop")
     p_run.set_defaults(func=cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a named experiment preset")
@@ -330,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _cap_threads()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, GeometryError, MeshError) as exc:

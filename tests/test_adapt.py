@@ -28,7 +28,7 @@ from eigenadapt.adapt import (
     write_history_csv,
     write_summary_json,
 )
-from eigenadapt.cli import _THREAD_VARS, preset_configs
+from eigenadapt.cli import preset_configs
 from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
                               multiplicity_groups, separation_diagnostic,
                               solve_smallest)
@@ -344,11 +344,13 @@ def test_slit_run_does_not_depend_on_the_thread_count(tmp_path):
                               {**SLIT_MULTIPLE, "max_dof": 12000}.items()))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from eigenadapt.cli import main; sys.exit(main(sys.argv[2:]))")
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    thread_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                   "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
     procs = [subprocess.Popen(
         [sys.executable, "-c", code, src, "run", "--config", str(config),
          "--out", str(tmp_path / threads)],
-        env={**env, "EIGENADAPT_THREADS": threads},
+        env={**os.environ, **dict.fromkeys(thread_vars, threads)},
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         for threads in ("1", "2")]
     for proc in procs:
@@ -387,14 +389,12 @@ def test_history_csv_nan_for_unrecorded_estimator(tmp_path):
 def test_summary_json(tmp_path):
     hist = run(_small_config(record_secondary_estimator=True))
     summary = summary_dict(hist)
-    # must be strict JSON (no NaN), with the strategy block echoed
+    # must be strict JSON (no NaN)
     text = json.dumps(summary, allow_nan=False)
-    assert "strategies" in summary
-    strat = summary["strategies"]
-    assert strat["marking"] == "max"
-    assert strat["doerfler_bulk"] == "squared"
-    assert strat["marked_subdivision"] == "quarter"
-    assert strat["grading_max_gen_diff"] == 2
+    # the config is echoed once, under "config", and nowhere else
+    assert summary["config"] == dataclasses.asdict(hist.config)
+    fields = {f.name for f in dataclasses.fields(AdaptConfig)}
+    assert not fields & (summary.keys() - {"config"})
     assert summary["stop_reason"] == "max_dof"
     assert summary["levels"] == len(hist.rows)
     assert summary["final"]["ndof"] == hist.rows[-1].ndof

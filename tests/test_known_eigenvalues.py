@@ -48,7 +48,7 @@ def test_lshape_ground_state_converges_from_above_at_the_optimal_rate(
     assert np.all(lam >= LAMBDA1_OMEGA1 * (1.0 - config.eig_tol))
     err = lam - LAMBDA1_OMEGA1
     rate, _ = fit_rate_levels([r.level for r in history.rows],
-                              history.ndofs(), err)
+                              [r.ndof for r in history.rows], err)
     assert slope[0] <= rate <= slope[1]
     assert err[-1] <= final_err
 
