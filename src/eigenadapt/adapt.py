@@ -189,7 +189,7 @@ class AdaptHistory:
     failure: str | None         # solver error message when aborted
     separation: SeparationReport | None   # diagnostics at the final level
     multiplicity: list[list[int]]         # multiple groups among the final
-                                          # pairs, 0-based spectrum indices
+                                          # pairs, 1-based spectrum indices
     snapshots: list[tuple[int, Triangulation]]
     final_mesh: Triangulation | None      # mesh of the last row, if any
     tips: np.ndarray               # (n_tips, 2) slit tip coordinates
@@ -198,9 +198,9 @@ class AdaptHistory:
 
 def _cluster_cuts_multiplicity(cluster: ClusterSelection,
                               groups: list[list[int]]) -> bool:
-    """True when a group of numerically multiple eigenvalues (0-based
+    """True when a group of numerically multiple eigenvalues (1-based
     indices) lies partly inside and partly outside the cluster."""
-    return any(0 < sum(cluster.lo - 1 <= i < cluster.hi for i in g) < len(g)
+    return any(0 < sum(cluster.lo <= i <= cluster.hi for i in g) < len(g)
                for g in groups)
 
 
@@ -213,10 +213,10 @@ def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
     if prev.first > 1:
         lo, hi = min(lo, prev.first), max(hi, prev.last)
     for g in prev.groups:
-        if g[0] < lo <= g[-1] + 1:
-            lo = g[0] + 1
-        if g[0] < hi <= g[-1] + 1:
-            hi = g[-1] + 1
+        if g[0] <= lo <= g[-1]:
+            lo = g[0]
+        if g[0] <= hi <= g[-1]:
+            hi = g[-1]
     return lo, hi
 
 
@@ -286,14 +286,13 @@ def _rotate_multiple(space, A, M, pairs: EigenPairSet, level: int,
     moment gap and warning where the gap is too small to fix the basis."""
     for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
                                   config.eig_tol):
-        group = [i + 1 for i in g]
         log.debug("level %d: eigenvalues %s have moment gap %.3g",
-                  level, group, gap)
+                  level, g, gap)
         if gap < MOMENT_GAP_FLOOR:
             log.warning(
                 "level %d: eigenvalues %s have moment gap %.3g below %g; "
                 "their basis is left as the solver returned it",
-                level, group, gap, MOMENT_GAP_FLOOR)
+                level, g, gap, MOMENT_GAP_FLOOR)
 
 
 def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
@@ -444,7 +443,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
                 "cluster %d..%d splits a numerically multiple eigenvalue "
                 "(1-based groups %s); the estimator depends on which of "
                 "its basis vectors fall inside", cluster.lo, cluster.hi,
-                [[i + 1 for i in g] for g in multiplicity])
+                multiplicity)
 
     return AdaptHistory(
         config=config, rows=rows, stop_reason=stop_reason, failure=failure,

@@ -65,7 +65,7 @@ class EigenPairSet:
 
     ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
     from 1: ``first`` is 1 for the lowest pairs and larger for a window.
-    ``groups`` are its numerically multiple eigenvalues, as 0-based
+    ``groups`` are its numerically multiple eigenvalues, as 1-based
     spectrum indices.
     """
 
@@ -92,8 +92,8 @@ class EigenPairSet:
     @property
     def groups(self) -> list[list[int]]:
         """Groups of numerically multiple values (``multiplicity_groups``),
-        as 0-based spectrum indices."""
-        return [[i + self.first - 1 for i in g]
+        as 1-based spectrum indices."""
+        return [[i + self.first for i in g]
                 for g in multiplicity_groups(self.values)]
 
 
@@ -292,7 +292,7 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
     one above ``tol`` raises SolverError.  A group whose moment gap (the
     smallest distance between eigenvalues of W, over the largest |weight|)
     is below ``MOMENT_GAP_FLOOR`` cannot fix its basis that way and is left
-    as solved.  Returns (0-based spectrum indices, moment gap) for every
+    as solved.  Returns (1-based spectrum indices, moment gap) for every
     group within ``tol``.
     """
     scale = float(np.max(np.abs(weight)))
@@ -305,7 +305,7 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
         W = (weight[:, None] * V).T @ (M @ V)
         moments, Q = np.linalg.eigh(0.5 * (W + W.T))
         gap = float(np.min(np.diff(moments))) / scale
-        out.append(([i + pairs.first - 1 for i in g], gap))
+        out.append(([i + pairs.first for i in g], gap))
         if gap < MOMENT_GAP_FLOOR:
             continue
         V = V @ Q
@@ -318,7 +318,8 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
 
 
 def multiplicity_groups(values: np.ndarray) -> list[list[int]]:
-    """Group 0-based indices of numerically multiple eigenvalues."""
+    """Group the positions in ``values`` (array offsets from 0, not
+    spectrum indices) of numerically multiple eigenvalues."""
     groups: list[list[int]] = []
     current = [0]
     for i in range(1, len(values)):

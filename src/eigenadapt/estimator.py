@@ -170,12 +170,7 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
     ``coeff_list`` holds k vectors, as a sequence or a (k, ndof) array."""
     lam, c, scale = _prepare(space, lambdas, coeff_list)
     tri = space.tri
-    if space.degree == 1:
-        # c^T M_ref c with M_ref = (ones((3, 3)) + I) / 12
-        s = _fold(np.add, c)
-        mass = (_fold(np.add, c * c) + s * s) / 12.0
-    else:
-        mass = np.einsum("ktj,ktj->kt", c @ _MASS_REF[2], c)
+    mass = np.einsum("ktj,ktj->kt", c @ _MASS_REF[space.degree], c)
     elem_sq = np.sum(lam * lam * tri.areas * mass, axis=0)
     j = _gradients_and_jumps(space, c)[1]
     # edge integral of the squared jump: |E| times the mean of the products

@@ -29,7 +29,7 @@ from eigenadapt.mesh import (
 )
 
 from fe_helpers import evaluate_gradient, values_at_bary
-from mesh_helpers import check_neighbors, uniform_refine
+from mesh_helpers import check_neighbors, check_nested, uniform_refine
 from oracle import bary_lattice, reliability_efficiency_report
 
 
@@ -301,19 +301,6 @@ def test_criterion_8_mesh_kernel_torture():
             law = tri.root_area * np.exp2(-tri.gen.astype(float))
             assert np.all(np.abs(tri.areas - law) <= 1e-12 * tri.root_area)
             if round_no % 100 == 0:
-                _check_nested(parent_mesh, tri)
+                check_nested(parent_mesh, tri)
         detail.append(f"10000 rounds, {resets} cap resets, "
                       f"min angle floor {angle_floor:.1f} deg")
-
-
-def _check_nested(parent_mesh, child_mesh):
-    p0 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 0]]
-    e1 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 1]] - p0
-    e2 = parent_mesh.coords[parent_mesh.tris[child_mesh.parent, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    for k in range(3):
-        d = child_mesh.coords[child_mesh.tris[:, k]] - p0
-        l1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-        assert np.all(l1 >= -1e-12) and np.all(l2 >= -1e-12)
-        assert np.all(l1 + l2 <= 1.0 + 1e-12)

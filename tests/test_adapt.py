@@ -30,8 +30,7 @@ from eigenadapt.adapt import (
 )
 from eigenadapt.cli import preset_configs
 from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
-                              multiplicity_groups, separation_diagnostic,
-                              solve_smallest)
+                              separation_diagnostic, solve_smallest)
 from eigenadapt.errors import ConfigError, SolverError
 from eigenadapt.fem import assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
@@ -428,7 +427,8 @@ def test_summary_flags_cluster_cutting_a_multiple_eigenvalue(caplog,
     # square: the pair (lambda_2, lambda_3) lies whole inside the cluster
     with caplog.at_level("WARNING", logger="eigenadapt.adapt"):
         whole = run(_small_config(cluster_hi=3))
-    assert whole.multiplicity == [[1, 2]]
+    assert whole.multiplicity == [[2, 3]]
+    assert summary_dict(whole)["multiplicity_groups"] == [[2, 3]]
     assert summary_dict(whole)["cluster_cuts_multiplicity"] is False
     assert caplog.text == ""
     # cluster 1..2 with the same final pair would cut it; the loop reads
@@ -617,9 +617,9 @@ def test_window_run_matches_lowest_pairs_on_final_mesh(monkeypatch):
     for name in ("m_j_discrete", "gap_below", "gap_above"):
         assert getattr(hist.separation, name) == pytest.approx(
             getattr(ref, name), rel=1e-9)
-    # groups stay 0-based spectrum indices and cover the window 11..14
-    assert hist.multiplicity == [g for g in multiplicity_groups(full.values)
-                                 if 10 <= min(g) and max(g) <= 13]
+    # groups are 1-based spectrum indices and cover the window 11..14
+    assert hist.multiplicity == [g for g in full.groups
+                                 if 11 <= min(g) and max(g) <= 14]
 
 
 def test_window_failure_falls_back_to_lowest_pairs(monkeypatch):
@@ -652,7 +652,7 @@ def test_windows_from_index_1_match_lowest_pairs_on_final_mesh(monkeypatch,
     # level 0 solves the lowest pairs; the final level a window from 1
     assert calls[0] == (0.0, 1)
     assert calls[-1][0] > 0.0 and calls[-1][1] == 1
-    assert hist.multiplicity == [[1, 2]]
+    assert hist.multiplicity == [[2, 3]]
     cluster = ClusterSelection(hist.config.cluster_lo, hist.config.cluster_hi)
     A, M = assemble(build_space(hist.final_mesh, 1))
     full = solve_smallest(A, M, cluster.hi + 3)
@@ -676,7 +676,7 @@ def test_window_holds_whole_multiplicity_groups():
     assert adapt._window(cluster, _pair_set(range(1, 10), 1)) == (4, 7)
     # lam_3 = lam_4 holds lo - 1 and lam_7 = lam_8 holds hi + 1
     twins = _pair_set([1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0, 7.0, 9.0], 1)
-    assert twins.groups == [[2, 3], [6, 7]]
+    assert twins.groups == [[3, 4], [7, 8]]
     assert adapt._window(cluster, twins) == (3, 8)
     # a window solved before is kept whole, though its groups have split
     assert adapt._window(cluster, _pair_set([3.0, 3.1, 5.0, 6.0, 7.0, 7.1], 3)) \

@@ -203,7 +203,7 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     for pairs in (a, b):
         values = pairs.values.copy()
         [(group, gap)] = rotate_multiple(pairs, A, M, weight, 1e-9)
-        assert group == [1, 2] and gap > MOMENT_GAP_FLOOR
+        assert group == [2, 3] and gap > MOMENT_GAP_FLOOR
         np.testing.assert_array_equal(pairs.values, values)
         assert np.all(pairs.residuals <= 1e-9)
         np.testing.assert_allclose(pairs.vectors.T @ M @ pairs.vectors,
@@ -212,7 +212,7 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     # equal moments cannot order a basis: the group is left as solved
     before = a.vectors.copy()
     [(group, gap)] = rotate_multiple(a, A, M, np.ones_like(weight), 1e-9)
-    assert group == [1, 2] and gap < MOMENT_GAP_FLOOR
+    assert group == [2, 3] and gap < MOMENT_GAP_FLOOR
     np.testing.assert_array_equal(a.vectors, before)
     # values that agree to the group tolerance but not to the solve's
     # are not rotated
