@@ -9,11 +9,11 @@ level (see ``_solve_level``).  Inside each numerically multiple eigenvalue
 the basis is then rotated by the ``x^2 - y^2`` moments about the centre of
 the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
 the config only, not on the basis the solver returns there.
-A level is one call of ``_level`` (build the space, assemble, solve,
-rotate, estimate, then mark) followed by ``refine``.  The space, A, M and
-the estimator reports are locals of that call, so the next level inherits
-only the refined mesh and the level's eigenpairs (the next window's
-shift); the history keeps its rows and the snapshots.
+A level is one body, ``_level`` (build the space, assemble, solve, rotate,
+drop A and M, estimate, then mark), followed by ``refine``, so the next
+level inherits only the refined mesh and the level's eigenpairs (the next
+window's shift); the history keeps its rows and the snapshots, and
+history.csv has one column per ``LevelRecord`` field, in field order.
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -173,7 +173,7 @@ class LevelRecord:
     h_max: float
     h_min: float
     t_assemble_ms: float
-    t_solve_ms: float       # factorization and Lanczos
+    t_solve_ms: float       # factorization, Lanczos and rotation
     t_estimate_ms: float
     t_refine_ms: float
 
@@ -280,21 +280,6 @@ def _moment_weight(space) -> np.ndarray:
     return xy[:, 0] ** 2 - xy[:, 1] ** 2
 
 
-def _rotate_multiple(space, A, M, pairs: EigenPairSet, level: int,
-                     config: AdaptConfig) -> None:
-    """``eigen.rotate_multiple`` on one level's pairs, logging each group's
-    moment gap and warning where the gap is too small to fix the basis."""
-    for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
-                                  config.eig_tol):
-        log.debug("level %d: eigenvalues %s have moment gap %.3g",
-                  level, g, gap)
-        if gap < MOMENT_GAP_FLOOR:
-            log.warning(
-                "level %d: eigenvalues %s have moment gap %.3g below %g; "
-                "their basis is left as the solver returned it",
-                level, g, gap, MOMENT_GAP_FLOOR)
-
-
 def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
     """Smallest h among elements with a vertex within TIP_RADIUS of each tip."""
     out = []
@@ -304,20 +289,6 @@ def _tip_min_h(tri: Triangulation, tips: np.ndarray) -> list[float]:
         near = (d2 <= TIP_RADIUS * TIP_RADIUS)[tri.tris].any(axis=1)
         out.append(float(h[near].min()) if np.any(near) else math.nan)
     return out
-
-
-def _assemble_and_solve(space, level: int, prev: EigenPairSet | None,
-                        cluster: ClusterSelection, config: AdaptConfig
-                        ) -> tuple[EigenPairSet, float, float]:
-    """Assemble and solve one level, and fix the basis inside its multiple
-    eigenvalues; returns the pairs and the assembly and solve times in ms.
-    A and M are released on return."""
-    t0 = time.monotonic()
-    A, M = assemble(space)
-    t1 = time.monotonic()
-    pairs = _solve_level(A, M, cluster, prev, config)
-    _rotate_multiple(space, A, M, pairs, level, config)
-    return pairs, (t1 - t0) * 1e3, (time.monotonic() - t1) * 1e3
 
 
 def _mark(primary: EstimatorReport, ndof: int, level: int,
@@ -344,9 +315,9 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
            ) -> tuple[EigenPairSet, LevelRecord, str | None, MarkSet | None]:
     """Build the space on ``tri``, assemble, solve, rotate and estimate,
     then mark: the level's pairs, its history row, the stop reason (None
-    to go on) and the marked elements (None on a stop).  The space, A, M
-    and the reports are locals of this call and of the steps it makes, so
-    none of them is left when the mesh is refined."""
+    to go on) and the marked elements (None on a stop).  A and M die
+    before the estimators run, and the space and the reports with this
+    call, so none of them is left when the mesh is refined."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -357,27 +328,38 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
         raise ConfigError(
             f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
             f"({ndof})")
-    pairs, t_assemble, t_solve = _assemble_and_solve(space, level, prev,
-                                                     cluster, config)
-
     t0 = time.monotonic()
-    want_pw = config.estimator == "pointwise" or config.record_secondary_estimator
-    want_en = config.estimator == "energy" or config.record_secondary_estimator
-    rep_pw = eta_pointwise(space, pairs, cluster) if want_pw else None
-    rep_en = eta_energy(space, pairs, cluster) if want_en else None
-    t_estimate = (time.monotonic() - t0) * 1e3
+    A, M = assemble(space)
+    t1 = time.monotonic()
+    pairs = _solve_level(A, M, cluster, prev, config)
+    for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
+                                  config.eig_tol):
+        log.debug("level %d: eigenvalues %s have moment gap %.3g",
+                  level, g, gap)
+        if gap < MOMENT_GAP_FLOOR:
+            log.warning(
+                "level %d: eigenvalues %s have moment gap %.3g below %g; "
+                "their basis is left as the solver returned it",
+                level, g, gap, MOMENT_GAP_FLOOR)
+    del A, M
+    t2 = time.monotonic()
+    # eta_<kind> is looked up in this module at each call, where tracers
+    # and tests may have wrapped it
+    reports = {kind: globals()[f"eta_{kind}"](space, pairs, cluster)
+               for kind in ESTIMATOR_KINDS
+               if kind == config.estimator or config.record_secondary_estimator}
+    t3 = time.monotonic()
 
     row = LevelRecord(
         level=level, ndof=ndof, nelem=int(tri.tris.shape[0]),
-        eta_pointwise=rep_pw.eta_global if rep_pw else math.nan,
-        eta_energy=rep_en.eta_global if rep_en else math.nan,
+        **{f"eta_{kind}": reports[kind].eta_global if kind in reports
+           else math.nan for kind in ESTIMATOR_KINDS},
         lambdas=tuple(float(v) for v in
                       pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
         marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
-        t_assemble_ms=t_assemble, t_solve_ms=t_solve,
-        t_estimate_ms=t_estimate, t_refine_ms=0.0)
-    stop, marked = _mark(rep_pw if config.estimator == "pointwise" else rep_en,
-                         ndof, level, config)
+        t_assemble_ms=(t1 - t0) * 1e3, t_solve_ms=(t2 - t1) * 1e3,
+        t_estimate_ms=(t3 - t2) * 1e3, t_refine_ms=0.0)
+    stop, marked = _mark(reports[config.estimator], ndof, level, config)
     if marked is not None:
         row.marked = int(marked.elements.size)
     return pairs, row, stop, marked
@@ -502,35 +484,32 @@ def fit_rate_levels(levels, ndof, eta,
     if np.unique(ndof[keep]).size < 2:
         raise ValueError(f"rate fit needs >= 2 distinct ndof, all usable "
                          f"levels have {ndof[keep][0]:.0f}")
-    return fit_loglog_slope(ndof[keep], eta[keep]), keep
+    slope = np.polyfit(np.log10(ndof[keep]), np.log10(eta[keep]), 1)[0]
+    return float(slope), keep
 
 
-def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    coeffs = np.polyfit(np.log10(np.asarray(x, dtype=np.float64)),
-                        np.log10(np.asarray(y, dtype=np.float64)), 1)
-    return float(coeffs[0])
-
-
-def _csv_cell(v: float) -> str:
-    return "nan" if not math.isfinite(v) else f"{v:.17g}"
+def _csv_cell(name: str, v) -> str:
+    if name.startswith("t_"):
+        return f"{v:.3f}"
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.17g}" if math.isfinite(v) else "nan"
 
 
 def write_history_csv(history: AdaptHistory, path: str | os.PathLike) -> None:
-    """History CSV; timing columns are wall times and vary between runs."""
+    """One column per ``LevelRecord`` field, ``lambdas`` spread over
+    lambda_<lo>..lambda_<hi>; t_* columns are wall times, not reproducible."""
     cluster = range(history.config.cluster_lo, history.config.cluster_hi + 1)
-    lam_cols = ",".join(f"lambda_{j}" for j in cluster)
+    names = [f.name for f in dataclasses.fields(LevelRecord)]
+    header = [col for name in names for col in
+              ([f"lambda_{j}" for j in cluster] if name == "lambdas" else [name])]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"level,ndof,nelem,eta_pointwise,eta_energy,{lam_cols},"
-                 "marked,h_max,h_min,t_assemble_ms,t_solve_ms,t_estimate_ms,"
-                 "t_refine_ms\n")
+        fh.write(",".join(header) + "\n")
         for r in history.rows:
-            lams = ",".join(_csv_cell(v) for v in r.lambdas)
-            fh.write(f"{r.level},{r.ndof},{r.nelem},"
-                     f"{_csv_cell(r.eta_pointwise)},{_csv_cell(r.eta_energy)},"
-                     f"{lams},{r.marked},{_csv_cell(r.h_max)},"
-                     f"{_csv_cell(r.h_min)},{r.t_assemble_ms:.3f},"
-                     f"{r.t_solve_ms:.3f},"
-                     f"{r.t_estimate_ms:.3f},{r.t_refine_ms:.3f}\n")
+            fh.write(",".join(
+                _csv_cell(name, v) for name in names for v in
+                (r.lambdas if name == "lambdas" else [getattr(r, name)]))
+                + "\n")
 
 
 def read_history_csv(path: str | os.PathLike):

@@ -30,8 +30,27 @@ import sys
 
 from .errors import ConfigError, GeometryError, MeshError, SolverError
 
-PRESETS = ("lshape_products", "lshape_compare", "slit_multiple",
-           "slit_perturbed_j2", "slit_perturbed_cluster")
+# preset name -> run name -> the AdaptConfig fields it sets, in run order
+PRESETS = {
+    # L-shape, cluster 12..13, pointwise max marking
+    "lshape_products": {"pointwise_max": {}},
+    # both estimators recorded per level; the energy arm uses value-mass bulk
+    # and both arms run deeper so the fitted slopes separate cleanly
+    "lshape_compare": {
+        "pointwise_max": dict(max_dof=60000, record_secondary_estimator=True),
+        "energy_doerfler": dict(estimator="energy", marking="doerfler",
+                                doerfler_bulk="value", max_dof=60000,
+                                record_secondary_estimator=True),
+    },
+    "slit_multiple": {"pointwise_max": dict(
+        domain="omega2", cluster_lo=2, cluster_hi=3,
+        marked_subdivision="bisect")},
+    **{name: {strategy: dict(domain="omega3", cluster_lo=2, cluster_hi=hi,
+                             refine=strategy, marked_subdivision="bisect")
+              for strategy in ("nvb", "bisec_lg1")}
+       for name, hi in (("slit_perturbed_j2", 2), ("slit_perturbed_cluster", 3))},
+}
+
 
 def render_mesh_svg(tri, path) -> None:
     """Write a stroke-only SVG of the triangulation, one path per triangle.
@@ -64,34 +83,11 @@ def preset_configs(name: str):
     """Deterministic expansion of a preset into (run_name, AdaptConfig)."""
     from .adapt import AdaptConfig
 
-    if name == "lshape_products":
-        # L-shape, cluster 12..13, pointwise max marking
-        return [("pointwise_max", AdaptConfig())]
-    if name == "lshape_compare":
-        # same problem driven by each estimator, both recorded per level;
-        # the energy arm uses value-mass bulk and both arms run deeper so
-        # the fitted slopes separate cleanly
-        common = dict(max_dof=60000, record_secondary_estimator=True)
-        return [
-            ("pointwise_max", AdaptConfig(estimator="pointwise",
-                                          marking="max", **common)),
-            ("energy_doerfler", AdaptConfig(estimator="energy",
-                                            marking="doerfler",
-                                            doerfler_bulk="value", **common)),
-        ]
-    if name == "slit_multiple":
-        return [("pointwise_max", AdaptConfig(
-            domain="omega2", cluster_lo=2, cluster_hi=3,
-            marked_subdivision="bisect"))]
-    if name in ("slit_perturbed_j2", "slit_perturbed_cluster"):
-        hi = 2 if name == "slit_perturbed_j2" else 3
-        return [
-            (strategy, AdaptConfig(domain="omega3", cluster_lo=2,
-                                   cluster_hi=hi, refine=strategy,
-                                   marked_subdivision="bisect"))
-            for strategy in ("nvb", "bisec_lg1")
-        ]
-    raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return [(run_name, AdaptConfig(**fields))
+            for run_name, fields in PRESETS[name].items()]
 
 
 def execute_run(config, out_dir):
@@ -177,15 +173,19 @@ def cmd_rate(args) -> int:
     from .adapt import fit_rate_levels, read_history_csv
 
     _, rows = read_history_csv(args.history)
-    window = None
+    select = {}
     if args.from_level is not None or args.to_level is not None:
-        window = (args.from_level, args.to_level)
+        if args.min_dof is not None:
+            raise ConfigError("--min-dof cannot be combined with "
+                              "--from-level or --to-level")
+        select["window"] = (args.from_level, args.to_level)
+    elif args.min_dof is not None:
+        select["min_dof"] = args.min_dof
     try:
         ndof = np.array([int(r["ndof"]) for r in rows])
         slope, keep = fit_rate_levels(
             [int(r["level"]) for r in rows], ndof,
-            [float(r[f"eta_{args.field}"]) for r in rows], window,
-            args.min_dof)
+            [float(r[f"eta_{args.field}"]) for r in rows], **select)
     except KeyError as exc:
         raise ConfigError(f"{args.history}: no column {exc}") from exc
     except ValueError as exc:
@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("pointwise", "energy"))
     p_rate.add_argument("--from-level", type=int, default=None)
     p_rate.add_argument("--to-level", type=int, default=None)
-    p_rate.add_argument("--min-dof", type=int, default=1000,
-                        help="dof threshold when no level window is given")
+    p_rate.add_argument("--min-dof", type=int, default=None,
+                        help="dof threshold when no level window is given "
+                             "(default 1000)")
     p_rate.set_defaults(func=cmd_rate)
 
     p_mesh = sub.add_parser("mesh", help="mesh files and SVG rendering")

@@ -19,7 +19,6 @@ from eigenadapt.adapt import (
     AdaptConfig,
     AdaptHistory,
     LevelRecord,
-    fit_loglog_slope,
     fit_rate,
     fit_rate_levels,
     read_history_csv,
@@ -133,19 +132,21 @@ def test_fit_rate_window_and_min_dof():
     track = [(10, 1.0), (100, 0.5), (1000, 0.25), (2000, 0.125),
              (4000, 0.0625), (8000, 0.03125)]
     hist = _history_from_track(track)
-    # fit_rate keeps the levels with >= 1000 dofs: slope log2(1/2)
-    full = fit_rate(hist, "pointwise")
-    assert abs(full - fit_loglog_slope([1000, 2000, 4000, 8000],
-                                       [0.25, 0.125, 0.0625, 0.03125])) <= 1e-12
     levels = np.arange(len(track))
     ndof, eta = np.array(track).T
+
+    def loglog_slope(keep):
+        return np.polyfit(np.log10(ndof[keep]), np.log10(eta[keep]), 1)[0]
+
+    # fit_rate keeps the levels with >= 1000 dofs: slope log2(1/2)
+    full = fit_rate(hist, "pointwise")
+    assert abs(full - loglog_slope(slice(2, None))) <= 1e-12
     windowed, keep = fit_rate_levels(levels, ndof, eta, window=(2, 4))
     assert keep.tolist() == [False, False, True, True, True, False]
-    assert abs(windowed - fit_loglog_slope([1000, 2000, 4000],
-                                           [0.25, 0.125, 0.0625])) <= 1e-12
+    assert abs(windowed - loglog_slope(slice(2, 5))) <= 1e-12
     low, keep = fit_rate_levels(levels, ndof, eta, min_dof=100)
     assert keep.tolist() == [False, True, True, True, True, True]
-    assert abs(low - fit_loglog_slope(ndof[1:], eta[1:])) <= 1e-12
+    assert abs(low - loglog_slope(slice(1, None))) <= 1e-12
     with pytest.raises(ValueError):
         fit_rate_levels(levels, ndof, eta, window=(0, 1))
     with pytest.raises(ValueError):
@@ -361,20 +362,32 @@ def test_slit_run_does_not_depend_on_the_thread_count(tmp_path):
 
 
 def test_history_csv_roundtrip(tmp_path):
-    hist = run(_small_config(record_secondary_estimator=True))
-    path = tmp_path / "history.csv"
-    write_history_csv(hist, path)
-    header, rows = read_history_csv(path)
-    assert header == ["level", "ndof", "nelem", "eta_pointwise", "eta_energy",
-                      "lambda_1", "lambda_2", "marked", "h_max", "h_min",
-                      "t_assemble_ms", "t_solve_ms", "t_estimate_ms",
-                      "t_refine_ms"]
-    assert len(rows) == len(hist.rows)
-    for rec, row in zip(hist.rows, rows):
-        assert int(row["level"]) == rec.level
-        assert int(row["ndof"]) == rec.ndof
-        assert float(row["eta_pointwise"]) == rec.eta_pointwise
-        assert float(row["lambda_2"]) == rec.lambdas[1]
+    # without the secondary estimator, eta_energy is nan on every row
+    for secondary in (True, False):
+        hist = run(_small_config(record_secondary_estimator=secondary))
+        path = tmp_path / "history.csv"
+        write_history_csv(hist, path)
+        header, rows = read_history_csv(path)
+        assert header == ["level", "ndof", "nelem", "eta_pointwise",
+                          "eta_energy", "lambda_1", "lambda_2", "marked",
+                          "h_max", "h_min", "t_assemble_ms", "t_solve_ms",
+                          "t_estimate_ms", "t_refine_ms"]
+        assert len(rows) == len(hist.rows)
+        for rec, row in zip(hist.rows, rows):
+            for field in dataclasses.fields(LevelRecord):
+                value = getattr(rec, field.name)
+                if field.name == "lambdas":
+                    assert (float(row["lambda_1"]),
+                            float(row["lambda_2"])) == value
+                elif field.type == "int":
+                    assert int(row[field.name]) == value
+                elif field.name.startswith("t_"):
+                    assert float(row[field.name]) == round(value, 3)
+                else:
+                    cell = float(row[field.name])
+                    assert cell == value or (math.isnan(cell)
+                                             and math.isnan(value))
+        assert all(math.isnan(r.eta_energy) for r in hist.rows) != secondary
 
 
 def test_history_csv_nan_for_unrecorded_estimator(tmp_path):

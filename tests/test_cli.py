@@ -248,6 +248,21 @@ def test_rate_reads_a_well_formed_history(tmp_path, capsys):
     assert "pointwise slope -0.5000 over 3 levels" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("window", [["--from-level", "0"],
+                                    ["--to-level", "2"]])
+def test_rate_rejects_min_dof_with_a_level_window(tmp_path, capsys, window):
+    hist = tmp_path / "history.csv"
+    hist.write_text("\n".join([_HISTORY_HEADER] + _HISTORY_ROWS) + "\n")
+    argv = ["rate", "--history", str(hist), "--field", "pointwise"]
+    assert main(argv + window) == 0
+    capsys.readouterr()
+    assert main(argv + window + ["--min-dof", "100"]) == 2
+    assert "--min-dof cannot be combined" in capsys.readouterr().err
+    # with neither, the threshold is 1000 dofs: one level, too few to fit
+    assert main(argv) == 2
+    assert "have 1" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("theta = warm\n")

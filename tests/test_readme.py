@@ -50,4 +50,4 @@ def test_marked_subdivision_row_names_every_subdivision():
 def test_presets_table_lists_every_preset():
     section = README.split("## Presets", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
-    assert tuple(names) == PRESETS
+    assert names == list(PRESETS)
