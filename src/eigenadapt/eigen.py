@@ -19,15 +19,22 @@ not at machine precision.
 At shift zero the factored matrix is A itself and the solve returns the
 lowest eigenpairs.  At a nonzero shift it returns the window of eigenpairs
 nearest the shift (spectrum slicing, Ericsson and Ruhe, Math. Comp. 35
-(1980)).  The window's place in the spectrum comes from the factor's
-inertia: with no row interchanges, U's diagonal is the D of an LDL^T
-factorization, and by Sylvester's law its negative entries count the
-eigenvalues below the shift.  The count is read after the Lanczos run:
-reading U builds CSC copies of L and U, which then never share the memory
-peak with ARPACK's basis.  A factor that interchanged rows, or whose
-smallest pivot is tiny against the largest, cannot be trusted for that
-count and raises SolverError; so does a shift on an eigenvalue.  The
-adaptive loop then falls back to the lowest eigenpairs.
+(1980)).  The window matrix A - shift M is one new data array on the sorted
+CSR structure that ``fem.assemble`` gives A and M both, the union of the
+element patterns with its exact zeros; SuperLU gets the CSC transpose view
+of it, the same matrix, without a copy.  Minimum degree fills in less on
+that pattern than on the one scipy's A - shift M leaves after dropping the
+entries zero in both (at P2, 12-17% fewer stored nonzeros from N 2,325
+on; the P1 pattern has no such entries).  The window's place in the
+spectrum comes from the factor's inertia: with no row interchanges, U's
+diagonal is the D of an LDL^T factorization, and by Sylvester's law its
+negative entries count the eigenvalues below the shift.  The count is
+read after the Lanczos run: reading U builds CSC copies of L and U, which
+then never share the memory peak with ARPACK's basis.  A factor that
+interchanged rows, or whose smallest pivot is tiny against the largest,
+cannot be trusted for that count and raises SolverError; so does a shift
+on an eigenvalue.  The adaptive loop then falls back to the lowest
+eigenpairs.
 
 Tiny problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
@@ -152,12 +159,18 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
     the benchmark workloads by 24-28% and its memory growth by 26-38%.
     Minimum degree breaks ties in input order, so the fill and the solve
     time follow the caller's numbering; ``fem.build_space`` numbers the free
-    dofs by coordinate for that.  An exactly singular matrix raises
+    dofs by coordinate for that.  A is symmetric, so a CSR input is passed
+    as its transpose, the CSC matrix on the same arrays, without a copy;
+    an input with unsorted or duplicate indices is copied first, because
+    SuperLU would sort it in place.  An exactly singular matrix raises
     SolverError.
     """
+    csc = A.T if A.format == "csr" else A.tocsc()
+    if not csc.has_canonical_format:
+        csc = csc.copy()
     try:
         return scipy.sparse.linalg.splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
@@ -185,6 +198,21 @@ def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
     return int(np.count_nonzero(pivots < 0.0))
 
 
+def _shifted(A, M, shift: float):
+    """A - shift M on the one structure that A and M share: a new data
+    array on A's index arrays, with the exact zeros of both kept, so the
+    factor sees the union of the element patterns.  Raises ValueError
+    unless A and M are CSR with equal sorted, duplicate-free indices."""
+    if not (A.format == M.format == "csr" and A.has_canonical_format
+            and all(a is b or np.array_equal(a, b) for a, b in
+                    ((A.indptr, M.indptr), (A.indices, M.indices)))):
+        raise ValueError("a shifted solve needs A and M in CSR with one "
+                         "sorted structure, as fem.assemble returns them")
+    data = M.data * -shift
+    data += A.data
+    return scipy.sparse.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
 def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
                    shift: float = 0.0) -> EigenPairSet:
     """Compute the m eigenpairs of A v = lambda M v nearest ``shift``.
@@ -204,7 +232,10 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     Parameters
     ----------
     A, M : scipy sparse matrices
-        Constrained (free-dof) stiffness and mass matrices.
+        Constrained (free-dof) stiffness and mass matrices, not modified.
+        A nonzero shift on the sparse path needs them in CSR with one
+        sorted structure, as ``fem.assemble`` returns them, and raises
+        ValueError otherwise.
     m : int
         Number of pairs, 1 <= m <= dimension.
     tol : float
@@ -227,7 +258,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         values = dense_vals[keep]
         vectors = dense_vecs[:, keep]
     else:
-        lu = factorize_spd(A - shift * M if shift != 0.0 else A)
+        lu = factorize_spd(_shifted(A, M, shift) if shift != 0.0 else A)
         OPinv = scipy.sparse.linalg.LinearOperator(
             A.shape, matvec=lu.solve, dtype=np.float64)
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)

@@ -71,7 +71,9 @@ class Triangulation:
 
     Only the fields below are stored; ``edges``, ``edge_mates`` and
     ``neighbors`` are cached views of one edge sort of ``tris``, and the
-    edge tangents, lengths and normals are cached read-only arrays.
+    edge tangents, lengths and normals are cached read-only arrays.  The
+    estimators fill those caches; assembly reads ``edge_vectors`` without
+    caching, so the eigensolve holds no per-element edge geometry.
 
     Attributes
     ----------
@@ -150,10 +152,9 @@ class Triangulation:
 
     @cached_property
     def edge_tangents(self) -> np.ndarray:
-        """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
-        e + 1 to corner e + 2 (mod 3), counterclockwise."""
-        p = self.coords[self.tris]
-        tangents = p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+        """``edge_vectors`` of the mesh, cached read-only for the
+        estimators."""
+        tangents = edge_vectors(self.coords, self.tris)
         tangents.setflags(write=False)
         return tangents
 
@@ -239,6 +240,13 @@ def _boundary_vertices(nv: int, topology) -> np.ndarray:
     lo, hi = np.divmod(topology[0][topology[2] == 1], nv)
     flags[lo] = flags[hi] = True
     return flags
+
+
+def edge_vectors(coords, tris) -> np.ndarray:
+    """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
+    e + 1 to corner e + 2 (mod 3), counterclockwise."""
+    p = coords[tris]
+    return p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
 
 
 def triangle_areas(coords, tris) -> np.ndarray:

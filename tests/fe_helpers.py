@@ -47,7 +47,8 @@ def from_free_vector(space, vec) -> np.ndarray:
 def assemble_reference(space):
     """Stiffness and mass on the free dofs, each scattered on its own from
     int64 COO indices in the full dof numbering, then cut to the free rows
-    and columns by scipy's ``[f][:, f]``."""
+    and columns by scipy's ``[f][:, f]``, with the column indices of each
+    row sorted."""
     nd = space.elem_dofs.shape[1]
     dofs = space.elem_dofs.astype(np.int64)
     rows = np.repeat(dofs, nd, axis=1).reshape(-1)
@@ -56,5 +57,5 @@ def assemble_reference(space):
     return tuple(
         scipy.sparse.coo_matrix((local.reshape(-1), (rows, cols)),
                                 shape=(space.n_dofs, space.n_dofs)
-                                ).tocsr()[f][:, f].tocsr()
+                                ).tocsr()[f][:, f].tocsr().sorted_indices()
         for local in (local_stiffness(space), local_mass(space)))

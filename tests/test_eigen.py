@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from eigenadapt import eigen
 from eigenadapt.eigen import (
     MOMENT_GAP_FLOOR,
     ClusterSelection,
@@ -87,6 +88,26 @@ def test_factor_solves_in_callers_numbering(lshape_mesh, degree):
         x = factor.solve(rhs)
         assert x.shape == rhs.shape
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _reversed_rows(X):
+    """X with the entries of every row stored in reverse order."""
+    rev = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in
+                          zip(X.indptr[:-1], X.indptr[1:])])
+    return scipy.sparse.csr_matrix((X.data[rev], X.indices[rev], X.indptr),
+                                   shape=X.shape)
+
+
+def test_factor_leaves_an_unsorted_input_unchanged(square_ops):
+    # SuperLU sorts its CSC input in place; the CSC view of an unsorted
+    # CSR matrix shares the caller's arrays
+    A, _ = square_ops
+    B = _reversed_rows(A)
+    indices, data = B.indices.copy(), B.data.copy()
+    b = np.random.default_rng(6).standard_normal(A.shape[0])
+    x = factorize_spd(B).solve(b)
+    assert np.array_equal(B.indices, indices) and np.array_equal(B.data, data)
+    np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("domain, n, degree, m", [
@@ -323,13 +344,27 @@ def square32_p2_window():
     return A, M, 0.5 * (low.values[3] + low.values[6])
 
 
+def _window_factor(A, M, shift):
+    """The factor that a 4-pair window solve at ``shift`` builds."""
+    factors = []
+
+    def recording(K):
+        factors.append(factorize_spd(K))
+        return factors[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigen, "factorize_spd", recording)
+        solve_smallest(A, M, 4, shift=shift)
+    return factors[0]
+
+
 def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
         square32_p2_window):
     # reading the pivots builds CSC copies of L and U (about 12 bytes per
     # nonzero); they must not coexist with ARPACK's basis (20 vectors)
     A, M, shift = square32_p2_window
     n = A.shape[0]
-    copies = factorize_spd(A - shift * M).nnz * 12
+    copies = _window_factor(A, M, shift).nnz * 12
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -339,6 +374,42 @@ def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
         tracemalloc.stop()
     assert (n, pairs.first) == (3969, 4)
     assert peak < copies + 20 * n * 8
+
+
+def test_window_factor_keeps_the_element_pattern(square32_p2_window):
+    # A - shift M formed by scipy drops the P2 entries that are zero in both
+    # A and M (a vertex against the opposite edge's dof); minimum degree
+    # fills in more without them (measured 214,344 stored nonzeros on the
+    # shared element pattern against 267,988 on the pruned one)
+    A, M, shift = square32_p2_window
+    window = _window_factor(A, M, shift).nnz
+    assert window <= 0.85 * factorize_spd(A - shift * M).nnz
+
+
+def test_window_solve_leaves_its_inputs_unchanged(square32_p2_window):
+    A, M, shift = square32_p2_window
+    before = [getattr(X, name).copy() for X in (A, M)
+              for name in ("data", "indices", "indptr")]
+    solve_smallest(A, M, 4, shift=shift)
+    after = [getattr(X, name) for X in (A, M)
+             for name in ("data", "indices", "indptr")]
+    for a, b in zip(before, after):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("other", ["pruned", "unsorted", "csc"])
+def test_window_needs_one_shared_sorted_structure(square32_p2_window, other):
+    A, M, shift = square32_p2_window
+    if other == "pruned":
+        M = M.copy()
+        M.eliminate_zeros()
+    elif other == "unsorted":
+        # equal structures, not sorted
+        A, M = _reversed_rows(A), _reversed_rows(M)
+    else:
+        M = M.tocsc()
+    with pytest.raises(ValueError, match="one sorted structure"):
+        solve_smallest(A, M, 4, shift=shift)
 
 
 def test_factor_stores_no_relaxed_supernode_padding(square32_p2_window):

@@ -180,6 +180,21 @@ def test_assembly_matches_the_reference_scatter_bit_for_bit(degree):
 
 
 @pytest.mark.parametrize("degree", [1, 2])
+def test_stiffness_and_mass_share_one_sorted_structure(degree):
+    space = build_space(_nvb_refined("omega1", 8, 6, np.random.default_rng(5)),
+                        degree)
+    A, M = assemble(space)
+    assert A.indices is M.indices and A.indptr is M.indptr
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert np.all((np.diff(A.indices) > 0) | (np.diff(rows) > 0))
+    # every element entry is kept, exact zeros too: at P2 a vertex and the
+    # dof of its opposite edge are zero in both A and M
+    assert A.nnz == M.nnz
+    assert (np.count_nonzero((A.data == 0.0) & (M.data == 0.0)) > 0) \
+        == (degree == 2)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
 def test_assembly_peak_per_element_entry(degree):
     # one shared int32 index, and A's element matrices gone before M's
     # exist: measured 39.0 (P1) and 44.4 (P2) traced bytes per element

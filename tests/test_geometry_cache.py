@@ -2,10 +2,12 @@
 
 ``Triangulation.edge_tangents`` is computed once per mesh and cached
 read-only; edge lengths, edge normals and barycentric gradients derive from
-it.  The oracles below compute each quantity from the coordinates alone, as
-the code did before the cache, and every value must agree bit for bit,
-because the adaptive trajectory of a run near a degenerate pair depends on
-the last bits of the assembled matrices.
+it.  Assembly computes its gradients from uncached edge vectors, so the
+caches fill only when the estimators ask.  The oracles below compute each
+quantity from the coordinates alone, as the code did before the cache, and
+every value must agree bit for bit, because the adaptive trajectory of a
+run near a degenerate pair depends on the last bits of the assembled
+matrices.
 """
 
 from functools import cached_property
@@ -67,6 +69,18 @@ def test_edge_tangents_are_cached_read_only_and_computed_once(monkeypatch):
     assert tri.edge_tangents is tri.edge_tangents
     with pytest.raises(ValueError):
         tri.edge_tangents[0, 0, 0] = 3.0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assembly_caches_no_element_geometry(degree):
+    # the eigensolve that follows assembly holds no per-element geometry;
+    # the estimators cache it afterwards
+    tri = initial_mesh(builtin_domain("omega1"), 4)
+    space = build_space(tri, degree)
+    assemble(space)
+    assert "edge_tangents" not in vars(tri) and "bary_grads" not in vars(space)
+    np.testing.assert_array_equal(space.bary_grads, _bary_grads(tri))
+    assert "edge_tangents" in vars(tri)
 
 
 @pytest.mark.parametrize("domain", ["unit_square", "omega1", "omega2", "omega3"])
