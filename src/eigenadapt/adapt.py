@@ -11,9 +11,10 @@ the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
 the config only, not on the basis the solver returns there.
 A level is one body, ``_level`` (build the space, assemble, solve, rotate,
 drop A and M, estimate, then mark), followed by ``refine``, so the next
-level inherits only the refined mesh and the level's eigenpairs (the next
-window's shift); the history keeps its rows and the snapshots, and
-history.csv has one column per ``LevelRecord`` field, in field order.
+level inherits only the refined mesh and the level's eigenvalues without
+their vectors (the next window's shift); the history keeps its rows and
+the snapshots, and history.csv has one column per ``LevelRecord`` field,
+in field order.
 Snapshots of the mesh are kept at levels where the element count first
 exceeds each power of 4, and on slit domains the smallest element size near
 every slit tip is tracked per level.
@@ -314,10 +315,11 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
            cluster: ClusterSelection, config: AdaptConfig
            ) -> tuple[EigenPairSet, LevelRecord, str | None, MarkSet | None]:
     """Build the space on ``tri``, assemble, solve, rotate and estimate,
-    then mark: the level's pairs, its history row, the stop reason (None
-    to go on) and the marked elements (None on a stop).  A and M die
-    before the estimators run, and the space and the reports with this
-    call, so none of them is left when the mesh is refined."""
+    then mark: the level's spectrum (its pairs without the vectors), its
+    history row, the stop reason (None to go on) and the marked elements
+    (None on a stop).  A and M die before the estimators run, and the
+    space, the eigenvectors and the reports with this call, so none of them
+    is left when the mesh is refined or the next level solves."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -362,7 +364,7 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
     stop, marked = _mark(reports[config.estimator], ndof, level, config)
     if marked is not None:
         row.marked = int(marked.elements.size)
-    return pairs, row, stop, marked
+    return dataclasses.replace(pairs, vectors=None), row, stop, marked
 
 
 def run(config: AdaptConfig) -> AdaptHistory:

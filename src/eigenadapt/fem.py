@@ -4,11 +4,13 @@ Element stiffness matrices and Laplacians contract the pairwise inner
 products of the barycentric gradients with the reference tables
 ``_REF_TABLES``, built once per degree from ``shape_derivatives``, and mass
 matrices scale ``_MASS_REF``: one code path for P1 and P2, and no
-quadrature at assembly.  Homogeneous Dirichlet conditions are imposed by
-eliminating constrained rows and columns, never by penalties.  The free
-dofs are numbered by coordinate, x then y: the sparse factorizations of
-the assembled matrices take this numbering as the minimum degree
-ordering's tie-break, and a spatially coherent one keeps their fill low.
+quadrature at assembly.  Homogeneous Dirichlet conditions hold at the dofs
+on the edges that one triangle holds (``Triangulation.dirichlet`` and, for
+P2, those edges' midpoints); they are imposed by eliminating constrained
+rows and columns, never by penalties.  The free dofs are numbered by
+coordinate, x then y: the sparse factorizations of the assembled matrices
+take this numbering as the minimum degree ordering's tie-break, and a
+spatially coherent one keeps their fill low.
 A and M share one sorted CSR structure that keeps every element entry
 (``assemble``).  Assembly caches no per-element geometry; the estimators
 do, after the eigensolve.
@@ -69,30 +71,19 @@ class FeSpace:
     def bary_grads(self) -> np.ndarray:
         """Barycentric coordinate gradients, shape (nt, 3, 2), cached with
         the mesh's edge tangents when the estimators first ask."""
-        return barycentric_gradients(self.tri)
-
-    @property
-    def grad_products(self) -> np.ndarray:
-        """d[t, i, j] = grad(lambda_i) . grad(lambda_j), shape (nt, 3, 3).
-
-        Recomputed per use (assembly, P2 Laplacians), from ``bary_grads``
-        once it is cached and else from edge vectors that are not cached:
-        assembly leaves no per-element geometry for the eigensolve to
-        hold."""
-        g = self.__dict__.get("bary_grads")
-        if g is None:
-            tri = self.tri
-            g = barycentric_gradients(tri, edge_vectors(tri.coords, tri.tris))
-        return np.einsum("tik,tjk->tij", g, g)
+        return barycentric_gradients(self.tri.edge_tangents, self.tri.areas)
 
 
-def barycentric_gradients(tri: Triangulation,
-                          tangents: np.ndarray | None = None) -> np.ndarray:
-    """grad(lambda_i) is the inward normal of edge i over its height;
-    ``tangents`` defaults to the mesh's cached edge tangents."""
-    t = tri.edge_tangents if tangents is None else tangents
-    inv_two_area = (1.0 / (2.0 * tri.areas))[:, None, None]
+def barycentric_gradients(t: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """grad(lambda_i) is the inward normal of edge i over its height, from
+    the local edge vectors ``t`` (nt, 3, 2) and the element areas."""
+    inv_two_area = (1.0 / (2.0 * areas))[:, None, None]
     return np.stack([-t[..., 1], t[..., 0]], axis=-1) * inv_two_area
+
+
+def _grad_products(g: np.ndarray) -> np.ndarray:
+    """d[t, i, j] = grad(lambda_i) . grad(lambda_j), flattened to (nt, 9)."""
+    return np.einsum("tik,tjk->tij", g, g).reshape(-1, 9)
 
 
 def build_space(tri: Triangulation, degree: int) -> FeSpace:
@@ -124,10 +115,14 @@ def local_stiffness(space: FeSpace) -> np.ndarray:
     An entry sums integer multiples of the gradient products, the diagonal
     ones last: an entry that a right angle zeroes in exact arithmetic,
     where the off-diagonal products sum to minus a diagonal one, is exactly
-    zero.  (a, b) and (b, a) read one computed value."""
+    zero.  (a, b) and (b, a) read one computed value.  The gradients come
+    from edge vectors that are not cached, so assembly leaves no
+    per-element geometry for the eigensolve to hold."""
     (w, T, col), _ = _REF_TABLES[space.degree]
-    K = space.grad_products.reshape(-1, 9)[:, _PRODUCT_ORDER] @ T
-    K *= (w * space.tri.areas)[:, None]
+    tri = space.tri
+    g = barycentric_gradients(edge_vectors(tri.coords, tri.tris), tri.areas)
+    K = _grad_products(g)[:, _PRODUCT_ORDER] @ T
+    K *= (w * tri.areas)[:, None]
     return np.take(K, col, axis=1).reshape(-1, *col.shape)
 
 
@@ -266,5 +261,5 @@ def block_laplacians(space: FeSpace, c: np.ndarray) -> np.ndarray:
     """Constant per-element Laplacians from element coefficients ``c`` of
     shape (..., nt, nd), as in :func:`element_gradients`; shape (..., nt),
     summed in dof order whatever the layout of ``c``.  Zero for P1."""
-    lap_phi = space.grad_products.reshape(-1, 9) @ _REF_TABLES[space.degree][1]
+    lap_phi = _grad_products(space.bary_grads) @ _REF_TABLES[space.degree][1]
     return sum(c[..., a] * lap_phi[:, a] for a in range(lap_phi.shape[1]))

@@ -45,7 +45,6 @@ class DomainSpec:
              closed polygon except possibly for endpoints on its boundary.
     """
 
-    name: str
     polygon: tuple[Point, ...]
     slits: tuple[tuple[Point, Point], ...] = ()
 
@@ -53,12 +52,10 @@ class DomainSpec:
 def builtin_domain(name: str) -> DomainSpec:
     """Return one of the built-in benchmark domains."""
     if name == "unit_square":
-        return DomainSpec("unit_square",
-                          ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+        return DomainSpec(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     if name == "omega1":
         # unit square with the lower right quadrant removed
-        return DomainSpec("omega1",
-                          ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5),
+        return DomainSpec(((0.0, 0.0), (0.5, 0.0), (0.5, 0.5),
                            (1.0, 0.5), (1.0, 1.0), (0.0, 1.0)))
     if name == "omega2":
         square = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
@@ -66,7 +63,7 @@ def builtin_domain(name: str) -> DomainSpec:
                  ((0.0, 0.5), (0.0, 1.0)),
                  ((-0.5, 0.0), (-1.0, 0.0)),
                  ((0.0, -0.5), (0.0, -1.0)))
-        return DomainSpec("omega2", square, slits)
+        return DomainSpec(square, slits)
     if name == "omega3":
         # omega2 with the interior slit endpoints perturbed off the lattice
         square = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
@@ -74,7 +71,7 @@ def builtin_domain(name: str) -> DomainSpec:
                  ((0.0, 0.501), (0.0, 1.0)),
                  ((-0.499, 0.0), (-1.0, 0.0)),
                  ((0.0, -0.5), (0.0, -1.0)))
-        return DomainSpec("omega3", square, slits)
+        return DomainSpec(square, slits)
     raise GeometryError(f"unknown built-in domain {name!r}; "
                         f"available: {', '.join(BUILTIN_DOMAINS)}")
 
@@ -191,6 +188,8 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     spacing of a lattice node, bound included and decided exactly, moves its
     nearest node onto it (of two equally near, the lower or left), provided
     both lie on the same polygon edges; triangle positivity is re-checked.
+    The Dirichlet flags built here, on a polygon edge or a slit, are
+    checked against the ones the mesh derives from its boundary edges.
     """
     if n < 1:
         raise GeometryError("n must be a positive integer")
@@ -285,7 +284,7 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
     return Triangulation.from_arrays(coords, tris, dirichlet=dirichlet)
 
 
-def parse_domain(text: str, name: str = "custom") -> DomainSpec:
+def parse_domain(text: str) -> DomainSpec:
     """Parse a ``polygon`` line, one ``x y`` vertex per line, then
     ``slit x1 y1 x2 y2`` lines; ``#`` starts a comment."""
     polygon: list[Point] = []
@@ -322,7 +321,7 @@ def parse_domain(text: str, name: str = "custom") -> DomainSpec:
         raise GeometryError(f"line {lineno}: cannot parse {raw!r}")
     if len(polygon) < 4:
         raise GeometryError("domain file must list a polygon with >= 4 vertices")
-    spec = DomainSpec(name, tuple(polygon), tuple(slits))
+    spec = DomainSpec(tuple(polygon), tuple(slits))
     validate_domain(spec)
     return spec
 
@@ -333,7 +332,7 @@ def read_domain(path) -> DomainSpec:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise GeometryError(f"{path}: {exc}") from exc
-    return parse_domain(text, name=str(path))
+    return parse_domain(text)
 
 
 def resolve_domain(ident: str) -> DomainSpec:

@@ -12,7 +12,8 @@ with any marked edge marks its refinement edge"; then every triangle with
 marked edges is bisected once, twice or three times by its pattern, all in
 one step.  The closed marking is the least conforming refinement that
 bisects every marked triangle (Stevenson, Math. Comp. 77 (2008)), so the mesh
-never contains hanging nodes.  Edge numbering, edge mates and neighbors come
+never contains hanging nodes.  Edge numbering, edge mates, neighbors and the
+Dirichlet vertices (the endpoints of the edges held by one triangle) come
 from one sort of the edge keys per mesh; both (counterclockwise) triangles on
 an interior edge run it opposite ways, so their normals are exact negatives.
 
@@ -27,8 +28,8 @@ Two refinement strategies are exposed:
                   Only generations set by hand have failed the check.
 
 Slit domains are handled transparently: the two sides of a slit use distinct
-vertex indices, so slit faces are boundary edges to the mesh kernel and never
-pair up during refinement.
+vertex indices, so slit faces are boundary edges to the mesh kernel, with
+Dirichlet endpoints, and never pair up during refinement.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class MarkSet:
 class Triangulation:
     """Immutable conforming triangle mesh.
 
-    Only the fields below are stored; ``edges``, ``edge_mates`` and
-    ``neighbors`` are cached views of one edge sort of ``tris``, and the
-    edge tangents, lengths and normals are cached read-only arrays.  The
-    estimators fill those caches; assembly reads ``edge_vectors`` without
-    caching, so the eigensolve holds no per-element edge geometry.
+    Only the fields below are stored; ``edges``, ``edge_mates``,
+    ``neighbors`` and the ``dirichlet`` flags are cached views of one edge
+    sort of ``tris``, and the edge tangents, lengths and normals are cached
+    read-only arrays.  The estimators fill the geometry caches; assembly
+    reads ``edge_vectors`` without caching, so the eigensolve holds no
+    per-element edge geometry.
 
     Attributes
     ----------
@@ -85,25 +87,18 @@ class Triangulation:
         refinement edge is the edge opposite local vertex 0.
     gen : (nt,) int array
         Bisection generation, 0 on initial meshes.
-    dirichlet : (nv,) bool array
-        True for vertices on the Dirichlet boundary (outer polygon, slit
-        faces and slit tips).
     parent : (nt,) int array
         Index of the ancestor element in the mesh this one was refined from
         (self-index for untouched elements and initial meshes).
-    root : (nt,) int array
-        Index of the generation-0 ancestor in the initial mesh.
     root_area : (nt,) float array
-        Area of that ancestor; ``area(T) == root_area(T) * 2**(-gen(T))``
-        up to roundoff.
+        Area of the generation-0 ancestor in the initial mesh;
+        ``area(T) == root_area(T) * 2**(-gen(T))`` up to roundoff.
     """
 
     coords: np.ndarray
     tris: np.ndarray
     gen: np.ndarray
-    dirichlet: np.ndarray
     parent: np.ndarray
-    root: np.ndarray
     root_area: np.ndarray
 
     def __post_init__(self):
@@ -134,6 +129,12 @@ class Triangulation:
     @cached_property
     def _topology(self) -> tuple[np.ndarray, ...]:
         return _edge_topology(self.tris, self.n_vertices)
+
+    @cached_property
+    def dirichlet(self) -> np.ndarray:
+        """(nv,) flags of the Dirichlet vertices: the endpoints of the edges
+        held by one triangle (outer polygon, slit faces and slit tips)."""
+        return _boundary_vertices(self.n_vertices, self._topology)
 
     @property
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,8 +185,8 @@ class Triangulation:
         opposite local vertex 0.  No triangles, non-finite coordinates,
         negative generations or ones too large for the area law, and an
         edge held by three triangles or run the same way by two raise
-        MeshError; so do ``dirichlet`` flags other than the boundary-edge
-        endpoints, which they default to.
+        MeshError; so do ``dirichlet`` flags, when given, other than the
+        boundary-edge endpoints that the mesh derives.
         """
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         tris = np.ascontiguousarray(tris, dtype=np.int64)
@@ -207,18 +208,16 @@ class Triangulation:
         gen = np.zeros(nt, np.int64) if gen is None else np.array(gen, np.int64)
         if np.any(gen < 0):
             raise MeshError("element generations must be >= 0")
-        boundary = _boundary_vertices(nv, topology)
-        if dirichlet is not None and not np.array_equal(
-                np.asarray(dirichlet, bool), boundary):
-            raise MeshError("dirichlet flags do not match boundary edges")
         with np.errstate(over="ignore"):
             root_area = areas * np.exp2(gen.astype(np.float64))
         if not np.all(np.isfinite(root_area)):
             raise MeshError("element generations too large for the area law")
-        idx = np.arange(nt, dtype=np.int64)
-        tri = Triangulation(coords, tris, gen, boundary, idx, idx.copy(),
+        tri = Triangulation(coords, tris, gen, np.arange(nt, dtype=np.int64),
                             root_area)
         tri._topology = topology  # fills the cache; computed from these tris
+        if dirichlet is not None and not np.array_equal(
+                np.asarray(dirichlet, bool), tri.dirichlet):
+            raise MeshError("dirichlet flags do not match boundary edges")
         return tri
 
 
@@ -235,10 +234,11 @@ def _edge_keys(tris, nv: int) -> np.ndarray:
 
 
 def _boundary_vertices(nv: int, topology) -> np.ndarray:
-    """(nv,) flags of the endpoints of edges held by one triangle."""
+    """Read-only (nv,) flags of the endpoints of edges held by one triangle."""
     flags = np.zeros(nv, dtype=bool)
     lo, hi = np.divmod(topology[0][topology[2] == 1], nv)
     flags[lo] = flags[hi] = True
+    flags.setflags(write=False)
     return flags
 
 
@@ -288,8 +288,7 @@ def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
     """One closure-and-bisection pass, then the ``bisec_lg1`` check;
     ``parent`` of the result indexes ``tri``, or ``origin``'s mesh through it."""
     tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
-    # an edge held by one triangle lies on the boundary
-    keys, edge, count = tri.edges
+    keys, edge, _ = tri.edges
     split = np.zeros(keys.size, dtype=bool)
     split[edge[elems, 0]] = True
     # closure: a triangle with any marked edge marks its refinement edge
@@ -304,7 +303,6 @@ def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
     mid[new] = nv + np.arange(new.size)
     lo, hi = np.divmod(keys[new], nv)
     coords = np.vstack([tri.coords, 0.5 * (tri.coords[lo] + tri.coords[hi])])
-    dirichlet = np.concatenate([tri.dirichlet, count[new] == 1])
 
     # bisect (v0, v1, v2) into A = (m0, v0, v1) and B = (m0, v2, v0); A is
     # split again at m2 when edge 2 is marked, B at m1 when edge 1 is
@@ -324,9 +322,8 @@ def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
     keep = np.column_stack([np.ones(nt, dtype=bool), s2, s0, s1])
     parent = np.nonzero(keep)[0]
     out = Triangulation(
-        coords, kids[keep], tri.gen[parent] + depth[keep], dirichlet,
-        parent if origin is None else origin[parent], tri.root[parent],
-        tri.root_area[parent])
+        coords, kids[keep], tri.gen[parent] + depth[keep],
+        parent if origin is None else origin[parent], tri.root_area[parent])
     if strategy == "bisec_lg1":
         gap = max_adjacent_gen_diff(out)
         if gap > MAX_ADJACENT_GEN_DIFF:
@@ -387,16 +384,14 @@ def check_mesh(tri: Triangulation) -> None:
     """Validate structural invariants; raises MeshError on the first failure.
 
     Checks positive CCW areas, at most two triangles per edge (building the
-    edge topology), dirichlet flags matching boundary-edge endpoints, and
-    the generation/area law area(T) = root_area(T) * 2**(-gen(T)) with a
-    finite root_area.
+    edge topology, from which the dirichlet flags derive), and the
+    generation/area law area(T) = root_area(T) * 2**(-gen(T)) with a finite
+    root_area.
     """
     areas = triangle_areas(tri.coords, tri.tris)
     if np.any(areas <= 0.0):
         raise MeshError("non-positive triangle area")
-    if not np.array_equal(_boundary_vertices(tri.n_vertices, tri.edges),
-                          tri.dirichlet):
-        raise MeshError("dirichlet flags do not match boundary edges")
+    tri.edges  # the edge sort raises on an edge held by three triangles
     law = tri.root_area * np.exp2(-tri.gen.astype(np.float64))
     if not (np.all(np.isfinite(tri.root_area))
             and np.all(np.abs(areas - law) <= 1e-12 * tri.root_area)):

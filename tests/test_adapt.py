@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -763,3 +764,27 @@ def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
     names = sorted(["space", "A", "M", "pointwise"]
                    + ["energy"] * config.record_secondary_estimator)
     assert at_refine == [(names, [])] * (len(history.rows) - 1)
+
+
+def test_eigenvectors_die_with_their_level(monkeypatch):
+    """The next level inherits its previous level's spectrum, not the
+    eigenvectors: when it solves, every earlier solve's vectors are gone."""
+    vectors, alive = [], []
+    solve, solve_level = adapt.solve_smallest, adapt._solve_level
+
+    def keeping(*args, **kwargs):
+        pairs = solve(*args, **kwargs)
+        vectors.append(weakref.ref(pairs.vectors))
+        return pairs
+
+    def checking(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(v() is not None for v in vectors))
+        return solve_level(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "solve_smallest", keeping)
+    monkeypatch.setattr(adapt, "_solve_level", checking)
+    history = run(AdaptConfig(degree=2, max_dof=3000))
+    assert history.stop_reason == "max_dof" and len(history.rows) >= 5
+    assert alive == [0] * len(history.rows)
+    assert len(vectors) >= len(history.rows)

@@ -85,7 +85,7 @@ CASES = {
 
 def outcome(polygon, slits):
     try:
-        validate_domain(DomainSpec("case", tuple(polygon), tuple(slits)))
+        validate_domain(DomainSpec(tuple(polygon), tuple(slits)))
     except GeometryError as exc:
         return str(exc)
     return "ok"

@@ -11,15 +11,15 @@ from eigenadapt.errors import GeometryError
 from eigenadapt.geometry import (BUILTIN_DOMAINS, DomainSpec, builtin_domain,
                                  initial_mesh, parse_domain, resolve_domain,
                                  slit_tips)
-from eigenadapt.mesh import check_mesh
+from eigenadapt.mesh import (REFINE_STRATEGIES, SUBDIVISIONS, MarkSet,
+                             check_mesh, refine)
 
 from mesh_helpers import is_matched
 
 
 def test_builtin_ids():
     for name in BUILTIN_DOMAINS:
-        spec = builtin_domain(name)
-        assert spec.name == name
+        assert builtin_domain(name).polygon
     with pytest.raises(GeometryError):
         builtin_domain("omega9")
 
@@ -47,6 +47,41 @@ def test_initial_triangles_uniform_area():
 def test_initial_mesh_conforming():
     for name in BUILTIN_DOMAINS:
         check_mesh(initial_mesh(builtin_domain(name), 8))
+
+
+def _on_domain_boundary(spec, coords):
+    """(nv,) flags: the point lies on a polygon edge or on a slit.  Every
+    segment is axis-aligned, so it is its own bounding box."""
+    poly = np.asarray(spec.polygon)
+    segments = [(p, q) for p, q in zip(poly, np.roll(poly, -1, axis=0))]
+    segments += [(np.asarray(p), np.asarray(q)) for p, q in spec.slits]
+    on = np.zeros(len(coords), dtype=bool)
+    for p, q in segments:
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        on |= np.all((lo <= coords) & (coords <= hi), axis=1)
+    return on
+
+
+SLIT_FILE = "polygon\n0 0\n1 0\n1 1\n0 1\nslit 0.5 0.5 1 0.5\n"
+
+
+@pytest.mark.parametrize("strategy", REFINE_STRATEGIES)
+@pytest.mark.parametrize("subdivision", SUBDIVISIONS)
+@pytest.mark.parametrize("domain", BUILTIN_DOMAINS + ("slit_file",))
+def test_derived_dirichlet_flags_follow_the_domain(domain, strategy, subdivision):
+    # the mesh derives its flags from the edges one triangle holds; on
+    # refined meshes they must be the vertices on the polygon or a slit
+    spec = (parse_domain(SLIT_FILE) if domain == "slit_file"
+            else builtin_domain(domain))
+    rng = np.random.default_rng(3)
+    tri = initial_mesh(spec, 4)
+    for _ in range(5):
+        marked = np.flatnonzero(rng.random(tri.n_elements) < 0.25)
+        tri = refine(tri, MarkSet(marked), strategy, subdivision)
+        np.testing.assert_array_equal(tri.dirichlet,
+                                      _on_domain_boundary(spec, tri.coords))
+    assert not tri.dirichlet.flags.writeable
+    assert tri.dirichlet is tri.dirichlet
 
 
 def test_slit_vertices_are_duplicated_and_dirichlet():
@@ -128,7 +163,7 @@ def test_half_spacing_tie_moves_lower_or_left_node():
 def test_endpoint_on_lattice_keeps_its_node():
     # (0.9, 1) is nearest the node at (1, 1), the other slit's end: moving
     # that node would leave the slit (1, 1)-(2, 1) without its end vertex
-    spec = DomainSpec("shared_node", ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
+    spec = DomainSpec(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
                       (((1.0, 1.0), (2.0, 1.0)), ((0.0, 1.0), (0.9, 1.0))))
     with pytest.raises(GeometryError, match="snap to the same node"):
         initial_mesh(spec, 4)
@@ -182,8 +217,7 @@ def test_second_polygon_section_rejected():
 
 
 def test_off_lattice_spec_rejected():
-    spec = DomainSpec(name="sliver",
-                      polygon=((0.0, 0.0), (1.0, 0.0), (1.0, 0.37), (0.0, 0.37)))
+    spec = DomainSpec(polygon=((0.0, 0.0), (1.0, 0.0), (1.0, 0.37), (0.0, 0.37)))
     with pytest.raises(GeometryError):
         initial_mesh(spec, 4)
 
@@ -191,8 +225,7 @@ def test_off_lattice_spec_rejected():
 @settings(max_examples=25, deadline=None)
 @given(w=st.integers(1, 4), h=st.integers(1, 4), n=st.integers(1, 3))
 def test_rectangle_meshes_cover_area(w, h, n):
-    spec = DomainSpec(name="rect",
-                      polygon=((0.0, 0.0), (float(w), 0.0),
+    spec = DomainSpec(polygon=((0.0, 0.0), (float(w), 0.0),
                                (float(w), float(h)), (0.0, float(h))))
     tri = initial_mesh(spec, n)
     check_mesh(tri)

@@ -2,12 +2,12 @@
 
 ``Triangulation.edge_tangents`` is computed once per mesh and cached
 read-only; edge lengths, edge normals and barycentric gradients derive from
-it.  Assembly computes its gradients from uncached edge vectors, so the
-caches fill only when the estimators ask.  The oracles below compute each
-quantity from the coordinates alone, as the code did before the cache, and
-every value must agree bit for bit, because the adaptive trajectory of a
-run near a degenerate pair depends on the last bits of the assembled
-matrices.
+it.  Assembly computes its gradients from uncached edge vectors and never
+reads the caches, which fill only when the estimators ask.  The oracles
+below compute each quantity from the coordinates alone, as the code did
+before the cache, and every value must agree bit for bit, because the
+adaptive trajectory of a run near a degenerate pair depends on the last
+bits of the assembled matrices and the estimators.
 """
 
 from functools import cached_property
@@ -15,10 +15,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from eigenadapt.adapt import AdaptConfig, run
-from eigenadapt.fem import assemble, barycentric_gradients, build_space
-from eigenadapt.geometry import builtin_domain, initial_mesh
-from eigenadapt.mesh import LOCAL_EDGES, Triangulation
+from eigenadapt.fem import assemble, build_space
+from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
+from eigenadapt.mesh import LOCAL_EDGES, MarkSet, Triangulation, refine
 
 from mesh_helpers import uniform_refine
 
@@ -48,7 +47,8 @@ def _assert_geometry_matches(tri):
     np.testing.assert_array_equal(tri.edge_tangents, _tangents(tri))
     np.testing.assert_array_equal(tri.edge_lengths, _lengths(tri))
     np.testing.assert_array_equal(tri.edge_normals, _normals(tri))
-    np.testing.assert_array_equal(barycentric_gradients(tri), _bary_grads(tri))
+    np.testing.assert_array_equal(build_space(tri, 1).bary_grads,
+                                  _bary_grads(tri))
 
 
 def test_edge_tangents_are_cached_read_only_and_computed_once(monkeypatch):
@@ -83,32 +83,21 @@ def test_assembly_caches_no_element_geometry(degree):
     assert "edge_tangents" in vars(tri)
 
 
+def _graded(tri, point, rounds=10):
+    """``tri`` refined ``rounds`` times, each time quartering the elements
+    that hold the vertex nearest ``point``."""
+    for _ in range(rounds):
+        v = np.argmin(np.sum((tri.coords - point) ** 2, axis=1))
+        at = MarkSet(np.flatnonzero(np.any(tri.tris == v, axis=1)))
+        tri = refine(tri, at, "bisec_lg1", "quarter")
+    return tri
+
+
 @pytest.mark.parametrize("domain", ["unit_square", "omega1", "omega2", "omega3"])
 def test_edge_geometry_matches_coordinate_oracle(domain):
-    tri = initial_mesh(builtin_domain(domain), 4)
+    spec = builtin_domain(domain)
+    tri = initial_mesh(spec, 4)
     _assert_geometry_matches(tri)
     _assert_geometry_matches(uniform_refine(tri))
-
-
-# the benchmark's three workload configurations (perfbench/worker.py); the
-# secondary estimator of the first does not change its mesh
-WORKLOAD_CONFIGS = {
-    "lshape_pointwise": {"max_dof": 40000},
-    "slit_multiple": {"domain": "omega2", "cluster_lo": 2, "cluster_hi": 3,
-                      "marked_subdivision": "bisect", "max_dof": 20000},
-    "lshape_p2": {"degree": 2, "max_dof": 35000},
-}
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
-def test_assembly_on_workload_final_meshes_is_bit_identical(name):
-    config = AdaptConfig(**WORKLOAD_CONFIGS[name])
-    tri = run(config).final_mesh
-    _assert_geometry_matches(tri)
-    space = build_space(tri, config.degree)
-    oracle = build_space(tri, config.degree)
-    oracle.bary_grads = _bary_grads(tri)   # fills the cache from the oracle
-    for got, want in zip(assemble(space), assemble(oracle)):
-        for attr in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, attr),
-                                          getattr(want, attr))
+    # graded toward a slit tip or the centre, as the adaptive runs grade
+    _assert_geometry_matches(_graded(tri, (slit_tips(spec) or [(0.5, 0.5)])[0]))

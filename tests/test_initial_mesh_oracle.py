@@ -20,23 +20,18 @@ from mesh_helpers import assign_refinement_edges, is_matched
 _SQUARE = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
 CUSTOM = {
-    "u_shape": DomainSpec("u_shape", ((0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0),
-                                      (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0))),
-    "interior_slit": DomainSpec("interior_slit",
-                                ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
+    "u_shape": DomainSpec(((0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0),
+                           (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0))),
+    "interior_slit": DomainSpec(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
                                 (((0.5, 1.0), (1.5, 1.0)),)),
-    "reversed_slits": DomainSpec("reversed_slits", _SQUARE,
-                                 tuple((q, p) for p, q in builtin_domain("omega2").slits)),
-    "off_lattice_end": DomainSpec("off_lattice_end", _SQUARE,
-                                  (((0.3, 0.0), (1.0, 0.0)),)),
-    "off_lattice_both": DomainSpec("off_lattice_both",
-                                   ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
+    "reversed_slits": DomainSpec(_SQUARE, tuple(
+        (q, p) for p, q in builtin_domain("omega2").slits)),
+    "off_lattice_end": DomainSpec(_SQUARE, (((0.3, 0.0), (1.0, 0.0)),)),
+    "off_lattice_both": DomainSpec(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
                                    (((1.0, 1.74), (1.0, 0.26)),)),
-    "snap_collision": DomainSpec("snap_collision",
-                                 ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
+    "snap_collision": DomainSpec(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)),
                                  (((0.9, 1.0), (1.1, 1.0)),)),
-    "lattice_misfit": DomainSpec("lattice_misfit",
-                                 ((0.0, 0.0), (0.1, 0.0), (0.1, 1.0), (0.0, 1.0))),
+    "lattice_misfit": DomainSpec(((0.0, 0.0), (0.1, 0.0), (0.1, 1.0), (0.0, 1.0))),
 }
 
 NS = (1, 2, 3, 4, 8, 10, 16)

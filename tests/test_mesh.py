@@ -224,7 +224,7 @@ def test_quarter_parent_indexes_the_input(strategy):
     once = refine(tri, marked, strategy)
     kids = np.flatnonzero(np.isin(once.parent, marked.elements))
     twice = refine(once, MarkSet(kids), strategy)
-    for name in ("coords", "tris", "gen", "dirichlet", "root", "root_area"):
+    for name in ("coords", "tris", "gen", "dirichlet", "root_area"):
         np.testing.assert_array_equal(getattr(out, name), getattr(twice, name))
     np.testing.assert_array_equal(out.parent, once.parent[twice.parent])
 
@@ -336,16 +336,17 @@ def _canonical_order(tri):
     return np.lexsort(rows.T[::-1])
 
 
-def _mesh_set_digest(tri, parent_rank=None):
+def _mesh_set_digest(tri, root, parent_rank=None):
     """sha256 of the canonical mesh set of ``tri``.
 
     One row per element: peak-first corner coordinates, corner Dirichlet
-    flags, generation, root and, when ``parent_rank`` (the canonical rank of
-    each element of the input mesh) is given, the parent's rank.  Rows are
-    sorted, so the digest ignores element and vertex numbering.
+    flags, generation, ``root`` (the index of the element's ancestor in the
+    base mesh) and, when ``parent_rank`` (the canonical rank of each element
+    of the input mesh) is given, the parent's rank.  Rows are sorted, so the
+    digest ignores element and vertex numbering.
     """
     cols = [tri.coords[tri.tris].reshape(-1, 6), tri.dirichlet[tri.tris],
-            tri.gen, tri.root]
+            tri.gen, root]
     if parent_rank is not None:
         cols.append(parent_rank[tri.parent])
     rows = np.column_stack(cols).astype("<f8")
@@ -359,18 +360,20 @@ def _canonical_rank(tri):
     return rank
 
 
-def _refine_canonical(tri, rng, k, strategy, pool=None):
+def _refine_canonical(tri, root, rng, k, strategy, pool=None):
     """Refine k elements drawn by ``rng`` in canonical order; digest it.
 
-    With ``pool`` the draw is restricted to the first ``pool`` elements of
-    that order; concentrated marks build long closure chains and deep
-    generations.
+    ``root`` maps the elements of ``tri`` to their base-mesh ancestors; the
+    refined mesh, its root map and its digest are returned.  With ``pool``
+    the draw is restricted to the first ``pool`` elements of that order;
+    concentrated marks build long closure chains and deep generations.
     """
     order = _canonical_order(tri)
     n = tri.n_elements if pool is None else min(pool, tri.n_elements)
     picks = rng.choice(n, size=min(k, n), replace=False)
     out = refine(tri, MarkSet.from_iterable(order[picks]), strategy=strategy)
-    return out, _mesh_set_digest(out, _canonical_rank(tri))
+    root = root[out.parent]
+    return out, root, _mesh_set_digest(out, root, _canonical_rank(tri))
 
 
 def _delaunay_square(seed, n_interior):
@@ -419,8 +422,10 @@ def _recorded_refine_digests():
     for round_no in range(1000):
         if tri.n_elements > 2500:
             tri = base
+        if tri is base:
+            root = np.arange(base.n_elements)
         k = int(rng.integers(1, 9))
-        tri, digest = _refine_canonical(tri, rng, k, "bisec_lg1")
+        tri, root, digest = _refine_canonical(tri, root, rng, k, "bisec_lg1")
         if round_no in (99, 499, 999):
             out[f"torture_{round_no}"] = digest
     # (b) a random Delaunay mesh: incompatible refinement edges, 5 random
@@ -428,8 +433,10 @@ def _recorded_refine_digests():
     for strategy in ("nvb", "bisec_lg1"):
         rng = np.random.default_rng(11)
         tri = _delaunay_square(5, 60)
+        root = np.arange(tri.n_elements)
         for round_no in range(40):
-            tri, digest = _refine_canonical(tri, rng, 5, strategy, pool=12)
+            tri, root, digest = _refine_canonical(tri, root, rng, 5, strategy,
+                                                  pool=12)
             check_mesh(tri)
         out[f"delaunay_{strategy}"] = digest
     # doubled generations put edge neighbors 4 apart, beyond the bound
@@ -438,11 +445,13 @@ def _recorded_refine_digests():
                                     gen=2 * tri.gen[order])
     assert max_adjacent_gen_diff(tri) == 4
     with pytest.raises(MeshError, match="edge neighbors 4 generations apart"):
-        _refine_canonical(tri, rng, 5, "bisec_lg1", pool=12)
+        _refine_canonical(tri, np.arange(tri.n_elements), rng, 5,
+                          "bisec_lg1", pool=12)
     # (c) slit duplication and Dirichlet flags of new vertices
-    tri = uniform_refine(uniform_refine(initial_mesh(builtin_domain("omega2"), 4)))
+    once = uniform_refine(initial_mesh(builtin_domain("omega2"), 4))
+    tri = uniform_refine(once)
     check_mesh(tri)
-    out["omega2_uniform2"] = _mesh_set_digest(tri)
+    out["omega2_uniform2"] = _mesh_set_digest(tri, once.parent[tri.parent])
     return out
 
 
@@ -598,8 +607,10 @@ def test_min_angle_matches_three_corner_oracle():
     meshes = [_delaunay_square(s, 80) for s in (5, 7, 11)]
     rng = np.random.default_rng(2024)
     tri = initial_mesh(builtin_domain("omega1"), 4)
+    root = np.arange(tri.n_elements)
     for round_no in range(200):
-        tri, _ = _refine_canonical(tri, rng, int(rng.integers(1, 9)), "bisec_lg1")
+        tri, root, _ = _refine_canonical(tri, root, rng,
+                                         int(rng.integers(1, 9)), "bisec_lg1")
         if round_no % 50 == 49:
             meshes.append(tri)
     meshes.append(uniform_refine(uniform_refine(initial_mesh(builtin_domain("omega2"), 4))))
