@@ -318,8 +318,9 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
     then mark: the level's spectrum (its pairs without the vectors), its
     history row, the stop reason (None to go on) and the marked elements
     (None on a stop).  A and M die before the estimators run, and the
-    space, the eigenvectors and the reports with this call, so none of them
-    is left when the mesh is refined or the next level solves."""
+    space with its cached edge geometry, the eigenvectors and the reports
+    with this call, so none of them is left when the mesh is refined or the
+    next level solves."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -402,7 +403,7 @@ def run(config: AdaptConfig) -> AdaptHistory:
         rows.append(row)
         if tri.tris.shape[0] > snapshot_threshold:
             # the history keeps copies that share the mesh arrays but not
-            # the edge data cached on tri for this level's estimators
+            # the edge topology, areas and h cached on tri
             snapshots.append((level, dataclasses.replace(tri)))
             while snapshot_threshold < tri.tris.shape[0]:
                 snapshot_threshold *= 4
@@ -412,7 +413,8 @@ def run(config: AdaptConfig) -> AdaptHistory:
             break
 
         # a solver failure on the next level leaves this level's mesh, kept
-        # without the edge data cached on tri, as the snapshots are
+        # without tri's caches, as the snapshots are: refine reads tri's edge
+        # topology, which must not outlive it into the next level
         final_mesh = dataclasses.replace(tri)
         t0 = time.monotonic()
         tri = refine(tri, marked, strategy=config.refine,

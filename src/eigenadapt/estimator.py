@@ -114,7 +114,7 @@ def _gradients_and_jumps(space: FeSpace, c: np.ndarray):
     flux plus the edge mate's at its reversed points; zero on the boundary)."""
     points, ends = _POINTS[space.degree]
     g = element_gradients(space, c, points)
-    n = space.tri.edge_normals[:, :, None, :]
+    n = space.edge_normals[:, :, None, :]
     jump = np.take(g[0], ends, axis=2)    # np.take keeps C order: the
     jump *= n[..., 0]                     # slot-major reshapes are views
     part = np.take(g[1], ends, axis=2)
@@ -177,7 +177,7 @@ def eta_energy_functions(space: FeSpace, lambdas: Sequence[float],
     # of its end values, j^2 if constant, (j1^2 + j1 j2 + j2^2) / 3 if affine
     q = j.shape[-1]
     prods = [j[..., s] * j[..., t] for s in range(q) for t in range(s, q)]
-    edge_int = tri.edge_lengths * reduce(np.add, prods) / len(prods)
+    edge_int = space.edge_lengths * reduce(np.add, prods) / len(prods)
     jump_sq = np.sum(_fold(np.add, edge_int), axis=0)
     elem_sq *= tri.h * tri.h
     jump_sq *= tri.h

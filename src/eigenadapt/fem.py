@@ -12,8 +12,10 @@ coordinate, x then y: the sparse factorizations of the assembled matrices
 take this numbering as the minimum degree ordering's tie-break, and a
 spatially coherent one keeps their fill low.
 A and M share one sorted CSR structure that keeps every element entry
-(``assemble``).  Assembly caches no per-element geometry; the estimators
-do, after the eigensolve.
+(``assemble``).  Assembly caches no per-element geometry.  The estimators
+cache the edge tangents, lengths and normals and the barycentric gradients
+on the ``FeSpace``, after the eigensolve, so they die with the level's space
+before its mesh is refined.
 
 P2 local dof order is (v0, v1, v2, e0, e1, e2) where edge dof ``e_m`` sits
 on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
@@ -68,10 +70,36 @@ class FeSpace:
         return self.dof_coords.shape[0]
 
     @cached_property
+    def edge_tangents(self) -> np.ndarray:
+        """``edge_vectors`` of the mesh, shape (nt, 3, 2), cached read-only
+        when the estimators first ask."""
+        tangents = edge_vectors(self.tri.coords, self.tri.tris)
+        tangents.setflags(write=False)
+        return tangents
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """Lengths of the local edges, shape (nt, 3)."""
+        t = self.edge_tangents
+        lengths = np.hypot(t[..., 0], t[..., 1])
+        lengths.setflags(write=False)
+        return lengths
+
+    @cached_property
+    def edge_normals(self) -> np.ndarray:
+        """Unit outward normals of the local edges, shape (nt, 3, 2)."""
+        t = self.edge_tangents
+        # CCW triangle: rotating the edge tangent by -90 degrees points outward
+        normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) \
+            / self.edge_lengths[..., None]
+        normals.setflags(write=False)
+        return normals
+
+    @cached_property
     def bary_grads(self) -> np.ndarray:
         """Barycentric coordinate gradients, shape (nt, 3, 2), cached with
-        the mesh's edge tangents when the estimators first ask."""
-        return barycentric_gradients(self.tri.edge_tangents, self.tri.areas)
+        the edge tangents when the estimators first ask."""
+        return barycentric_gradients(self.edge_tangents, self.tri.areas)
 
 
 def barycentric_gradients(t: np.ndarray, areas: np.ndarray) -> np.ndarray:

@@ -16,6 +16,9 @@ never contains hanging nodes.  Edge numbering, edge mates, neighbors and the
 Dirichlet vertices (the endpoints of the edges held by one triangle) come
 from one sort of the edge keys per mesh; both (counterclockwise) triangles on
 an interior edge run it opposite ways, so their normals are exact negatives.
+A pass writes each child straight into the arrays it returns, and the edge
+sort frees each temporary once used, so a refinement allocates little beyond
+the mesh it returns and that mesh's edge topology.
 
 Two refinement strategies are exposed:
 
@@ -72,10 +75,10 @@ class Triangulation:
 
     Only the fields below are stored; ``edges``, ``edge_mates``,
     ``neighbors`` and the ``dirichlet`` flags are cached views of one edge
-    sort of ``tris``, and the edge tangents, lengths and normals are cached
-    read-only arrays.  The estimators fill the geometry caches; assembly
-    reads ``edge_vectors`` without caching, so the eigensolve holds no
-    per-element edge geometry.
+    sort of ``tris``, which refinement reuses, and ``areas`` and ``h`` are
+    cached read-only arrays.  The per-element edge geometry (tangents,
+    lengths, normals) is cached on the ``fem.FeSpace`` of a level instead,
+    so it dies with the level before the mesh is refined.
 
     Attributes
     ----------
@@ -151,32 +154,6 @@ class Triangulation:
         """(nt, 3) triangle across local edge e, or -1 on the boundary."""
         return self._topology[4]
 
-    @cached_property
-    def edge_tangents(self) -> np.ndarray:
-        """``edge_vectors`` of the mesh, cached read-only for the
-        estimators."""
-        tangents = edge_vectors(self.coords, self.tris)
-        tangents.setflags(write=False)
-        return tangents
-
-    @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        """Lengths of the local edges, shape (nt, 3)."""
-        t = self.edge_tangents
-        lengths = np.hypot(t[..., 0], t[..., 1])
-        lengths.setflags(write=False)
-        return lengths
-
-    @cached_property
-    def edge_normals(self) -> np.ndarray:
-        """Unit outward normals of the local edges, shape (nt, 3, 2)."""
-        t = self.edge_tangents
-        # CCW triangle: rotating the edge tangent by -90 degrees points outward
-        normals = np.stack([t[..., 1], -t[..., 0]], axis=-1) \
-            / self.edge_lengths[..., None]
-        normals.setflags(write=False)
-        return normals
-
     @staticmethod
     def from_arrays(coords, tris, dirichlet=None, gen=None) -> "Triangulation":
         """Build a triangulation from raw coordinate and connectivity arrays.
@@ -225,6 +202,19 @@ class Triangulation:
 # the refinement edge
 LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]])
 
+# the children ``_bisect`` writes, by case: their corners, as columns of the
+# parent's (v0, v1, v2, m0, m1, m2) with m_e the midpoint of local edge e, and
+# their generation steps.  Bisection gives A = (m0, v0, v1) and
+# B = (m0, v2, v0); A is split again at m2 when edge 2 is marked, B at m1
+# when edge 1 is.  Cases 0-2 fill slot 0 (the parent unsplit, A, or A's
+# first child), case 3 slot 1, cases 4-5 slot 2 (B or its first child) and
+# case 6 slot 3
+V0, V1, V2, M0, M1, M2 = range(6)
+_CHILDREN = np.array([[V0, V1, V2], [M0, V0, V1], [M2, M0, V0], [M2, V1, M0],
+                      [M0, V2, V0], [M1, M0, V2], [M1, V0, M0]])
+_STEPS = np.array([0, 1, 2, 2, 1, 2, 2])
+_FIRST_CASE = np.array([0, 3, 4, 6], dtype=np.int8)
+
 
 def _edge_keys(tris, nv: int) -> np.ndarray:
     """(nt, 3) keys lo * nv + hi of the local edges; equal keys, same edge."""
@@ -260,24 +250,37 @@ def triangle_areas(coords, tris) -> np.ndarray:
 def _edge_topology(tris, nv: int) -> tuple[np.ndarray, ...]:
     """Read-only sorted edge keys, (nt, 3) edge ids, triangles per edge, (nt, 3)
     edge mates and neighbors, from one sort of the keys (any order of equal
-    keys gives the same); raises MeshError on an edge held by three triangles."""
+    keys gives the same); raises MeshError on an edge held by three triangles.
+    Each sort temporary is freed once used, so the peak stays near the
+    arrays returned."""
     key = _edge_keys(tris, nv).ravel()
+    size = key.size
     order = np.argsort(key)
     sorted_key = key[order]
-    first = np.ones(key.size, dtype=bool)
+    del key
+    first = np.ones(size, dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    sorted_edge = np.cumsum(first) - 1
-    count = np.bincount(sorted_edge)
-    if np.any(count > 2):
-        raise MeshError("an edge is shared by more than two triangles")
+    start = np.flatnonzero(first)
+    keys = sorted_key[start]
+    del sorted_key
+    sorted_edge = np.cumsum(first)
+    del first
+    sorted_edge -= 1
     edge = np.empty_like(order)
     edge[order] = sorted_edge
-    start = np.flatnonzero(first)
-    a, b = order[start[count == 2]], order[start[count == 2] + 1]
-    mates = np.full(key.size, -1, dtype=np.int64)
+    del sorted_edge
+    count = np.diff(start, append=size)
+    if np.any(count > 2):
+        raise MeshError("an edge is shared by more than two triangles")
+    pair = start[count == 2]
+    del start
+    a, b = order[pair], order[pair + 1]
+    del order, pair
+    mates = np.full(size, -1, dtype=np.int64)
     mates[a], mates[b] = b, a
+    del a, b
     mates = mates.reshape(-1, 3)  # floor division below keeps -1
-    out = sorted_key[start], edge.reshape(-1, 3), count, mates, mates // 3
+    out = keys, edge.reshape(-1, 3), count, mates, mates // 3
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -304,26 +307,26 @@ def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
     lo, hi = np.divmod(keys[new], nv)
     coords = np.vstack([tri.coords, 0.5 * (tri.coords[lo] + tri.coords[hi])])
 
-    # bisect (v0, v1, v2) into A = (m0, v0, v1) and B = (m0, v2, v0); A is
-    # split again at m2 when edge 2 is marked, B at m1 when edge 1 is
-    v0, v1, v2 = tris.T
-    m0, m1, m2 = mid[edge].T
-    s0, s1, s2 = split[edge].T
-    kids = np.stack([
-        np.where(s2[:, None], np.column_stack([m2, m0, v0]),
-                 np.where(s0[:, None], np.column_stack([m0, v0, v1]), tris)),
-        np.column_stack([m2, v1, m0]),
-        np.where(s1[:, None], np.column_stack([m1, m0, v2]),
-                 np.column_stack([m0, v2, v0])),
-        np.column_stack([m1, v0, m0]),
-    ], axis=1)
-    depth = np.column_stack([np.add(s0, s2, dtype=np.int64), np.full(nt, 2),
-                             1 + s1, np.full(nt, 2)])
+    # a parent's children fill its kept slots in order (see ``_CHILDREN``):
+    # slot 0 always, slots 1, 2 and 3 when edges 2, 0 and 1 are split
+    s0, s1, s2 = s.T  # the closed marking
     keep = np.column_stack([np.ones(nt, dtype=bool), s2, s0, s1])
+    case = np.tile(_FIRST_CASE, (nt, 1))
+    case[:, 0] += s0
+    case[:, 0] += s2
+    case[:, 2] += s1
     parent = np.nonzero(keep)[0]
+    case = case[keep]
+    del keep
+    corners = np.concatenate([tris, mid[edge]], axis=1)
+    kids = corners[parent[:, None], _CHILDREN[case]]
+    del corners
+    gen = tri.gen[parent]
+    gen += _STEPS[case]
+    del case
     out = Triangulation(
-        coords, kids[keep], tri.gen[parent] + depth[keep],
-        parent if origin is None else origin[parent], tri.root_area[parent])
+        coords, kids, gen, parent if origin is None else origin[parent],
+        tri.root_area[parent])
     if strategy == "bisec_lg1":
         gap = max_adjacent_gen_diff(out)
         if gap > MAX_ADJACENT_GEN_DIFF:
@@ -370,7 +373,8 @@ def min_angle_deg(tri: Triangulation) -> float:
     law of cosines on the sorted edge lengths a <= b <= c gives its cosine
     (b^2 + c^2 - a^2) / (2 b c); one arccos of the largest cosine follows.
     """
-    a, b, c = np.sort(tri.edge_lengths, axis=1).T
+    t = edge_vectors(tri.coords, tri.tris)
+    a, b, c = np.sort(np.hypot(t[..., 0], t[..., 1]), axis=1).T
     cosine = np.max((b * b + c * c - a * a) / (2.0 * b * c))
     return float(np.degrees(np.arccos(min(cosine, 1.0))))
 

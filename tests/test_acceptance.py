@@ -142,8 +142,9 @@ def test_criterion_3_slit_degenerate_pair(slit_multiple_run):
         floor = 1e-9 * max(r.lambdas[1] for r in tail)
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + floor, f"gap grew {a:.3e} -> {b:.3e}"
+        # the gaps themselves are roundoff; the floor they are held to is not
         detail.append(f"slope={slope:+.4f}, final tip h={tip_h:.2e}, "
-                      f"last gaps {gaps[0]:.2e}->{gaps[-1]:.2e}")
+                      f"gap floor {floor:.2e}")
 
 
 def test_criterion_4_perturbed_slits_both_strategies(slit_perturbed_runs,

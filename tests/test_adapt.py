@@ -32,7 +32,7 @@ from eigenadapt.cli import preset_configs
 from eigenadapt.eigen import (ClusterSelection, EigenPairSet,
                               separation_diagnostic, solve_smallest)
 from eigenadapt.errors import ConfigError, SolverError
-from eigenadapt.fem import assemble, build_space
+from eigenadapt.fem import FeSpace, assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
 from eigenadapt.mesh import MarkSet, Triangulation, refine
 
@@ -559,12 +559,12 @@ def test_tip_min_h_matches_per_corner_oracle_on_nvb_levels(monkeypatch):
 def test_edge_data_built_once_per_mesh(monkeypatch):
     built = {name: [] for name in ("edge_normals", "edge_lengths")}
     for name, calls in built.items():
-        def counted(self, orig=Triangulation.__dict__[name].func, calls=calls):
+        def counted(self, orig=FeSpace.__dict__[name].func, calls=calls):
             calls.append(self)
             return orig(self)
         prop = functools.cached_property(counted)
-        prop.__set_name__(Triangulation, name)
-        monkeypatch.setattr(Triangulation, name, prop)
+        prop.__set_name__(FeSpace, name)
+        monkeypatch.setattr(FeSpace, name, prop)
     sorted_tris, meshes = [], []
 
     def topology(tris, nv, orig=mesh._edge_topology):
@@ -584,8 +584,9 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
     levels = len(history.rows)
     assert levels >= 3
     for name, calls in built.items():
-        # the list holds every mesh, so distinct meshes have distinct ids
-        assert len({id(t) for t in calls}) == len(calls), name
+        # the list holds every level's space, so distinct spaces have
+        # distinct ids: one build per level
+        assert len({id(s) for s in calls}) == len(calls), name
         assert len(calls) == levels, name
     # one edge sort per connectivity: estimators, edge dofs, refinement and
     # the grading check share it, and snapshots never sort again
@@ -764,6 +765,32 @@ def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
     names = sorted(["space", "A", "M", "pointwise"]
                    + ["energy"] * config.record_secondary_estimator)
     assert at_refine == [(names, [])] * (len(history.rows) - 1)
+
+
+def test_edge_geometry_dies_with_its_level(monkeypatch):
+    """The estimators' edge normals are cached on the level's space, so
+    none is alive when the mesh is refined."""
+    normals, alive = [], []
+    compute = FeSpace.__dict__["edge_normals"].func
+
+    def keeping(self):
+        out = compute(self)
+        normals.append(weakref.ref(out))
+        return out
+
+    def checking(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(n() is not None for n in normals))
+        return refine(*args, **kwargs)
+
+    prop = functools.cached_property(keeping)
+    prop.__set_name__(FeSpace, "edge_normals")
+    monkeypatch.setattr(FeSpace, "edge_normals", prop)
+    monkeypatch.setattr(adapt, "refine", checking)
+    history = run(_small_config(record_secondary_estimator=True, max_dof=1500))
+    assert history.stop_reason == "max_dof" and len(history.rows) >= 4
+    assert len(normals) == len(history.rows)
+    assert alive == [0] * (len(history.rows) - 1)
 
 
 def test_eigenvectors_die_with_their_level(monkeypatch):

@@ -74,11 +74,12 @@ def _residual_max_p2(lam, space, coeffs, cg):
     return best
 
 
-def _jump_endpoint_values(tri, cg):
+def _jump_endpoint_values(space, cg):
+    tri = space.tri
     flux = np.take(cg[:, :, 0], LOCAL_EDGES, axis=1)
-    flux *= tri.edge_normals[:, :, None, 0, None]
+    flux *= space.edge_normals[:, :, None, 0, None]
     part = np.take(cg[:, :, 1], LOCAL_EDGES, axis=1)
-    part *= tri.edge_normals[:, :, None, 1, None]
+    part *= space.edge_normals[:, :, None, 1, None]
     flux += part
     np.take(flux.reshape(-1, *flux.shape[2:]), tri.edge_mates, axis=0,
             out=part, mode="wrap")
@@ -103,7 +104,7 @@ def _oracle_pointwise(space, lambdas, coeff_list):
         best = lam * np.max(np.abs(coeffs[space.elem_dofs]), axis=1)
     else:
         best = _residual_max_p2(lam, space, coeffs, cg)
-    jumps = _jump_endpoint_values(space.tri, cg)
+    jumps = _jump_endpoint_values(space, cg)
     jump_sum = np.sum(np.max(np.abs(jumps), axis=(1, 2)), axis=1)
     elem_part = h * h * np.sum(best, axis=1)
     jump_part = h * jump_sum
@@ -118,9 +119,9 @@ def _oracle_energy(space, lambdas, coeff_list):
     ref = _MASS_REF[space.degree]
     mass = np.einsum("tik,ij,tjk->tk", c, ref, c)
     elem_sq = np.sum(lam * lam * space.tri.areas[:, None] * mass, axis=1)
-    j = _jump_endpoint_values(space.tri, _corner_gradients(space, coeffs))
+    j = _jump_endpoint_values(space, _corner_gradients(space, coeffs))
     j1, j2 = j[:, :, 0], j[:, :, 1]
-    edge_int = space.tri.edge_lengths[:, :, None] * (j1 * j1 + j1 * j2 + j2 * j2) / 3.0
+    edge_int = space.edge_lengths[:, :, None] * (j1 * j1 + j1 * j2 + j2 * j2) / 3.0
     jump_sq = np.sum(np.sum(edge_int, axis=1), axis=1) * h
     elem_sq *= h * h
     return (np.sqrt(elem_sq) * scale, np.sqrt(jump_sq) * scale,

@@ -1,9 +1,10 @@
-"""Per-mesh edge geometry: one read-only tangent pass serves every user.
+"""Per-level edge geometry: one read-only tangent pass serves every user.
 
-``Triangulation.edge_tangents`` is computed once per mesh and cached
-read-only; edge lengths, edge normals and barycentric gradients derive from
-it.  Assembly computes its gradients from uncached edge vectors and never
-reads the caches, which fill only when the estimators ask.  The oracles
+``FeSpace.edge_tangents`` is computed once per space and cached read-only;
+edge lengths, edge normals and barycentric gradients derive from it, and
+all of them die with the level's space, not with its mesh.  Assembly
+computes its gradients from uncached edge vectors and never reads the
+caches, which fill only when the estimators ask.  The oracles
 below compute each quantity from the coordinates alone, as the code did
 before the cache, and every value must agree bit for bit, because the
 adaptive trajectory of a run near a degenerate pair depends on the last
@@ -15,9 +16,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from eigenadapt.fem import assemble, build_space
+from eigenadapt.fem import FeSpace, assemble, build_space
 from eigenadapt.geometry import builtin_domain, initial_mesh, slit_tips
-from eigenadapt.mesh import LOCAL_EDGES, MarkSet, Triangulation, refine
+from eigenadapt.mesh import LOCAL_EDGES, MarkSet, refine
 
 from mesh_helpers import uniform_refine
 
@@ -44,31 +45,31 @@ def _bary_grads(tri):
 
 
 def _assert_geometry_matches(tri):
-    np.testing.assert_array_equal(tri.edge_tangents, _tangents(tri))
-    np.testing.assert_array_equal(tri.edge_lengths, _lengths(tri))
-    np.testing.assert_array_equal(tri.edge_normals, _normals(tri))
-    np.testing.assert_array_equal(build_space(tri, 1).bary_grads,
-                                  _bary_grads(tri))
+    space = build_space(tri, 1)
+    np.testing.assert_array_equal(space.edge_tangents, _tangents(tri))
+    np.testing.assert_array_equal(space.edge_lengths, _lengths(tri))
+    np.testing.assert_array_equal(space.edge_normals, _normals(tri))
+    np.testing.assert_array_equal(space.bary_grads, _bary_grads(tri))
 
 
 def test_edge_tangents_are_cached_read_only_and_computed_once(monkeypatch):
     calls = []
-    compute = Triangulation.__dict__["edge_tangents"].func
+    compute = FeSpace.__dict__["edge_tangents"].func
 
     def counting(self):
         calls.append(id(self))
         return compute(self)
 
     prop = cached_property(counting)
-    prop.__set_name__(Triangulation, "edge_tangents")
-    monkeypatch.setattr(Triangulation, "edge_tangents", prop)
-    tri = initial_mesh(builtin_domain("omega2"), 4)
-    build_space(tri, 2).bary_grads
-    tri.edge_lengths, tri.edge_normals, tri.edge_tangents
-    assert calls == [id(tri)]
-    assert tri.edge_tangents is tri.edge_tangents
+    prop.__set_name__(FeSpace, "edge_tangents")
+    monkeypatch.setattr(FeSpace, "edge_tangents", prop)
+    space = build_space(initial_mesh(builtin_domain("omega2"), 4), 2)
+    space.bary_grads
+    space.edge_lengths, space.edge_normals, space.edge_tangents
+    assert calls == [id(space)]
+    assert space.edge_tangents is space.edge_tangents
     with pytest.raises(ValueError):
-        tri.edge_tangents[0, 0, 0] = 3.0
+        space.edge_tangents[0, 0, 0] = 3.0
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -78,9 +79,9 @@ def test_assembly_caches_no_element_geometry(degree):
     tri = initial_mesh(builtin_domain("omega1"), 4)
     space = build_space(tri, degree)
     assemble(space)
-    assert "edge_tangents" not in vars(tri) and "bary_grads" not in vars(space)
+    assert "edge_tangents" not in vars(space) and "bary_grads" not in vars(space)
     np.testing.assert_array_equal(space.bary_grads, _bary_grads(tri))
-    assert "edge_tangents" in vars(tri)
+    assert "edge_tangents" in vars(space)
 
 
 def _graded(tri, point, rounds=10):

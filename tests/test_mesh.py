@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.spatial
 from hypothesis import given, settings, strategies as st
 
 from eigenadapt.errors import GeometryError
+from eigenadapt.fem import build_space
 from eigenadapt.geometry import BUILTIN_DOMAINS, builtin_domain, initial_mesh
 from eigenadapt.mesh import (
     MAX_ADJACENT_GEN_DIFF,
@@ -579,14 +581,45 @@ def test_edge_run_the_same_way_twice_is_a_mesh_error():
         Triangulation.from_arrays(_FAN_COORDS, _FAN_TRIS[[0, 2]])
 
 
-# --- cached edge geometry and the minimum angle ---
+# --- what a refinement allocates ---
+
+# tracemalloc peak of a bisec_lg1 refinement over the bytes of the mesh it
+# returns and of that mesh's edge topology (which the grading check builds).
+# Children written straight into the output and an edge sort that frees its
+# temporaries measure 2.15 (quarter) and 1.50 (bisect); a table of every
+# candidate child and an edge sort that keeps its temporaries, 3.30 and 2.84
+REFINE_PEAK_RATIO = 2.5
+
+
+@pytest.mark.parametrize("subdivision", ["quarter", "bisect"])
+def test_refine_allocates_little_beyond_its_result(subdivision):
+    tri = initial_mesh(builtin_domain("omega1"), 8)
+    for _ in range(7):
+        tri = refine(tri, MarkSet(np.arange(tri.n_elements)))
+    assert tri.n_elements == 12288
+    rng = np.random.default_rng(0)
+    marked = MarkSet.from_iterable(
+        rng.choice(tri.n_elements, tri.n_elements // 6, replace=False))
+    tri.edges  # the input's topology is the input's, built before
+    tracemalloc.start()
+    try:
+        out = refine(tri, marked, "bisec_lg1", subdivision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(getattr(out, f.name).nbytes for f in dataclasses.fields(out))
+    result += sum(a.nbytes for a in (*out.edges, out.edge_mates, out.neighbors))
+    assert peak <= REFINE_PEAK_RATIO * result, peak / result
+
+
+# --- the level's cached edge geometry and the minimum angle ---
 
 def test_cached_edge_geometry_is_read_only():
-    tri = initial_mesh(builtin_domain("omega1"), 2)
+    space = build_space(initial_mesh(builtin_domain("omega1"), 2), 1)
     with pytest.raises(ValueError):
-        tri.edge_normals[0, 0, 0] = 3.0
+        space.edge_normals[0, 0, 0] = 3.0
     with pytest.raises(ValueError):
-        tri.edge_lengths[0, 0] = 3.0
+        space.edge_lengths[0, 0] = 3.0
 
 
 def _min_angle_three_corners(tri):
