@@ -10,7 +10,8 @@ the basis is then rotated by the ``x^2 - y^2`` moments about the centre of
 the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
 the config only, not on the basis the solver returns there.
 A level is one body, ``_level`` (build the space, assemble, solve, rotate,
-drop A and M, estimate, then mark), followed by ``refine``, so the next
+drop A and M, place a window by its inertia, estimate, then mark),
+followed by ``refine``, so the next
 level inherits only the refined mesh and the level's eigenvalues without
 their vectors (the next window's shift); the history keeps its rows and
 the snapshots, and history.csv has one column per ``LevelRecord`` field,
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (MOMENT_GAP_FLOOR, ClusterSelection, EigenPairSet,
-                    SeparationReport, rotate_multiple, separation_diagnostic,
-                    solve_smallest)
+                    SeparationReport, read_inertia, rotate_multiple,
+                    separation_diagnostic, solve_smallest)
 from .errors import ConfigError, SolverError
 from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
@@ -174,7 +175,7 @@ class LevelRecord:
     h_max: float
     h_min: float
     t_assemble_ms: float
-    t_solve_ms: float       # factorization, Lanczos and rotation
+    t_solve_ms: float       # factorization, Lanczos, rotation, inertia
     t_estimate_ms: float
     t_refine_ms: float
 
@@ -222,9 +223,11 @@ def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
 
 
 def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
-                 config: AdaptConfig) -> EigenPairSet:
+                 config: AdaptConfig) -> tuple[EigenPairSet, tuple | None]:
     """The eigenpairs of one level: a window around the cluster when the
-    previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
+    previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS;
+    with them (lo, the previous level's values at lo..hi, shift) for the
+    window, which ``_placed`` then keeps or rejects, or None.
 
     The window is max(lo-1, 1)..hi+1, widened at either end to the previous
     level's multiplicity group that holds it (``_window``), and is solved
@@ -233,43 +236,46 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
     distance and every eigenvalue outside the window farther away, so its
     nearest pairs are exactly the window; without the widening, an end that
     is half of a multiple eigenvalue ties with its twin outside the window.
-    The spaces are nested, so the values only fall from there.  The window
-    is kept when the factor's inertia puts it in place and no value exceeds
-    the previous level's at the same index, a cross-check of that count.  A
-    window that misses or raises SolverError is replaced by the lowest-pairs
-    solve.  A window from index 1 skips no eigenvalue below it, but holds
-    fewer pairs than the lowest-pairs solve and sits around a centred
-    shift, so its Lanczos run is shorter.
+    The spaces are nested, so the values only fall from there.  A window
+    solve that raises SolverError is replaced by the lowest-pairs solve on
+    the same A and M.  A window from index 1 skips no eigenvalue below it,
+    but holds fewer pairs than the lowest-pairs solve and sits around a
+    centred shift, so its Lanczos run is shorter.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and prev.last > cluster.hi
             and m == cluster.hi + EXTRA_PAIRS):
-        pairs = _window_pairs(A, M, cluster, prev, config, m)
-        if pairs is not None:
-            return pairs
-    return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed)
+        lo, hi = _window(cluster, prev)
+        old = prev.values[prev.positions(lo, hi)]
+        shift = 0.5 * (old[0] + old[-1])
+        try:
+            return (solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
+                                   seed=config.seed, shift=shift),
+                    (lo, old, shift))
+        except SolverError as exc:
+            log.debug("window at shift %.9g failed (%s); solving for the "
+                      "lowest %d pairs", shift, exc, m)
+    return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed), None
 
 
-def _window_pairs(A, M, cluster: ClusterSelection, prev: EigenPairSet,
-                  config: AdaptConfig, m: int) -> EigenPairSet | None:
-    """The window solve of ``_solve_level``, or None when it is rejected;
-    a rejected window's pairs are released before the fallback solve."""
-    lo, hi = _window(cluster, prev)
-    old = prev.values[prev.positions(lo, hi)]
-    shift = 0.5 * (old[0] + old[-1])
+def _placed(pairs: EigenPairSet, lo: int, old: np.ndarray,
+            shift: float) -> bool:
+    """Read a window's inertia (``read_inertia``, which drops its factor)
+    and keep the window when that count puts it at ``lo`` and no value
+    exceeds the previous level's ``old`` at the same index, a cross-check
+    of the count."""
     try:
-        pairs = solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
-                               seed=config.seed, shift=shift)
+        read_inertia(pairs)
     except SolverError as exc:
         reason = str(exc)
     else:
         if pairs.first == lo and np.all(pairs.values <= old):
-            return pairs
+            return True
         reason = (f"window {pairs.first}..{pairs.last}, values "
                   f"{pairs.values.tolist()} against {old.tolist()}")
     log.debug("window at shift %.9g rejected (%s); solving for the "
-              "lowest %d pairs", shift, reason, m)
-    return None
+              "lowest pairs", shift, reason)
+    return False
 
 
 def _moment_weight(space) -> np.ndarray:
@@ -317,10 +323,12 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
     """Build the space on ``tri``, assemble, solve, rotate and estimate,
     then mark: the level's spectrum (its pairs without the vectors), its
     history row, the stop reason (None to go on) and the marked elements
-    (None on a stop).  A and M die before the estimators run, and the
-    space with its cached edge geometry, the eigenvectors and the reports
-    with this call, so none of them is left when the mesh is refined or the
-    next level solves."""
+    (None on a stop).  A and M die before a window's pivots are read, whose
+    CSC copies of L and U set the level's memory peak; a window that its
+    inertia rejects is dropped, and the level assembles again for the
+    lowest pairs.  The space with its cached edge geometry, the eigenvectors
+    and the reports die with this call, so none of them is left when the
+    mesh is refined or the next level solves."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -331,12 +339,23 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
         raise ConfigError(
             f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
             f"({ndof})")
-    t0 = time.monotonic()
-    A, M = assemble(space)
-    t1 = time.monotonic()
-    pairs = _solve_level(A, M, cluster, prev, config)
-    for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
-                                  config.eig_tol):
+    t_assemble = t_solve = 0.0
+    for basis in (prev, None):
+        t0 = time.monotonic()
+        A, M = assemble(space)
+        t1 = time.monotonic()
+        pairs, window = _solve_level(A, M, cluster, basis, config)
+        rotated = rotate_multiple(pairs, A, M, _moment_weight(space),
+                                  config.eig_tol)
+        del A, M
+        placed = window is None or _placed(pairs, *window)
+        t_assemble += t1 - t0
+        t_solve += time.monotonic() - t1
+        if placed:
+            break
+        del pairs   # the rejected window's vectors; its factor is gone
+    for g, gap in rotated:
+        g = [i + pairs.first for i in g]
         log.debug("level %d: eigenvalues %s have moment gap %.3g",
                   level, g, gap)
         if gap < MOMENT_GAP_FLOOR:
@@ -344,7 +363,6 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
                 "level %d: eigenvalues %s have moment gap %.3g below %g; "
                 "their basis is left as the solver returned it",
                 level, g, gap, MOMENT_GAP_FLOOR)
-    del A, M
     t2 = time.monotonic()
     # eta_<kind> is looked up in this module at each call, where tracers
     # and tests may have wrapped it
@@ -360,7 +378,7 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
         lambdas=tuple(float(v) for v in
                       pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
         marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
-        t_assemble_ms=(t1 - t0) * 1e3, t_solve_ms=(t2 - t1) * 1e3,
+        t_assemble_ms=t_assemble * 1e3, t_solve_ms=t_solve * 1e3,
         t_estimate_ms=(t3 - t2) * 1e3, t_refine_ms=0.0)
     stop, marked = _mark(reports[config.estimator], ndof, level, config)
     if marked is not None:

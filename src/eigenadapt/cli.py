@@ -30,6 +30,8 @@ import sys
 
 from .errors import ConfigError, GeometryError, MeshError, SolverError
 
+SVG_BLOCK = 4096    # triangles whose paths render_mesh_svg formats at once
+
 # preset name -> run name -> the AdaptConfig fields it sets, in run order
 PRESETS = {
     # L-shape, cluster 12..13, pointwise max marking
@@ -56,14 +58,16 @@ def render_mesh_svg(tri, path) -> None:
     """Write a stroke-only SVG of the triangulation, one path per triangle.
 
     The viewBox is the mesh bounding box; a group transform flips the y axis
-    so the picture matches mathematical orientation.
+    so the picture matches mathematical orientation.  The paths are
+    formatted and written ``SVG_BLOCK`` triangles at a time, so the text of
+    the whole mesh is never held at once.
     """
     xs = tri.coords[:, 0]
     ys = tri.coords[:, 1]
     x0, y0 = float(xs.min()), float(ys.min())
     w, h = float(xs.max()) - x0, float(ys.max()) - y0
     stroke = 0.002 * max(w, h)
-    # one % operation formats every vertex, once, and a second every path
+    # one % operation formats every vertex, once, and one more each block
     pts = ("%.6g %.6g\n" * tri.n_vertices
            % tuple(tri.coords.ravel().tolist())).split("\n")
     with open(path, "w", encoding="utf-8") as fh:
@@ -74,8 +78,10 @@ def render_mesh_svg(tri, path) -> None:
             '<g transform="translate(0,%.6g) scale(1,-1)" '
             'fill="none" stroke="#000" stroke-width="%.6g" '
             'stroke-linejoin="round">\n' % (x0, y0, w, h, y0 + y0 + h, stroke))
-        fh.write('<path d="M%sL%sL%sZ"/>\n' * tri.n_elements
-                 % operator.itemgetter(*tri.tris.ravel().tolist())(pts))
+        for start in range(0, tri.n_elements, SVG_BLOCK):
+            block = tri.tris[start:start + SVG_BLOCK]
+            fh.write('<path d="M%sL%sL%sZ"/>\n' * block.shape[0]
+                     % operator.itemgetter(*block.ravel().tolist())(pts))
         fh.write("</g>\n</svg>\n")
 
 

@@ -28,13 +28,15 @@ entries zero in both (at P2, 12-17% fewer stored nonzeros from N 2,325
 on; the P1 pattern has no such entries).  The window's place in the
 spectrum comes from the factor's inertia: with no row interchanges, U's
 diagonal is the D of an LDL^T factorization, and by Sylvester's law its
-negative entries count the eigenvalues below the shift.  The count is
-read after the Lanczos run: reading U builds CSC copies of L and U, which
-then never share the memory peak with ARPACK's basis.  A factor that
-interchanged rows, or whose smallest pivot is tiny against the largest,
-cannot be trusted for that count and raises SolverError; so does a shift
-on an eigenvalue.  The adaptive loop then falls back to the lowest
-eigenpairs.
+negative entries count the eigenvalues below the shift.  Reading U builds
+CSC copies of L and U (about 12 bytes per factor nonzero), so the count is
+a separate step: ``solve_smallest`` returns the window with its factor
+held, and ``read_inertia`` reads the pivots, sets ``first`` and drops the
+factor.  The adaptive loop calls it once A and M are gone, after the
+Lanczos basis has long been freed.  A factor that interchanged rows, or
+whose smallest pivot is tiny against the largest, cannot be trusted for
+that count and raises SolverError there; so does a shift on an
+eigenvalue.  The adaptive loop then falls back to the lowest eigenpairs.
 
 Tiny problems where the Lanczos basis cannot be built fall back to a dense
 solver.  Returned vectors are M-orthonormal and sign-normalized so the
@@ -45,7 +47,7 @@ by one fixed by weighted moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +68,21 @@ MULTIPLICITY_RTOL = 1e-8
 MOMENT_GAP_FLOOR = 1e-3
 
 
+class _SpectrumIndex:
+    """``EigenPairSet.first``: a plain attribute, except on a window whose
+    factor is still held, where reading it runs ``read_inertia`` first."""
+
+    def __get__(self, pairs, owner=None):
+        if pairs is None:
+            return 1    # the field's default
+        if pairs._factor is not None:
+            read_inertia(pairs)
+        return pairs.__dict__["first"]
+
+    def __set__(self, pairs, value):
+        pairs.__dict__["first"] = value
+
+
 @dataclass
 class EigenPairSet:
     """Ascending eigenvalues with M-orthonormal coefficient vectors.
@@ -73,13 +90,18 @@ class EigenPairSet:
     ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
     from 1: ``first`` is 1 for the lowest pairs and larger for a window.
     ``groups`` are its numerically multiple eigenvalues, as 1-based
-    spectrum indices.
+    spectrum indices.  A window that ``solve_smallest`` returns holds its
+    factor until ``read_inertia`` reads ``first`` from it; a copy made by
+    ``dataclasses.replace`` holds none.
     """
 
     values: np.ndarray      # (m,)
     vectors: np.ndarray     # (n_free, m), column i pairs with values[i]
     residuals: np.ndarray   # (m,) relative residuals |Av - lam Mv| / (lam |v|)
-    first: int = 1          # 1-based spectrum index of values[0]
+    first: int = _SpectrumIndex()   # 1-based spectrum index of values[0]
+    # (SuperLU of A - shift M, shift) of a window whose index is not read
+    _factor: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def last(self) -> int:
@@ -198,6 +220,25 @@ def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
     return int(np.count_nonzero(pivots < 0.0))
 
 
+def read_inertia(pairs: EigenPairSet) -> None:
+    """Place a window that ``solve_smallest`` returned with its factor held:
+    set ``first`` from the factor's negative pivots (the eigenvalues below
+    the shift), then drop the factor.
+
+    Reading the pivots builds CSC copies of L and U, so a caller reads them
+    once it has released what it no longer needs, as the adaptive loop
+    releases A and M.  A factor that
+    interchanged rows, or whose smallest pivot is at most ``_PIVOT_TOL``
+    times the largest, as on an eigenvalue, raises SolverError; the factor
+    is dropped then too.  Pairs without a held factor are left as they are.
+    """
+    if pairs._factor is None:
+        return
+    (lu, shift), pairs._factor = pairs._factor, None
+    below = _negative_pivots(lu, shift)
+    pairs.first = below - int(np.count_nonzero(pairs.values < shift)) + 1
+
+
 def _shifted(A, M, shift: float):
     """A - shift M on the one structure that A and M share: a new data
     array on A's index arrays, with the exact zeros of both kept, so the
@@ -224,10 +265,12 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     relative, which leaves the residuals far below ``tol``; the residuals
     are then recomputed, and any one above ``tol`` raises SolverError.  The
     result's ``first`` is the 1-based index of its lowest value: the number
-    of negative pivots of the factor (the eigenvalues below the shift),
-    minus the computed values below the shift, plus one.  The pivots are
-    counted after the Lanczos run, and the factor is released before the
-    residuals are checked.
+    of eigenvalues below the shift, minus the computed values below it,
+    plus one.  At shift zero and on the dense path it is set at once.  A
+    window on the sparse path is returned with its factor held, and
+    ``read_inertia`` counts the factor's negative pivots later, when the
+    caller has released what it no longer needs (reading them builds CSC
+    copies of L and U); reading ``first`` before that reads them then.
 
     Parameters
     ----------
@@ -243,14 +286,15 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     seed : int
         Seed of the deterministic start vector, recorded in run metadata.
     shift : float
-        Center of the window.  A nonzero shift raises SolverError when the
-        factor of A - shift M interchanged rows or has a pivot below
+        Center of the window.  ``read_inertia`` raises SolverError when the
+        factor of A - shift M interchanged rows or has a pivot at most
         ``_PIVOT_TOL`` times the largest, as on an eigenvalue.
     """
     n = A.shape[0]
     if m < 1 or m > n:
         raise ValueError(f"cannot compute {m} pairs on a dimension-{n} problem")
 
+    held = None     # the factor of a window, for read_inertia
     if m > n - 2 or n < 5:
         dense_vals, dense_vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
         below = int(np.count_nonzero(dense_vals < shift))
@@ -270,9 +314,9 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
             raise SolverError(
                 f"Lanczos failed to converge for {m} pairs on dimension {n}: "
                 f"{exc}") from exc
-        # counted only after the Lanczos run, so the CSC copies of L and U
-        # that reading the pivots builds never coexist with ARPACK's basis
-        below = _negative_pivots(lu, shift) if shift != 0.0 else 0
+        below = 0       # at shift zero; a window's count is read_inertia's
+        if shift != 0.0:
+            held = (lu, shift)
         del lu, OPinv
         order = np.argsort(values)
         values = values[order]
@@ -290,9 +334,10 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
-    first = below - int(np.count_nonzero(values < shift)) + 1
-    return EigenPairSet(values=values, vectors=vectors, residuals=residuals,
-                        first=first)
+    pairs = EigenPairSet(values=values, vectors=vectors, residuals=residuals,
+                         first=below - int(np.count_nonzero(values < shift)) + 1)
+    pairs._factor = held
+    return pairs
 
 
 def _residuals(A, Mv: np.ndarray, values: np.ndarray,
@@ -323,8 +368,9 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
     one above ``tol`` raises SolverError.  A group whose moment gap (the
     smallest distance between eigenvalues of W, over the largest |weight|)
     is below ``MOMENT_GAP_FLOOR`` cannot fix its basis that way and is left
-    as solved.  Returns (1-based spectrum indices, moment gap) for every
-    group within ``tol``.
+    as solved.  Returns (positions in ``values``, moment gap) for every
+    group within ``tol``: positions, not spectrum indices, so that a window
+    is rotated before ``read_inertia`` places it.
     """
     scale = float(np.max(np.abs(weight)))
     out = []
@@ -336,7 +382,7 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
         W = (weight[:, None] * V).T @ (M @ V)
         moments, Q = np.linalg.eigh(0.5 * (W + W.T))
         gap = float(np.min(np.diff(moments))) / scale
-        out.append(([i + pairs.first for i in g], gap))
+        out.append((g, gap))
         if gap < MOMENT_GAP_FLOOR:
             continue
         V = V @ Q

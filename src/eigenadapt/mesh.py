@@ -286,10 +286,10 @@ def _edge_topology(tris, nv: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
+def _bisect(tri: Triangulation, elems: np.ndarray,
             origin: np.ndarray | None = None) -> Triangulation:
-    """One closure-and-bisection pass, then the ``bisec_lg1`` check;
-    ``parent`` of the result indexes ``tri``, or ``origin``'s mesh through it."""
+    """One closure-and-bisection pass; ``parent`` of the result indexes
+    ``tri``, or ``origin``'s mesh through it."""
     tris, nt, nv = tri.tris, tri.n_elements, tri.n_vertices
     keys, edge, _ = tri.edges
     split = np.zeros(keys.size, dtype=bool)
@@ -324,15 +324,19 @@ def _bisect(tri: Triangulation, elems: np.ndarray, strategy: str,
     gen = tri.gen[parent]
     gen += _STEPS[case]
     del case
-    out = Triangulation(
+    return Triangulation(
         coords, kids, gen, parent if origin is None else origin[parent],
         tri.root_area[parent])
+
+
+def _check_grading(tri: Triangulation, strategy: str) -> None:
+    """The ``bisec_lg1`` check of a refined mesh; it builds the edge
+    topology, which a further pass on ``tri`` reuses."""
     if strategy == "bisec_lg1":
-        gap = max_adjacent_gen_diff(out)
+        gap = max_adjacent_gen_diff(tri)
         if gap > MAX_ADJACENT_GEN_DIFF:
             raise MeshError(f"edge neighbors {gap} generations apart after "
                             f"refinement (bound {MAX_ADJACENT_GEN_DIFF})")
-    return out
 
 
 def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
@@ -347,7 +351,8 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
     MeshError when two edge neighbors of the result are more than
     ``MAX_ADJACENT_GEN_DIFF`` generations apart, a bound that refinement
     from the meshes of ``initial_mesh`` keeps.  ``subdivision="quarter"``
-    repeats the pass and check on the children of the marked triangles.
+    repeats the pass and check on the children of the marked triangles;
+    the second check runs once the first pass's mesh is released.
     ``parent`` of the result indexes ``tri``, which is left untouched, and
     the result depends only on the marked set, not on its order.
     """
@@ -358,11 +363,13 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
     elems = np.asarray(marked.elements, dtype=np.int64)
     if elems.size and (elems.min() < 0 or elems.max() >= tri.n_elements):
         raise MeshError("marked set contains out-of-range element indices")
-    out = _bisect(tri, elems, strategy)
+    out = _bisect(tri, elems)
     if subdivision == "quarter":
+        _check_grading(out, strategy)
         hit = np.zeros(tri.n_elements, dtype=bool)
         hit[elems] = True
-        out = _bisect(out, np.flatnonzero(hit[out.parent]), strategy, out.parent)
+        out = _bisect(out, np.flatnonzero(hit[out.parent]), out.parent)
+    _check_grading(out, strategy)
     return out
 
 

@@ -598,7 +598,9 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
 
 def _record_solves(monkeypatch, move_shift=None):
     """Record (shift, first index or None when it raised) of every solve
-    the loop makes; ``move_shift(A, M)`` replaces each nonzero shift."""
+    the loop makes; a window's index is recorded, or its error raised,
+    where the loop reads its inertia.  ``move_shift(A, M)`` replaces each
+    nonzero shift."""
     calls = []
 
     def solve(A, M, m, tol, seed, shift=0.0):
@@ -609,10 +611,16 @@ def _record_solves(monkeypatch, move_shift=None):
         except SolverError:
             calls.append((shift, None))
             raise
-        calls.append((shift, pairs.first))
+        calls.append((shift, None if shift else pairs.first))
         return pairs
 
+    def place(pairs):
+        # a window's inertia is read right after its solve, before the next
+        eigen.read_inertia(pairs)
+        calls[-1] = (calls[-1][0], pairs.first)
+
     monkeypatch.setattr(adapt, "solve_smallest", solve)
+    monkeypatch.setattr(adapt, "read_inertia", place)
     return calls
 
 
@@ -765,6 +773,45 @@ def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
     names = sorted(["space", "A", "M", "pointwise"]
                    + ["energy"] * config.record_secondary_estimator)
     assert at_refine == [(names, [])] * (len(history.rows) - 1)
+
+
+@pytest.mark.parametrize("config", [
+    AdaptConfig(max_dof=3000), AdaptConfig(degree=2, max_dof=3000),
+    # every window of this run is rejected, so each level assembles again
+    _small_config(n=4, cluster_lo=5, cluster_hi=6, max_dof=3000)],
+    ids=["p1", "p2", "rejected"])
+def test_windows_read_their_pivots_after_the_level_drops_a_and_m(
+        monkeypatch, config):
+    """Reading a window's pivots builds CSC copies of L and U.  By then the
+    level's A and M are gone, freed by reference counting alone, and its
+    eigenvectors are still held."""
+    level = {}      # weak references to the current level's objects
+    at_read = []
+    assemble_, solve = adapt.assemble, adapt.solve_smallest
+    negative_pivots = eigen._negative_pivots
+
+    def assembling(space):
+        A, M = assemble_(space)
+        level.update(A=weakref.ref(A), M=weakref.ref(M))
+        return A, M
+
+    def solving(*args, **kwargs):
+        pairs = solve(*args, **kwargs)
+        level["vectors"] = weakref.ref(pairs.vectors)
+        return pairs
+
+    def reading(lu, shift):
+        at_read.append(sorted(k for k, r in level.items() if r() is not None))
+        return negative_pivots(lu, shift)
+
+    monkeypatch.setattr(adapt, "assemble", assembling)
+    monkeypatch.setattr(adapt, "solve_smallest", solving)
+    monkeypatch.setattr(eigen, "_negative_pivots", reading)
+    history = run(config)
+    assert history.stop_reason == "max_dof" and len(history.rows) >= 5
+    # every level from the second solved a window
+    assert len(at_read) >= len(history.rows) - 2
+    assert at_read == [["vectors"]] * len(at_read)
 
 
 def test_edge_geometry_dies_with_its_level(monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import eigenadapt
 from eigenadapt.adapt import AdaptConfig, read_history_csv
-from eigenadapt.cli import main, preset_configs, render_mesh_svg
+from eigenadapt.cli import SVG_BLOCK, main, preset_configs, render_mesh_svg
 from eigenadapt.errors import ConfigError
 from eigenadapt.geometry import builtin_domain, initial_mesh
 from eigenadapt.mesh import MarkSet, refine
@@ -79,16 +80,38 @@ def _reference_svg(tri, path):
         fh.write("</g>\n</svg>\n")
 
 
-def test_svg_matches_reference_writer_on_refined_mesh(tmp_path):
-    # omega3's snapped tips and NVB midpoints give coordinates that round
+@pytest.fixture(scope="module")
+def refined_omega3():
+    """omega3's snapped tips and NVB midpoints give coordinates that round;
+    11,670 triangles, two whole blocks of SVG_BLOCK and part of a third."""
     tri = initial_mesh(builtin_domain("omega3"), 8)
     rng = np.random.default_rng(4)
-    while tri.n_elements < 4000:
+    while tri.n_elements < 2.5 * SVG_BLOCK:
         marked = np.flatnonzero(rng.random(tri.n_elements) < 0.2)
         tri = refine(tri, MarkSet.from_iterable(marked))
+    assert tri.n_elements % SVG_BLOCK
+    return tri
+
+
+def test_svg_matches_reference_writer_on_refined_mesh(tmp_path, refined_omega3):
+    tri = refined_omega3
     render_mesh_svg(tri, tmp_path / "new.svg")
     _reference_svg(tri, tmp_path / "ref.svg")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_svg_render_holds_one_block_of_paths(tmp_path, refined_omega3):
+    # the vertex strings (measured about 76 bytes per vertex) and one
+    # block's paths and indices (about 160 bytes per triangle); the paths
+    # of the whole mesh at once peaked at 2.34 MB here, against 1.11 MB
+    tri = refined_omega3
+    tracemalloc.start()
+    try:
+        render_mesh_svg(tri, tmp_path / "mesh.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * tri.n_vertices + 200 * SVG_BLOCK, peak
 
 
 def test_svg_lshape_via_cli(tmp_path, capsys):

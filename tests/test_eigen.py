@@ -1,6 +1,8 @@
 """Generalized eigensolver and separation diagnostic tests."""
 
+import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from eigenadapt.eigen import (
     EigenPairSet,
     factorize_spd,
     multiplicity_groups,
+    read_inertia,
     rotate_multiple,
     separation_diagnostic,
     solve_smallest,
@@ -223,8 +226,9 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     b.vectors[:, 1:3] = a.vectors[:, 1:3] @ np.array([[c, -s], [s, c]])
     for pairs in (a, b):
         values = pairs.values.copy()
+        # lambda_2 = lambda_3, at positions 1 and 2 of the values
         [(group, gap)] = rotate_multiple(pairs, A, M, weight, 1e-9)
-        assert group == [2, 3] and gap > MOMENT_GAP_FLOOR
+        assert group == [1, 2] and gap > MOMENT_GAP_FLOOR
         np.testing.assert_array_equal(pairs.values, values)
         assert np.all(pairs.residuals <= 1e-9)
         np.testing.assert_allclose(pairs.vectors.T @ M @ pairs.vectors,
@@ -233,7 +237,7 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     # equal moments cannot order a basis: the group is left as solved
     before = a.vectors.copy()
     [(group, gap)] = rotate_multiple(a, A, M, np.ones_like(weight), 1e-9)
-    assert group == [2, 3] and gap < MOMENT_GAP_FLOOR
+    assert group == [1, 2] and gap < MOMENT_GAP_FLOOR
     np.testing.assert_array_equal(a.vectors, before)
     # values that agree to the group tolerance but not to the solve's
     # are not rotated
@@ -326,13 +330,42 @@ def test_window_on_the_dense_path():
 @pytest.mark.parametrize("rel", [0.0, 1e-15, 1e-13])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_shift_on_an_eigenvalue_is_a_solver_error(degree, rel):
-    # the inertia is read after the Lanczos run on the near-singular factor;
-    # its error must still be the one raised
+    # the Lanczos run on the near-singular factor succeeds; reading the
+    # inertia afterwards raises, and drops the factor
     space = build_space(initial_mesh(builtin_domain("unit_square"), 8), degree)
     A, M = assemble(space)
     full = solve_smallest(A, M, 8)
+    pairs = solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
     with pytest.raises(SolverError, match="lies on an eigenvalue"):
-        solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
+        read_inertia(pairs)
+    assert pairs._factor is None
+
+
+def test_factor_that_interchanged_rows_is_a_solver_error():
+    pairs = _pairs_from_values([1.0, 2.0])
+    pairs._factor = (SimpleNamespace(perm_r=np.array([1, 0]),
+                                     perm_c=np.array([0, 1])), 1.5)
+    with pytest.raises(SolverError, match="interchanged rows"):
+        read_inertia(pairs)
+    assert pairs._factor is None
+
+
+def test_window_holds_its_factor_until_its_inertia_is_read(square_ops):
+    A, M = square_ops
+    low = solve_smallest(A, M, 6)
+    shift = 0.5 * (low.values[1] + low.values[4])
+    pairs = solve_smallest(A, M, 4, shift=shift)
+    assert pairs._factor is not None
+    read_inertia(pairs)
+    assert pairs._factor is None and (pairs.first, pairs.last) == (2, 5)
+    read_inertia(pairs)     # placed pairs are left as they are
+    assert pairs.first == 2
+    # reading first, as dataclasses.replace does, reads the inertia too;
+    # the copy holds no factor
+    pairs = solve_smallest(A, M, 4, shift=shift)
+    copy = dataclasses.replace(pairs, vectors=None)
+    assert pairs._factor is None and copy._factor is None
+    assert copy.first == pairs.first == 2
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +402,7 @@ def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
     try:
         base = tracemalloc.get_traced_memory()[0]
         pairs = solve_smallest(A, M, 4, shift=shift)
+        read_inertia(pairs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
