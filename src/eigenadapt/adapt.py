@@ -1,24 +1,12 @@
 """Adaptive solve / estimate / mark / refine driver with history recording.
 
-``run`` executes the loop on a domain until a stop criterion fires (dof
-budget, level cap, estimator target, or a vanished estimator), recording
-per-level eigenvalues, estimator values, mesh statistics and wall times.
-From level 1 on, a cluster lo..hi is solved as the window max(lo-1, 1)..hi+1,
-widened to whole multiplicity groups, around a shift taken from the previous
-level (see ``_solve_level``).  Inside each numerically multiple eigenvalue
-the basis is then rotated by the ``x^2 - y^2`` moments about the centre of
-the mesh's bounding box (``eigen.rotate_multiple``), so the run depends on
-the config only, not on the basis the solver returns there.
-A level is one body, ``_level`` (build the space, assemble, solve, rotate,
-drop A and M, place a window by its inertia, estimate, then mark),
-followed by ``refine``, so the next
-level inherits only the refined mesh and the level's eigenvalues without
-their vectors (the next window's shift); the history keeps its rows and
-the snapshots, and history.csv has one column per ``LevelRecord`` field,
-in field order.
-Snapshots of the mesh are kept at levels where the element count first
-exceeds each power of 4, and on slit domains the smallest element size near
-every slit tip is tracked per level.
+``run`` repeats a level (``_level``: solve, estimate, mark) and ``refine``
+until a stop criterion fires: dof budget, level cap, estimator target, or a
+vanished estimator.  A level inherits only the refined mesh and the
+previous level's spectrum (``_solve_level``).  The history keeps one
+``LevelRecord`` per level, mesh snapshots where the element count first
+exceeds each power of 4 and, on slit domains, the smallest element size
+near every slit tip.
 """
 
 from __future__ import annotations
@@ -208,9 +196,9 @@ def _cluster_cuts_multiplicity(cluster: ClusterSelection,
 
 def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
     """1-based range max(lo-1, 1)..hi+1, each end widened to the whole
-    multiplicity group of the previous level's pairs that holds it; a
-    previous window that starts above 1 is kept whole, so a group split by
-    refinement stays in."""
+    multiplicity group of the previous level's pairs that holds it, so no
+    end ties with a twin outside the window; a previous window that starts
+    above 1 is kept whole, so a group split by refinement stays in."""
     lo, hi = max(cluster.lo - 1, 1), cluster.hi + 1
     if prev.first > 1:
         lo, hi = min(lo, prev.first), max(hi, prev.last)
@@ -229,18 +217,14 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
     with them (lo, the previous level's values at lo..hi, shift) for the
     window, which ``_placed`` then keeps or rejects, or None.
 
-    The window is max(lo-1, 1)..hi+1, widened at either end to the previous
-    level's multiplicity group that holds it (``_window``), and is solved
-    by shift-invert at the midpoint of the previous level's values at its
-    two ends.  On the previous level that shift has both ends at equal
-    distance and every eigenvalue outside the window farther away, so its
-    nearest pairs are exactly the window; without the widening, an end that
-    is half of a multiple eigenvalue ties with its twin outside the window.
-    The spaces are nested, so the values only fall from there.  A window
+    The window ``_window`` gives is solved by shift-invert at the midpoint
+    of the previous level's values at its two ends.  On the previous level
+    that shift has both ends at equal distance and every eigenvalue outside
+    the window farther away, so its nearest pairs are exactly the window;
+    the spaces are nested, so the values only fall from there.  A window
     solve that raises SolverError is replaced by the lowest-pairs solve on
-    the same A and M.  A window from index 1 skips no eigenvalue below it,
-    but holds fewer pairs than the lowest-pairs solve and sits around a
-    centred shift, so its Lanczos run is shorter.
+    the same A and M.  A window from index 1 is still used: it holds fewer
+    pairs around a centred shift, so its Lanczos run is shorter.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and prev.last > cluster.hi
@@ -323,12 +307,10 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
     """Build the space on ``tri``, assemble, solve, rotate and estimate,
     then mark: the level's spectrum (its pairs without the vectors), its
     history row, the stop reason (None to go on) and the marked elements
-    (None on a stop).  A and M die before a window's pivots are read, whose
-    CSC copies of L and U set the level's memory peak; a window that its
-    inertia rejects is dropped, and the level assembles again for the
-    lowest pairs.  The space with its cached edge geometry, the eigenvectors
-    and the reports die with this call, so none of them is left when the
-    mesh is refined or the next level solves."""
+    (None on a stop).  A and M die before a window is placed
+    (``read_inertia``); a rejected window is dropped, and the level
+    assembles again for the lowest pairs.  The space with its cached edge
+    geometry, the eigenvectors and the reports die with this call."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -364,10 +346,8 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
                 "their basis is left as the solver returned it",
                 level, g, gap, MOMENT_GAP_FLOOR)
     t2 = time.monotonic()
-    # eta_<kind> is looked up in this module at each call, where tracers
-    # and tests may have wrapped it
-    reports = {kind: globals()[f"eta_{kind}"](space, pairs, cluster)
-               for kind in ESTIMATOR_KINDS
+    reports = {kind: eta(space, pairs, cluster) for kind, eta in
+               (("pointwise", eta_pointwise), ("energy", eta_energy))
                if kind == config.estimator or config.record_secondary_estimator}
     t3 = time.monotonic()
 

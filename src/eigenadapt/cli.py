@@ -1,23 +1,9 @@
 """Command line driver: configured runs, experiment presets, rate fits, meshes.
 
-Subcommands
------------
-
-- ``eigenadapt run --config <file> [--out <dir>]``: one adaptive run from a
-  ``key = value`` config file; writes history.csv, summary.json and mesh
-  snapshot SVGs into the output directory.
-- ``eigenadapt preset <name> [--out <dir>] [--max-dof N]``: a named
-  experiment expanding to one or more runs, each written to
-  ``<out>/<name>/<run-name>/``.
-- ``eigenadapt rate --history <csv> --field <pointwise|energy>``: fitted
-  log10-log10 slope of a recorded estimator against free dofs.
-- ``eigenadapt mesh dump|load|svg``: structured initial meshes in the
-  plain-text format, mesh stats, and SVG rendering.
-
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
-
-Presets execute their runs sequentially; each run writes only inside its
-own directory.
+``eigenadapt run|preset|rate|mesh``, with the options ``build_parser``
+declares.  Exit codes: 0 success, 2 configuration error, 3 solver
+failure, 4 I/O error.  A preset runs its configs one after another, each
+writing only inside ``<out>/<name>/<run-name>/``.
 """
 
 from __future__ import annotations
@@ -213,10 +199,9 @@ def _mesh_from_args(args):
 
 
 def cmd_mesh_dump(args) -> int:
-    from .geometry import initial_mesh, resolve_domain
     from .mesh import write_mesh
 
-    tri = initial_mesh(resolve_domain(args.domain), args.n)
+    tri = _mesh_from_args(args)
     write_mesh(tri, args.out)
     print(f"{tri.n_vertices} vertices, {tri.n_elements} triangles -> {args.out}")
     return 0
@@ -287,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--n", type=int, default=8,
                         help="lattice subdivisions per unit length")
     p_dump.add_argument("--out", required=True, help="mesh file to write")
-    p_dump.set_defaults(func=cmd_mesh_dump)
+    p_dump.set_defaults(func=cmd_mesh_dump, path=None)
 
     p_load = mesh_sub.add_parser("load", help="validate and describe a mesh file")
     p_load.add_argument("--path", required=True)

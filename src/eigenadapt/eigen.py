@@ -1,48 +1,12 @@
 """Sparse generalized eigensolver and cluster separation diagnostics.
 
-The discrete problem is A v = lambda M v with A the Dirichlet-eliminated
-stiffness matrix (symmetric positive definite) and M the mass matrix.
-``solve_smallest`` runs shift-invert Lanczos (ARPACK through scipy, with
-full reorthogonalization) from a seeded deterministic vector.  The operator
-applies one sparse LU of A - sigma M in the caller's numbering: SuperLU
-factors in symmetric mode with minimum degree ordering on the symmetrized
-pattern and no pivoting, with fundamental supernodes only and one-column
-panels; on these 2D finite element matrices relaxed supernodes, which store
-explicit zeros, and wide panels cost more than they save (the final-level
-factorizations of the benchmark workloads take about a quarter less time
-and a third less memory).  Minimum degree breaks ties in input order, and
-the free dofs come numbered by coordinate (``fem.build_space``), the
-tie-break that keeps the fill low.  ARPACK stops at a Ritz accuracy of
-``_LANCZOS_TOL_MARGIN`` times the residual tolerance the solve accepts,
-not at machine precision.
-
-At shift zero the factored matrix is A itself and the solve returns the
-lowest eigenpairs.  At a nonzero shift it returns the window of eigenpairs
-nearest the shift (spectrum slicing, Ericsson and Ruhe, Math. Comp. 35
-(1980)).  The window matrix A - shift M is one new data array on the sorted
-CSR structure that ``fem.assemble`` gives A and M both, the union of the
-element patterns with its exact zeros; SuperLU gets the CSC transpose view
-of it, the same matrix, without a copy.  Minimum degree fills in less on
-that pattern than on the one scipy's A - shift M leaves after dropping the
-entries zero in both (at P2, 12-17% fewer stored nonzeros from N 2,325
-on; the P1 pattern has no such entries).  The window's place in the
-spectrum comes from the factor's inertia: with no row interchanges, U's
-diagonal is the D of an LDL^T factorization, and by Sylvester's law its
-negative entries count the eigenvalues below the shift.  Reading U builds
-CSC copies of L and U (about 12 bytes per factor nonzero), so the count is
-a separate step: ``solve_smallest`` returns the window with its factor
-held, and ``read_inertia`` reads the pivots, sets ``first`` and drops the
-factor.  The adaptive loop calls it once A and M are gone, after the
-Lanczos basis has long been freed.  A factor that interchanged rows, or
-whose smallest pivot is tiny against the largest, cannot be trusted for
-that count and raises SolverError there; so does a shift on an
-eigenvalue.  The adaptive loop then falls back to the lowest eigenpairs.
-
-Tiny problems where the Lanczos basis cannot be built fall back to a dense
-solver.  Returned vectors are M-orthonormal and sign-normalized so the
-first nonzero coefficient is positive.  Inside a numerically multiple
-eigenvalue roundoff still picks the basis; ``rotate_multiple`` replaces it
-by one fixed by weighted moments.
+The discrete problem is A v = lambda M v, with A the Dirichlet-eliminated
+stiffness matrix and M the mass matrix.  ``solve_smallest`` returns the
+pairs nearest a shift, by shift-invert Lanczos on a ``factorize_spd``
+factor; a window's place in the spectrum (spectrum slicing, Ericsson and
+Ruhe, Math. Comp. 35 (1980)) is the inertia of that factor, which
+``read_inertia`` reads.  ``rotate_multiple`` fixes the basis inside each
+numerically multiple eigenvalue.
 """
 
 from __future__ import annotations
@@ -68,38 +32,21 @@ MULTIPLICITY_RTOL = 1e-8
 MOMENT_GAP_FLOOR = 1e-3
 
 
-class _SpectrumIndex:
-    """``EigenPairSet.first``: a plain attribute, except on a window whose
-    factor is still held, where reading it runs ``read_inertia`` first."""
-
-    def __get__(self, pairs, owner=None):
-        if pairs is None:
-            return 1    # the field's default
-        if pairs._factor is not None:
-            read_inertia(pairs)
-        return pairs.__dict__["first"]
-
-    def __set__(self, pairs, value):
-        pairs.__dict__["first"] = value
-
-
 @dataclass
 class EigenPairSet:
     """Ascending eigenvalues with M-orthonormal coefficient vectors.
 
     ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
-    from 1: ``first`` is 1 for the lowest pairs and larger for a window.
-    ``groups`` are its numerically multiple eigenvalues, as 1-based
-    spectrum indices.  A window that ``solve_smallest`` returns holds its
-    factor until ``read_inertia`` reads ``first`` from it; a copy made by
-    ``dataclasses.replace`` holds none.
+    from 1.  A window that ``solve_smallest`` returns has ``first`` None and
+    holds its factor until ``read_inertia`` places it; ``last`` and
+    ``positions`` raise TypeError before that.
     """
 
     values: np.ndarray      # (m,)
     vectors: np.ndarray     # (n_free, m), column i pairs with values[i]
     residuals: np.ndarray   # (m,) relative residuals |Av - lam Mv| / (lam |v|)
-    first: int = _SpectrumIndex()   # 1-based spectrum index of values[0]
-    # (SuperLU of A - shift M, shift) of a window whose index is not read
+    first: int | None = 1   # 1-based spectrum index of values[0]
+    # (SuperLU of A - shift M, shift) of a window that is not placed yet
     _factor: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -173,19 +120,15 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of an SPD matrix for repeated solves, in A's numbering.
 
     SuperLU runs in symmetric mode with minimum degree ordering on A + A^T
-    and a pivot threshold of zero, so every nonzero diagonal entry is taken
-    as the pivot: an SPD matrix is factored without row interchanges.
-    ``relax=1`` keeps every supernode fundamental (no explicit zeros are
-    stored) and ``panel_size=1`` updates one column at a time; against
-    SuperLU's defaults (10, 20) this cuts the final-level factor time of
-    the benchmark workloads by 24-28% and its memory growth by 26-38%.
-    Minimum degree breaks ties in input order, so the fill and the solve
-    time follow the caller's numbering; ``fem.build_space`` numbers the free
-    dofs by coordinate for that.  A is symmetric, so a CSR input is passed
-    as its transpose, the CSC matrix on the same arrays, without a copy;
-    an input with unsorted or duplicate indices is copied first, because
-    SuperLU would sort it in place.  An exactly singular matrix raises
-    SolverError.
+    and a pivot threshold of zero, so an SPD matrix is factored without row
+    interchanges.  ``relax=1`` keeps every supernode fundamental (no
+    explicit zeros are stored) and ``panel_size=1`` updates one column at a
+    time, which on these 2D element matrices costs less time and memory
+    than SuperLU's defaults.  Minimum degree breaks ties in input order, so
+    the fill follows the caller's numbering (see ``fem.build_space``).  A
+    CSR input is passed as its transpose, the same matrix, without a copy;
+    one with unsorted or duplicate indices is copied first, because SuperLU
+    would sort it in place.  An exactly singular matrix raises SolverError.
     """
     csc = A.T if A.format == "csr" else A.tocsc()
     if not csc.has_canonical_format:
@@ -199,13 +142,14 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
 
 
 def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
-    """Number of negative pivots of ``factorize_spd`` of A - shift M: the
-    count of eigenvalues below the shift.
+    """Number of negative pivots of ``factorize_spd`` of A - shift M.
 
-    The count holds only for a factor without row interchanges and with
-    pivots bounded away from zero; otherwise SolverError is raised.
-    Reading ``lu.U`` builds CSC copies of L and U that live as long as the
-    factor.
+    With no row interchanges, U's diagonal is the D of an LDL^T factor, so
+    by Sylvester's law this counts the eigenvalues below the shift.  A
+    factor that interchanged rows, or whose smallest pivot is at most
+    ``_PIVOT_TOL`` times the largest, as on an eigenvalue, raises
+    SolverError.  Reading ``lu.U`` builds CSC copies of L and U, about 12
+    bytes per factor nonzero.
     """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
@@ -221,16 +165,11 @@ def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
 
 
 def read_inertia(pairs: EigenPairSet) -> None:
-    """Place a window that ``solve_smallest`` returned with its factor held:
-    set ``first`` from the factor's negative pivots (the eigenvalues below
-    the shift), then drop the factor.
-
-    Reading the pivots builds CSC copies of L and U, so a caller reads them
-    once it has released what it no longer needs, as the adaptive loop
-    releases A and M.  A factor that
-    interchanged rows, or whose smallest pivot is at most ``_PIVOT_TOL``
-    times the largest, as on an eigenvalue, raises SolverError; the factor
-    is dropped then too.  Pairs without a held factor are left as they are.
+    """Place a window that ``solve_smallest`` returned: set ``first`` from
+    ``_negative_pivots`` of its held factor, then drop the factor, also
+    when SolverError is raised.  Pairs without a factor are left as they
+    are.  The pivot read's copies of L and U set a level's memory peak, so a
+    caller reads them once it has released what it no longer needs.
     """
     if pairs._factor is None:
         return
@@ -258,37 +197,20 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
                    shift: float = 0.0) -> EigenPairSet:
     """Compute the m eigenpairs of A v = lambda M v nearest ``shift``.
 
-    At the default shift zero these are the m smallest.  (A - shift M)^-1
-    is applied through ``factorize_spd``: symmetric-mode SuperLU with
-    minimum degree on the symmetrized pattern and no pivoting.  ARPACK
-    stops once its Ritz values are accurate to ``_LANCZOS_TOL_MARGIN * tol``
-    relative, which leaves the residuals far below ``tol``; the residuals
-    are then recomputed, and any one above ``tol`` raises SolverError.  The
-    result's ``first`` is the 1-based index of its lowest value: the number
-    of eigenvalues below the shift, minus the computed values below it,
-    plus one.  At shift zero and on the dense path it is set at once.  A
-    window on the sparse path is returned with its factor held, and
-    ``read_inertia`` counts the factor's negative pivots later, when the
-    caller has released what it no longer needs (reading them builds CSC
-    copies of L and U); reading ``first`` before that reads them then.
-
-    Parameters
-    ----------
-    A, M : scipy sparse matrices
-        Constrained (free-dof) stiffness and mass matrices, not modified.
-        A nonzero shift on the sparse path needs them in CSR with one
-        sorted structure, as ``fem.assemble`` returns them, and raises
-        ValueError otherwise.
-    m : int
-        Number of pairs, 1 <= m <= dimension.
-    tol : float
-        Acceptance threshold for the relative residuals.
-    seed : int
-        Seed of the deterministic start vector, recorded in run metadata.
-    shift : float
-        Center of the window.  ``read_inertia`` raises SolverError when the
-        factor of A - shift M interchanged rows or has a pivot at most
-        ``_PIVOT_TOL`` times the largest, as on an eigenvalue.
+    At the default shift zero these are the m smallest, 1 <= m <= dim.
+    Shift-invert Lanczos (ARPACK, from the start vector ``seed`` draws)
+    applies one ``factorize_spd`` factor of A - shift M and stops at a Ritz
+    accuracy of ``_LANCZOS_TOL_MARGIN * tol``; problems too small for its
+    basis are solved densely.  A and M, the free-dof stiffness and mass
+    matrices, are not modified (a nonzero shift on the sparse path takes
+    them as ``_shifted`` says).  The vectors are M-orthonormal and
+    sign-normalized (the first clearly nonzero coefficient is positive);
+    inside a numerically multiple eigenvalue roundoff still picks the basis
+    (see ``rotate_multiple``).  A relative residual above ``tol``, a
+    nonpositive eigenvalue or a loss of M-orthonormality raises
+    SolverError.  ``first`` is set at shift zero and on the dense path; a
+    window on the sparse path comes back with ``first`` None and its
+    factor held, for ``read_inertia``.
     """
     n = A.shape[0]
     if m < 1 or m > n:
@@ -314,7 +236,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
             raise SolverError(
                 f"Lanczos failed to converge for {m} pairs on dimension {n}: "
                 f"{exc}") from exc
-        below = 0       # at shift zero; a window's count is read_inertia's
+        below = 0       # at shift zero; read_inertia places a window
         if shift != 0.0:
             held = (lu, shift)
         del lu, OPinv
@@ -335,7 +257,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
     pairs = EigenPairSet(values=values, vectors=vectors, residuals=residuals,
-                         first=below - int(np.count_nonzero(values < shift)) + 1)
+                         first=None if held else
+                         below - int(np.count_nonzero(values < shift)) + 1)
     pairs._factor = held
     return pairs
 
@@ -358,19 +281,16 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
                     tol: float) -> list[tuple[list[int], float]]:
     """Fix the basis inside each multiple eigenvalue of ``pairs``, in place.
 
-    Inside a numerically multiple eigenvalue any orthonormal basis is a
-    solution, and roundoff picks the one the solver returns.  Each group of
-    ``multiplicity_groups`` whose values agree to ``tol`` relative is
-    rotated onto the eigenvectors of its weighted mass matrix
+    Each group of ``multiplicity_groups`` whose values agree to ``tol``
+    relative is rotated onto the eigenvectors of its weighted mass matrix
     W = V^T diag(weight) M V (symmetrized), in ascending order of the
-    moments, and sign-normalized again; the basis then depends on the
-    subspace and the weight only.  The rotated residuals are recomputed and
-    one above ``tol`` raises SolverError.  A group whose moment gap (the
-    smallest distance between eigenvalues of W, over the largest |weight|)
-    is below ``MOMENT_GAP_FLOOR`` cannot fix its basis that way and is left
-    as solved.  Returns (positions in ``values``, moment gap) for every
-    group within ``tol``: positions, not spectrum indices, so that a window
-    is rotated before ``read_inertia`` places it.
+    moments, and sign-normalized again, so its basis depends on the
+    subspace and the weight only; a rotated residual above ``tol`` raises
+    SolverError.  A group whose moment gap (the smallest distance between
+    eigenvalues of W, over the largest |weight|) is below
+    ``MOMENT_GAP_FLOOR`` is left as solved.  Returns (positions in
+    ``values``, moment gap) for every group within ``tol``: positions, so
+    that a window is rotated before ``read_inertia`` places it.
     """
     scale = float(np.max(np.abs(weight)))
     out = []

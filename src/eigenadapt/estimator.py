@@ -12,12 +12,9 @@ Two estimators over the same residual quantities:
   with the global value the root of the sum of squares.
 
 Jumps on slit edges count as boundary (Dirichlet) edges and do not
-contribute; each geometric slit side is its own mesh boundary.
-
-The cluster members are evaluated together, as one (k, nt, nd) block of
-element coefficients.  Gradients are evaluated only where they vary: once
-per element for P1, at the three corners for P2; so a jump takes one value
-per edge for P1 and is affine between the edge's endpoints for P2.
+contribute; each geometric slit side is its own mesh boundary.  The
+cluster members are evaluated together, as one (k, nt, nd) block of
+element coefficients.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from .mesh import LOCAL_EDGES
 
 _INTERIOR_EPS = 1e-12  # barycentric margin for interior critical points
 
-# per degree: the barycentric points where gradients are evaluated, and
-# which of them each local edge's jump is evaluated at
+# per degree: the barycentric points where gradients vary (one per element
+# at P1, the corners at P2), and those each local edge's jump is taken at
 _POINTS = {1: (np.eye(3)[:1], np.zeros((3, 1), dtype=np.int64)),
            2: (np.eye(3), LOCAL_EDGES)}
 

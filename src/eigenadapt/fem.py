@@ -1,30 +1,16 @@
 """P1/P2 Lagrange elements: spaces and exact assembly.
 
 Element stiffness matrices and Laplacians contract the pairwise inner
-products of the barycentric gradients with the reference tables
-``_REF_TABLES``, built once per degree from ``shape_derivatives``, and mass
-matrices scale ``_MASS_REF``: one code path for P1 and P2, and no
-quadrature at assembly.  Homogeneous Dirichlet conditions hold at the dofs
-on the edges that one triangle holds (``Triangulation.dirichlet`` and, for
-P2, those edges' midpoints); they are imposed by eliminating constrained
-rows and columns, never by penalties.  The free dofs are numbered by
-coordinate, x then y: the sparse factorizations of the assembled matrices
-take this numbering as the minimum degree ordering's tie-break, and a
-spatially coherent one keeps their fill low.
-A and M share one sorted CSR structure that keeps every element entry
-(``assemble``).  Assembly caches no per-element geometry.  The estimators
-cache the edge tangents, lengths and normals and the barycentric gradients
-on the ``FeSpace``, after the eigensolve, so they die with the level's space
-before its mesh is refined.
+products of the barycentric gradients with reference tables built once per
+degree (``_reference_tables``), and mass matrices scale ``_MASS_REF``: one
+code path for P1 and P2, and no quadrature at assembly.  Homogeneous
+Dirichlet conditions are imposed by eliminating the constrained rows and
+columns (``build_space``, ``assemble``), never by penalties.
 
 P2 local dof order is (v0, v1, v2, e0, e1, e2) where edge dof ``e_m`` sits
-on the edge opposite vertex ``m``.  Edge dofs follow the mesh's edge
-numbering (``Triangulation.edges``, keyed by the sorted vertex index pair),
-so the two sides of a slit get independent dofs.
-
-``element_gradients`` and ``block_laplacians`` work on element
-coefficients ``coeffs[..., elem_dofs]`` with the functions on leading axes:
-the estimators pass a whole cluster as one (k, nt, nd) block.
+on the edge opposite vertex ``m``.  ``element_gradients`` and
+``block_laplacians`` take element coefficients ``coeffs[..., elem_dofs]``
+with the functions on leading axes, as the estimators' (k, nt, nd) block.
 """
 
 from __future__ import annotations
@@ -55,15 +41,19 @@ _MASS_REF = {
 
 @dataclass
 class FeSpace:
-    """Lagrange finite element space of degree 1 or 2 on a triangulation."""
+    """Lagrange finite element space of degree 1 or 2 on a triangulation.
+
+    The estimators' edge geometry (tangents, lengths, normals, barycentric
+    gradients) is cached read-only here on first use, not on the mesh, so
+    it dies with the level's space before the mesh is refined.
+    """
 
     tri: Triangulation
     degree: int
     elem_dofs: np.ndarray      # (nt, 3) or (nt, 6) global dof per local dof
     dof_coords: np.ndarray     # (ndof, 2) nodal points
     is_dirichlet: np.ndarray   # (ndof,) bool
-    free: np.ndarray           # free dof indices by coordinate, x then y:
-                               # the minimum degree ordering's tie-break
+    free: np.ndarray           # free dof indices, ordered as build_space says
 
     @property
     def n_dofs(self) -> int:
@@ -71,8 +61,7 @@ class FeSpace:
 
     @cached_property
     def edge_tangents(self) -> np.ndarray:
-        """``edge_vectors`` of the mesh, shape (nt, 3, 2), cached read-only
-        when the estimators first ask."""
+        """``edge_vectors`` of the mesh, shape (nt, 3, 2)."""
         tangents = edge_vectors(self.tri.coords, self.tri.tris)
         tangents.setflags(write=False)
         return tangents
@@ -97,8 +86,7 @@ class FeSpace:
 
     @cached_property
     def bary_grads(self) -> np.ndarray:
-        """Barycentric coordinate gradients, shape (nt, 3, 2), cached with
-        the edge tangents when the estimators first ask."""
+        """Barycentric coordinate gradients, shape (nt, 3, 2)."""
         return barycentric_gradients(self.edge_tangents, self.tri.areas)
 
 
@@ -115,7 +103,15 @@ def _grad_products(g: np.ndarray) -> np.ndarray:
 
 
 def build_space(tri: Triangulation, degree: int) -> FeSpace:
-    """Construct a P1 or P2 space with its Dirichlet partition."""
+    """Construct a P1 or P2 space with its Dirichlet partition.
+
+    The Dirichlet dofs are the ``Triangulation.dirichlet`` vertices and, at
+    P2, the midpoints of the edges one triangle holds.  P2 edge dofs follow
+    the mesh's edge numbering, so the two sides of a slit get independent
+    dofs.  The free dofs are ordered by coordinate, x then y: minimum degree
+    breaks its ties in that order, and a spatially coherent one keeps the
+    fill of ``eigen.factorize_spd`` low.
+    """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     if degree == 1:
@@ -123,8 +119,6 @@ def build_space(tri: Triangulation, degree: int) -> FeSpace:
         elem_dofs, dof_coords = tri.tris, tri.coords
         is_dirichlet = tri.dirichlet
     else:
-        # edge dofs follow the mesh's edge numbering; an edge held by one
-        # triangle lies on the boundary
         keys, edge, count = tri.edges
         nv = tri.n_vertices
         lo, hi = np.divmod(keys, nv)
@@ -143,9 +137,8 @@ def local_stiffness(space: FeSpace) -> np.ndarray:
     An entry sums integer multiples of the gradient products, the diagonal
     ones last: an entry that a right angle zeroes in exact arithmetic,
     where the off-diagonal products sum to minus a diagonal one, is exactly
-    zero.  (a, b) and (b, a) read one computed value.  The gradients come
-    from edge vectors that are not cached, so assembly leaves no
-    per-element geometry for the eigensolve to hold."""
+    zero.  (a, b) and (b, a) read one computed value.  The edge vectors
+    are not cached, so assembly leaves no per-element geometry behind."""
     (w, T, col), _ = _REF_TABLES[space.degree]
     tri = space.tri
     g = barycentric_gradients(edge_vectors(tri.coords, tri.tris), tri.areas)
@@ -161,25 +154,20 @@ def local_mass(space: FeSpace) -> np.ndarray:
 
 def assemble(space: FeSpace
              ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    """Stiffness A and mass M on the free dofs, as CSR matrices with one
-    structure.
+    """Stiffness A and mass M on the free dofs, as CSR matrices that share
+    one pair of sorted ``indices`` and ``indptr`` arrays.
 
-    Rows and columns of the other dofs are eliminated; a space whose
-    ``free`` lists every dof gives the unconstrained pair.  Local matrices
-    are exactly symmetric and scattered pairwise, so ``A == A.T`` holds
-    bit for bit.  A and M are scattered from one (row, col) index of the
-    element entries, in the int32 type scipy keeps without a copy, and
-    keep every element entry, exact zeros included; so both hold the
-    union of the element patterns, with sorted column indices, in one
-    shared pair of ``indices`` and ``indptr`` arrays.
-    ``eigen.solve_smallest`` forms A - shift M on that structure.  The
-    element stiffness matrices are computed before the index, whose arrays
-    then reuse the memory of their temporaries, and are released once
-    scattered, before the mass matrices are built.
+    Rows and columns of the other dofs are eliminated.  Local matrices are
+    exactly symmetric and scattered pairwise, so ``A == A.T`` holds bit for
+    bit.  Both keep every element entry, exact zeros included, so their
+    structure is the union of the element patterns, on which
+    ``eigen.solve_smallest`` forms A - shift M.
     """
+    # the element stiffness matrices come first, so the index reuses the
+    # memory of their temporaries, and die once scattered
     K = local_stiffness(space)
     nd = K.shape[1]
-    dofs = space.elem_dofs.astype(np.int32)
+    dofs = space.elem_dofs.astype(np.int32)     # the type scipy keeps
     index = (np.repeat(dofs, nd, axis=1).ravel(),
              np.tile(dofs, (1, nd)).ravel())
     shape, f = (space.n_dofs, space.n_dofs), space.free

@@ -9,10 +9,7 @@ strictly inside the slit, one copy per side, so the two sides are decoupled
 topologically while the slit tip stays a single shared vertex.
 
 Polygon edges and slits are axis-aligned, so validation and construction
-share two predicates that need no rational arithmetic.  "Meet" (a point on
-a segment, or two segments crossing or touching) is a bounding-box overlap
-test; "inside" is an even-odd count of the vertical edges to a point's right
-that span its y.  Both are float or integer comparisons, which are exact.
+share two exact comparison predicates, ``_meet`` and ``_inside``.
 Construction is whole-array work on the integer lattice: the square centers
 are tested in integer units of half a spacing and node coordinates are
 i / n, a correctly rounded quotient.  Exact fractions remain only where a

@@ -4,35 +4,11 @@ A triangulation stores, per triangle, the vertex triple ordered so that the
 refinement edge is opposite local vertex 0 (the peak).  Bisection inserts the
 midpoint of the refinement edge, which becomes the peak of both children; the
 two remaining edges of the parent become the children's refinement edges.
-
-Refinement works on numbered edges, in whole-array steps (Funken, Praetorius
-and Wissgott, CMAM 11 (2011)).  The refinement edge of every marked triangle
-is marked; the marking is closed to a fixed point under the rule "a triangle
-with any marked edge marks its refinement edge"; then every triangle with
-marked edges is bisected once, twice or three times by its pattern, all in
-one step.  The closed marking is the least conforming refinement that
-bisects every marked triangle (Stevenson, Math. Comp. 77 (2008)), so the mesh
-never contains hanging nodes.  Edge numbering, edge mates, neighbors and the
-Dirichlet vertices (the endpoints of the edges held by one triangle) come
-from one sort of the edge keys per mesh; both (counterclockwise) triangles on
-an interior edge run it opposite ways, so their normals are exact negatives.
-A pass writes each child straight into the arrays it returns, and the edge
-sort frees each temporary once used, so a refinement allocates little beyond
-the mesh it returns and that mesh's edge topology.
-
-Two refinement strategies are exposed:
-
-- ``nvb``:        plain newest vertex bisection with conformity closure
-- ``bisec_lg1``:  the same pass, then MeshError if two edge neighbors are
-                  more than ``MAX_ADJACENT_GEN_DIFF`` generations apart.
-                  Bisection from a matched labelling (each refinement edge is
-                  its mate's too, as on every initial mesh) keeps them within
-                  one (Binev, Dahmen and DeVore, Numer. Math. 97 (2004)).
-                  Only generations set by hand have failed the check.
-
-Slit domains are handled transparently: the two sides of a slit use distinct
-vertex indices, so slit faces are boundary edges to the mesh kernel, with
-Dirichlet endpoints, and never pair up during refinement.
+``refine`` works on numbered edges, in whole-array steps (Funken, Praetorius
+and Wissgott, CMAM 11 (2011)), and the edge numbering, mates, neighbors and
+Dirichlet vertices come from one sort of the edge keys (``_edge_topology``).
+The two sides of a slit use distinct vertex indices, so slit faces are
+boundary edges, with Dirichlet endpoints, and never pair up.
 """
 
 from __future__ import annotations
@@ -47,8 +23,9 @@ from .errors import MeshError
 REFINE_STRATEGIES = ("nvb", "bisec_lg1")
 SUBDIVISIONS = ("quarter", "bisect")
 
-# grading bound bisec_lg1 checks; matched labellings stay within 1, and
-# meshes read from files may carry any labelling
+# grading bound bisec_lg1 checks; bisection from a matched labelling, as on
+# every initial mesh, stays within 1 (Binev, Dahmen and DeVore, Numer. Math.
+# 97 (2004)), and meshes read from files may carry any labelling
 MAX_ADJACENT_GEN_DIFF = 2
 
 
@@ -73,36 +50,19 @@ class MarkSet:
 class Triangulation:
     """Immutable conforming triangle mesh.
 
-    Only the fields below are stored; ``edges``, ``edge_mates``,
-    ``neighbors`` and the ``dirichlet`` flags are cached views of one edge
-    sort of ``tris``, which refinement reuses, and ``areas`` and ``h`` are
-    cached read-only arrays.  The per-element edge geometry (tangents,
-    lengths, normals) is cached on the ``fem.FeSpace`` of a level instead,
-    so it dies with the level before the mesh is refined.
-
-    Attributes
-    ----------
-    coords : (nv, 2) float array
-        Vertex coordinates.  Two vertices may share coordinates only when
-        they are the two sides of a slit.
-    tris : (nt, 3) int array
-        Vertex triples, counterclockwise, peak (newest vertex) first; the
-        refinement edge is the edge opposite local vertex 0.
-    gen : (nt,) int array
-        Bisection generation, 0 on initial meshes.
-    parent : (nt,) int array
-        Index of the ancestor element in the mesh this one was refined from
-        (self-index for untouched elements and initial meshes).
-    root_area : (nt,) float array
-        Area of the generation-0 ancestor in the initial mesh;
-        ``area(T) == root_area(T) * 2**(-gen(T))`` up to roundoff.
+    Only the fields below are stored; the edge topology (``edges``,
+    ``edge_mates``, ``neighbors``, ``dirichlet``), ``areas`` and ``h`` are
+    cached read-only on first use.  Two vertices share coordinates only on
+    the two sides of a slit.
     """
 
-    coords: np.ndarray
-    tris: np.ndarray
-    gen: np.ndarray
-    parent: np.ndarray
-    root_area: np.ndarray
+    coords: np.ndarray      # (nv, 2) vertex coordinates
+    tris: np.ndarray        # (nt, 3) vertex triples, CCW, peak first
+    gen: np.ndarray         # (nt,) bisection generation, 0 on initial meshes
+    parent: np.ndarray      # (nt,) element refined from in the previous mesh
+                            # (self-index when untouched, and initially)
+    root_area: np.ndarray   # (nt,) area of the generation-0 ancestor:
+                            # area == root_area * 2**-gen up to roundoff
 
     def __post_init__(self):
         for f in fields(self):
@@ -234,9 +194,14 @@ def _boundary_vertices(nv: int, topology) -> np.ndarray:
 
 def edge_vectors(coords, tris) -> np.ndarray:
     """Local edge vectors, shape (nt, 3, 2); edge e runs from corner
-    e + 1 to corner e + 2 (mod 3), counterclockwise."""
-    p = coords[tris]
-    return p[:, LOCAL_EDGES[:, 1]] - p[:, LOCAL_EDGES[:, 0]]
+    e + 1 to corner e + 2 (mod 3), counterclockwise.  Each edge's (nt, 2)
+    block is contiguous in memory."""
+    out = np.empty((3, tris.shape[0], 2)).transpose(1, 0, 2)
+    for d in range(2):
+        c = coords[:, d][tris]
+        np.subtract(c[:, LOCAL_EDGES[:, 1]], c[:, LOCAL_EDGES[:, 0]],
+                    out=out[..., d])
+    return out
 
 
 def triangle_areas(coords, tris) -> np.ndarray:
@@ -347,14 +312,14 @@ def refine(tri: Triangulation, marked: MarkSet, strategy: str = "nvb",
     is closed under "a triangle with any marked edge marks its refinement
     edge".  Each triangle is then bisected once, twice or three times by the
     pattern of its marked edges, which gives the least conforming refinement
-    that bisects every marked triangle.  ``bisec_lg1`` then raises
-    MeshError when two edge neighbors of the result are more than
-    ``MAX_ADJACENT_GEN_DIFF`` generations apart, a bound that refinement
-    from the meshes of ``initial_mesh`` keeps.  ``subdivision="quarter"``
-    repeats the pass and check on the children of the marked triangles;
-    the second check runs once the first pass's mesh is released.
-    ``parent`` of the result indexes ``tri``, which is left untouched, and
-    the result depends only on the marked set, not on its order.
+    that bisects every marked triangle (Stevenson, Math. Comp. 77 (2008)),
+    without hanging nodes.  ``bisec_lg1`` then raises MeshError when two
+    edge neighbors of the result are more than ``MAX_ADJACENT_GEN_DIFF``
+    generations apart.  ``subdivision="quarter"`` repeats the pass and
+    check on the children of the marked triangles; the second check runs
+    once the first pass's mesh is released.  ``parent`` of the result
+    indexes ``tri``, which is left untouched, and the result depends only
+    on the marked set, not on its order.
     """
     if strategy not in REFINE_STRATEGIES:
         raise MeshError(f"unknown refinement strategy {strategy!r}")

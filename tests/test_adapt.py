@@ -715,6 +715,7 @@ def test_windows_widened_to_a_twin_are_kept(monkeypatch):
 
     def solve(A, M, m, tol, seed, shift=0.0):
         pairs = solve_smallest(A, M, m, tol=tol, seed=seed, shift=shift)
+        eigen.read_inertia(pairs)
         calls.append((A.shape[0], m, pairs.first))
         return pairs
 

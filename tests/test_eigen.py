@@ -306,6 +306,7 @@ def test_window_matches_lowest_pairs_at_inertia_index(degree, lo, hi):
     shift = 0.5 * (full.values[lo - 2] + full.values[hi])
     win = solve_smallest(A, M, hi - lo + 3, shift=shift)
     # first comes from the factor's inertia
+    read_inertia(win)
     assert (win.first, win.last) == (lo - 1, hi + 1)
     idx = full.positions(win.first, win.last)
     np.testing.assert_allclose(win.values, full.values[idx], rtol=1e-10, atol=0.0)
@@ -356,16 +357,19 @@ def test_window_holds_its_factor_until_its_inertia_is_read(square_ops):
     shift = 0.5 * (low.values[1] + low.values[4])
     pairs = solve_smallest(A, M, 4, shift=shift)
     assert pairs._factor is not None
+    # an unplaced window has no spectrum index, and says so
+    assert pairs.first is None
+    with pytest.raises(TypeError):
+        pairs.last
+    with pytest.raises(TypeError):
+        pairs.positions(2, 5)
     read_inertia(pairs)
     assert pairs._factor is None and (pairs.first, pairs.last) == (2, 5)
     read_inertia(pairs)     # placed pairs are left as they are
     assert pairs.first == 2
-    # reading first, as dataclasses.replace does, reads the inertia too;
-    # the copy holds no factor
-    pairs = solve_smallest(A, M, 4, shift=shift)
+    # a copy of a placed window holds its index and no factor
     copy = dataclasses.replace(pairs, vectors=None)
-    assert pairs._factor is None and copy._factor is None
-    assert copy.first == pairs.first == 2
+    assert copy._factor is None and copy.first == 2
 
 
 @pytest.fixture(scope="module")
