@@ -38,6 +38,7 @@ ESTIMATOR_KINDS = ("pointwise", "energy")
 MARKING_KINDS = ("max", "doerfler")
 TIP_RADIUS = 0.05  # tip elements = elements with a vertex this close to the tip
 EXTRA_PAIRS = 3    # eigenpairs computed beyond the cluster for diagnostics
+NEAR_RTOL = 1e-2   # a window end moves past a neighbour this close, relative
 
 
 @dataclass
@@ -195,19 +196,16 @@ def _cluster_cuts_multiplicity(cluster: ClusterSelection,
 
 
 def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
-    """1-based range max(lo-1, 1)..hi+1, each end widened to the whole
-    multiplicity group of the previous level's pairs that holds it, so no
-    end ties with a twin outside the window; a previous window that starts
-    above 1 is kept whole, so a group split by refinement stays in."""
-    lo, hi = max(cluster.lo - 1, 1), cluster.hi + 1
-    if prev.first > 1:
-        lo, hi = min(lo, prev.first), max(hi, prev.last)
-    for g in prev.groups:
-        if g[0] <= lo <= g[-1]:
-            lo = g[0]
-        if g[0] <= hi <= g[-1]:
-            hi = g[-1]
-    return lo, hi
+    """1-based range max(lo-1, 1)..hi+1, each end moved outward, within the
+    previous level's (ascending) pairs, while the neighbour beyond it lies
+    within NEAR_RTOL of its value, relative to the larger of the two."""
+    v, first = prev.values, prev.first
+    lo, hi = max(cluster.lo - 1, 1) - first, cluster.hi + 1 - first
+    while lo > 0 and v[lo] - v[lo - 1] <= NEAR_RTOL * v[lo]:
+        lo -= 1
+    while hi < v.size - 1 and v[hi + 1] - v[hi] <= NEAR_RTOL * v[hi + 1]:
+        hi += 1
+    return lo + first, hi + first
 
 
 def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
@@ -219,12 +217,14 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
 
     The window ``_window`` gives is solved by shift-invert at the midpoint
     of the previous level's values at its two ends.  On the previous level
-    that shift has both ends at equal distance and every eigenvalue outside
-    the window farther away, so its nearest pairs are exactly the window;
-    the spaces are nested, so the values only fall from there.  A window
-    solve that raises SolverError is replaced by the lowest-pairs solve on
-    the same A and M.  A window from index 1 is still used: it holds fewer
-    pairs around a centred shift, so its Lanczos run is shorter.
+    every computed value outside the window lies more than NEAR_RTOL beyond
+    its end, so the window's pairs are nearest that shift; the spaces are
+    nested, so the values only fall from there.  A window misses only when
+    one level's refinement moves a neighbour across that margin, which
+    ``_placed``'s two checks catch.  A window solve that raises SolverError
+    is replaced by the lowest-pairs solve on the same A and M.  A window
+    from index 1 is still used: it holds fewer pairs around a centred
+    shift, so its Lanczos run is shorter.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and prev.last > cluster.hi

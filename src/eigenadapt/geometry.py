@@ -198,6 +198,12 @@ def initial_mesh(spec: DomainSpec, n: int) -> Triangulation:
             raise GeometryError(
                 f"polygon vertex ({_fr(x)}, {_fr(y)}) is not on the 1/{n} lattice")
         ij.append(idx)
+    # _edge_keys numbers an edge lo * nv + hi, exact in int64 while nv^2 < 2^63
+    i, j = zip(*ij)
+    box = (max(i) - min(i) + 1) * (max(j) - min(j) + 1)
+    if box * box >= 2 ** 63:
+        raise GeometryError("the polygon's box holds too many nodes of the "
+                            f"1/{n} lattice to number its edges")
     ij = np.array(ij, dtype=np.int64)
     (imin, jmin), (imax, jmax) = ij.min(axis=0), ij.max(axis=0)
 

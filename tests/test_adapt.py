@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigenadapt
 from eigenadapt import adapt, eigen, mesh
@@ -701,16 +702,58 @@ def test_window_holds_whole_multiplicity_groups():
     twins = _pair_set([1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0, 7.0, 9.0], 1)
     assert twins.groups == [[3, 4], [7, 8]]
     assert adapt._window(cluster, twins) == (3, 8)
-    # a window solved before is kept whole, though its groups have split
-    assert adapt._window(cluster, _pair_set([3.0, 3.1, 5.0, 6.0, 7.0, 7.1], 3)) \
-        == (3, 8)
+    # neighbours 0.83% and 0.85% off an end are taken in, 1.3% and 1.1% not
+    near = [1.0, 2.0, 2.975, 3.0, 5.0, 6.0, 7.0, 7.06, 9.0]
+    far = [1.0, 2.0, 2.96, 3.0, 5.0, 6.0, 7.0, 7.08, 9.0]
+    assert adapt._window(cluster, _pair_set(near, 1)) == (3, 8)
+    assert adapt._window(cluster, _pair_set(far, 1)) == (4, 7)
+    # a moved end moves on past its own near neighbour
+    chain = [1.0, 2.0, 2.96, 2.98, 3.0, 5.0, 6.0, 7.0, 7.05, 7.1, 9.0]
+    assert adapt._window(ClusterSelection(6, 7), _pair_set(chain, 1)) \
+        == (3, 10)
+    # no end moves past the previous level's pairs, 3..8 or 1..4
+    assert adapt._window(cluster, _pair_set(
+        [3.0, 3.01, 5.0, 6.0, 7.0, 7.01], 3)) == (3, 8)
+    assert adapt._window(ClusterSelection(2, 2), _pair_set(
+        [5.0, 5.0, 5.0, 5.0], 1)) == (1, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_window_rule_on_random_spectra(data):
+    """On ascending spectra whose gaps fall on both sides of NEAR_RTOL, the
+    window holds max(lo-1, 1)..hi+1 within the previous pairs, every
+    computed neighbour beyond an end lies more than NEAR_RTOL away, and no
+    multiplicity group is cut."""
+    gaps = data.draw(st.lists(st.one_of(
+        st.sampled_from([0.0, 1e-9, 2e-3, 9e-3, 1e-2, 1.1e-2, 0.1]),
+        st.floats(0.0, 0.05)), min_size=2, max_size=12))
+    values = np.cumprod([data.draw(st.floats(1.0, 1e3))]
+                        + [1.0 + g for g in gaps])
+    first = data.draw(st.integers(1, 3))
+    prev = _pair_set(values, first)
+    # the pairs cover max(lo - 1, 1)..hi + 1
+    lo = data.draw(st.integers(first + 1 if first > 1 else 1, prev.last - 1))
+    hi = data.draw(st.integers(lo, prev.last - 1))
+    a, b = adapt._window(ClusterSelection(lo, hi), prev)
+    assert prev.first <= a <= max(lo - 1, 1) and hi + 1 <= b <= prev.last
+
+    def far(i, j):
+        x, y = values[i - first], values[j - first]
+        return abs(x - y) > adapt.NEAR_RTOL * max(abs(x), abs(y))
+
+    assert a == prev.first or far(a - 1, a)
+    assert b == prev.last or far(b, b + 1)
+    for g in prev.groups:
+        assert sum(a <= i <= b for i in g) in (0, len(g)), (g, a, b)
 
 
 def test_windows_widened_to_a_twin_are_kept(monkeypatch):
-    # unit square, cluster 4..4: lambda_3 is half of 5 pi^2 and lambda_5 of
-    # 10 pi^2.  Once the previous level shows both twins, the window 2..6
-    # is solved, kept, and solved again on every later level: one solve
-    # per level (before, windows of 3..5 missed on every level)
+    # unit square, cluster 4..4: lambda_5 is half of 10 pi^2.  Level 1's
+    # window 3..5 misses; its fallback shows lambda_5 and lambda_6 0.87%
+    # apart (115.0, 116.0) and lambda_2, lambda_3 1.7% apart, so from level
+    # 2 on the window 3..6 is solved, kept, and solved again on every later
+    # level: one solve per level
     calls = []
 
     def solve(A, M, m, tol, seed, shift=0.0):
@@ -723,9 +766,29 @@ def test_windows_widened_to_a_twin_are_kept(monkeypatch):
     hist = run(_small_config(cluster_lo=4, cluster_hi=4, max_dof=3000))
     assert hist.stop_reason == "max_dof"
     per_level = [[c[1:] for c in calls if c[0] == r.ndof] for r in hist.rows]
-    widened = [lv for lv, p in enumerate(per_level) if p[0] == (5, 2)]
-    assert widened and len(per_level) - widened[0] >= 3
-    assert per_level[widened[0]:] == [[(5, 2)]] * (len(per_level) - widened[0])
+    assert len(per_level) == 7
+    assert per_level[2:] == [[(4, 3)]] * 5
+
+
+@pytest.mark.parametrize("kw, levels, assemblies", [
+    # the rejected-window configurations of the installed-script checks
+    (dict(n=4, cluster_lo=5, cluster_hi=6), 8, 11),
+    (dict(domain="omega2", n=8, cluster_lo=2, cluster_hi=5), 4, 5)],
+    ids=["unit_square-5..6", "omega2-2..5"])
+def test_assemblies_per_run(monkeypatch, kw, levels, assemblies):
+    """Each rejected window costs its level a second assembly: 3 of 7
+    windows are rejected on the unit square, level 1's on omega2."""
+    calls = []
+    assemble_ = adapt.assemble
+
+    def counting(space):
+        calls.append(space)
+        return assemble_(space)
+
+    monkeypatch.setattr(adapt, "assemble", counting)
+    hist = run(_small_config(max_dof=3000, **kw))
+    assert hist.stop_reason == "max_dof"
+    assert (len(hist.rows), len(calls)) == (levels, assemblies)
 
 
 @pytest.mark.parametrize("config", [
@@ -778,7 +841,7 @@ def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
 
 @pytest.mark.parametrize("config", [
     AdaptConfig(max_dof=3000), AdaptConfig(degree=2, max_dof=3000),
-    # every window of this run is rejected, so each level assembles again
+    # 3 of this run's 7 windows are rejected, so those levels assemble again
     _small_config(n=4, cluster_lo=5, cluster_hi=6, max_dof=3000)],
     ids=["p1", "p2", "rejected"])
 def test_windows_read_their_pivots_after_the_level_drops_a_and_m(

@@ -306,6 +306,24 @@ def test_exit_code_2_on_non_finite_domain_coordinates(tmp_path, capsys, bad,
     assert "domain coordinates must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("far", ["1e300", "1e12"])
+@pytest.mark.parametrize("command", ["mesh", "run"])
+def test_exit_code_2_on_a_lattice_too_large_to_number(tmp_path, capsys, far,
+                                                      command):
+    # 1e300 overflowed int64 and 1e12 asked numpy for 29.1 TiB; the lattice
+    # box is refused before any array of it is allocated
+    domain = tmp_path / "far.txt"
+    domain.write_text(f"polygon\n0 0\n{far} 0\n{far} 1\n0 1\n")
+    if command == "mesh":
+        argv = ["mesh", "dump", "--domain", str(domain), "--n", "4",
+                "--out", str(tmp_path / "mesh.txt")]
+    else:
+        cfg = _write_config(tmp_path / "run.cfg", domain=domain)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "too many nodes of the 1/4 lattice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("eig_tol", "nan"), ("eig_tol", "inf"),
                                         ("eta_target", "nan"),
                                         ("eta_target", "inf"),
