@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import (MOMENT_GAP_FLOOR, ClusterSelection, EigenPairSet,
-                    SeparationReport, read_inertia, rotate_multiple,
-                    separation_diagnostic, solve_smallest)
+                    SeparationReport, rotate_multiple, separation_diagnostic,
+                    solve_smallest)
 from .errors import ConfigError, SolverError
 from .estimator import EstimatorReport, eta_energy, eta_pointwise
 from .fem import assemble, build_space
@@ -209,22 +209,20 @@ def _window(cluster: ClusterSelection, prev: EigenPairSet) -> tuple[int, int]:
 
 
 def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
-                 config: AdaptConfig) -> tuple[EigenPairSet, tuple | None]:
+                 config: AdaptConfig) -> EigenPairSet:
     """The eigenpairs of one level: a window around the cluster when the
-    previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS;
-    with them (lo, the previous level's values at lo..hi, shift) for the
-    window, which ``_placed`` then keeps or rejects, or None.
+    previous level's pairs can place it, else the lowest hi + EXTRA_PAIRS.
 
     The window ``_window`` gives is solved by shift-invert at the midpoint
     of the previous level's values at its two ends.  On the previous level
     every computed value outside the window lies more than NEAR_RTOL beyond
     its end, so the window's pairs are nearest that shift; the spaces are
-    nested, so the values only fall from there.  A window misses only when
-    one level's refinement moves a neighbour across that margin, which
-    ``_placed``'s two checks catch.  A window solve that raises SolverError
-    is replaced by the lowest-pairs solve on the same A and M.  A window
-    from index 1 is still used: it holds fewer pairs around a centred
-    shift, so its Lanczos run is shorter.
+    nested, so the values only fall from there.  A window that its
+    inertia does not put at ``lo``, that has a value above the previous
+    level's at the same index, or that raises SolverError is replaced by
+    the lowest-pairs solve on the same A and M.  A window from index 1 is
+    still used: it holds fewer pairs around a centred shift, so its
+    Lanczos run is shorter.
     """
     m = min(cluster.hi + EXTRA_PAIRS, A.shape[0])
     if (prev is not None and prev.last > cluster.hi
@@ -233,33 +231,19 @@ def _solve_level(A, M, cluster: ClusterSelection, prev: EigenPairSet | None,
         old = prev.values[prev.positions(lo, hi)]
         shift = 0.5 * (old[0] + old[-1])
         try:
-            return (solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
-                                   seed=config.seed, shift=shift),
-                    (lo, old, shift))
+            pairs = solve_smallest(A, M, hi - lo + 1, tol=config.eig_tol,
+                                   seed=config.seed, shift=shift)
         except SolverError as exc:
-            log.debug("window at shift %.9g failed (%s); solving for the "
-                      "lowest %d pairs", shift, exc, m)
-    return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed), None
-
-
-def _placed(pairs: EigenPairSet, lo: int, old: np.ndarray,
-            shift: float) -> bool:
-    """Read a window's inertia (``read_inertia``, which drops its factor)
-    and keep the window when that count puts it at ``lo`` and no value
-    exceeds the previous level's ``old`` at the same index, a cross-check
-    of the count."""
-    try:
-        read_inertia(pairs)
-    except SolverError as exc:
-        reason = str(exc)
-    else:
-        if pairs.first == lo and np.all(pairs.values <= old):
-            return True
-        reason = (f"window {pairs.first}..{pairs.last}, values "
-                  f"{pairs.values.tolist()} against {old.tolist()}")
-    log.debug("window at shift %.9g rejected (%s); solving for the "
-              "lowest pairs", shift, reason)
-    return False
+            reason = str(exc)
+        else:
+            if pairs.first == lo and np.all(pairs.values <= old):
+                return pairs
+            reason = (f"window {pairs.first}..{pairs.last}, values "
+                      f"{pairs.values.tolist()} against {old.tolist()}")
+            del pairs   # the rejected window's vectors
+        log.debug("window at shift %.9g rejected (%s); solving for the "
+                  "lowest %d pairs", shift, reason, m)
+    return solve_smallest(A, M, m, tol=config.eig_tol, seed=config.seed)
 
 
 def _moment_weight(space) -> np.ndarray:
@@ -307,10 +291,10 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
     """Build the space on ``tri``, assemble, solve, rotate and estimate,
     then mark: the level's spectrum (its pairs without the vectors), its
     history row, the stop reason (None to go on) and the marked elements
-    (None on a stop).  A and M die before a window is placed
-    (``read_inertia``); a rejected window is dropped, and the level
-    assembles again for the lowest pairs.  The space with its cached edge
-    geometry, the eigenvectors and the reports die with this call."""
+    (None on a stop).  The level assembles once: a rejected window falls
+    back to the lowest pairs on the same A and M, which die before the
+    estimators run.  The space with its cached edge geometry, the
+    eigenvectors and the reports die with this call."""
     space = build_space(tri, config.degree)
     ndof = int(space.free.size)
     if level == 0 and ndof >= config.max_dof:
@@ -321,23 +305,12 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
         raise ConfigError(
             f"cluster_hi ({cluster.hi}) exceeds the initial dof count "
             f"({ndof})")
-    t_assemble = t_solve = 0.0
-    for basis in (prev, None):
-        t0 = time.monotonic()
-        A, M = assemble(space)
-        t1 = time.monotonic()
-        pairs, window = _solve_level(A, M, cluster, basis, config)
-        rotated = rotate_multiple(pairs, A, M, _moment_weight(space),
-                                  config.eig_tol)
-        del A, M
-        placed = window is None or _placed(pairs, *window)
-        t_assemble += t1 - t0
-        t_solve += time.monotonic() - t1
-        if placed:
-            break
-        del pairs   # the rejected window's vectors; its factor is gone
-    for g, gap in rotated:
-        g = [i + pairs.first for i in g]
+    t0 = time.monotonic()
+    A, M = assemble(space)
+    t1 = time.monotonic()
+    pairs = _solve_level(A, M, cluster, prev, config)
+    for g, gap in rotate_multiple(pairs, A, M, _moment_weight(space),
+                                  config.eig_tol):
         log.debug("level %d: eigenvalues %s have moment gap %.3g",
                   level, g, gap)
         if gap < MOMENT_GAP_FLOOR:
@@ -345,6 +318,7 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
                 "level %d: eigenvalues %s have moment gap %.3g below %g; "
                 "their basis is left as the solver returned it",
                 level, g, gap, MOMENT_GAP_FLOOR)
+    del A, M
     t2 = time.monotonic()
     reports = {kind: eta(space, pairs, cluster) for kind, eta in
                (("pointwise", eta_pointwise), ("energy", eta_energy))
@@ -358,7 +332,7 @@ def _level(tri: Triangulation, level: int, prev: EigenPairSet | None,
         lambdas=tuple(float(v) for v in
                       pairs.values[pairs.positions(cluster.lo, cluster.hi)]),
         marked=0, h_max=float(tri.h.max()), h_min=float(tri.h.min()),
-        t_assemble_ms=t_assemble * 1e3, t_solve_ms=t_solve * 1e3,
+        t_assemble_ms=(t1 - t0) * 1e3, t_solve_ms=(t2 - t1) * 1e3,
         t_estimate_ms=(t3 - t2) * 1e3, t_refine_ms=0.0)
     stop, marked = _mark(reports[config.estimator], ndof, level, config)
     if marked is not None:

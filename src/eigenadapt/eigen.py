@@ -4,14 +4,16 @@ The discrete problem is A v = lambda M v, with A the Dirichlet-eliminated
 stiffness matrix and M the mass matrix.  ``solve_smallest`` returns the
 pairs nearest a shift, by shift-invert Lanczos on a ``factorize_spd``
 factor; a window's place in the spectrum (spectrum slicing, Ericsson and
-Ruhe, Math. Comp. 35 (1980)) is the inertia of that factor, which
-``read_inertia`` reads.  ``rotate_multiple`` fixes the basis inside each
-numerically multiple eigenvalue.
+Ruhe, Math. Comp. 35 (1980)) is the inertia of that factor, read in place
+from SuperLU's supernodes (``_u_diagonal``).  ``rotate_multiple`` fixes the
+basis inside each numerically multiple eigenvalue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import ctypes
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,18 +39,13 @@ class EigenPairSet:
     """Ascending eigenvalues with M-orthonormal coefficient vectors.
 
     ``values[i]`` is eigenvalue number ``first + i`` of the pencil, counted
-    from 1.  A window that ``solve_smallest`` returns has ``first`` None and
-    holds its factor until ``read_inertia`` places it; ``last`` and
-    ``positions`` raise TypeError before that.
+    from 1: 1 for the lowest pairs, the inertia count for a window.
     """
 
     values: np.ndarray      # (m,)
     vectors: np.ndarray     # (n_free, m), column i pairs with values[i]
     residuals: np.ndarray   # (m,) relative residuals |Av - lam Mv| / (lam |v|)
-    first: int | None = 1   # 1-based spectrum index of values[0]
-    # (SuperLU of A - shift M, shift) of a window that is not placed yet
-    _factor: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    first: int = 1          # 1-based spectrum index of values[0]
 
     @property
     def last(self) -> int:
@@ -141,6 +138,87 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
 
 
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's matrix header, with 32-bit ``int_t``."""
+    _fields_ = [(name, ctypes.c_int) for name in
+                ("stype", "dtype", "mtype", "nrow", "ncol")] + [
+                    ("store", ctypes.c_void_p)]
+
+
+class _SuperLUFields(ctypes.Structure):
+    """The fields of scipy's SuperLU object after its object header."""
+    _fields_ = [("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix),
+                ("perm_r", ctypes.c_void_p), ("perm_c", ctypes.c_void_p)]
+
+
+class _SCformat(ctypes.Structure):
+    """L's supernodal store, whose diagonal blocks hold U's diagonal."""
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int)] + [
+        (name, ctypes.c_void_p) for name in ("nzval", "nzval_colptr", "rowind",
+                                             "rowind_colptr", "col_to_sup",
+                                             "sup_to_col")]
+
+
+# (Stype, Dtype, Mtype) of L and U: SLU_SC, SLU_D, SLU_TRLU; SLU_NC, SLU_D, SLU_TRU
+_LU_TYPES = ((3, 1, 1), (0, 1, 4))
+# PyMemoryView_FromMemory(address, bytes, PyBUF_READ): a read-only buffer on
+# memory Python does not own, with no copy and no ctypes type per size;
+# CPython only, where id() is an address
+_memory_view = None
+if sys.implementation.name == "cpython":
+    _memory_view = ctypes.PYFUNCTYPE(
+        ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int)(
+            ("PyMemoryView_FromMemory", ctypes.pythonapi))
+
+
+def _view(address: int, ctype, size: int) -> np.ndarray:
+    """Read-only view of ``size`` C values at ``address``, valid while
+    their owner lives."""
+    return np.frombuffer(_memory_view(address, size * ctypes.sizeof(ctype),
+                                      0x100), ctype)
+
+
+def _u_diagonal(lu: scipy.sparse.linalg.SuperLU) -> np.ndarray | None:
+    """U's diagonal as a new array, read in place from L's supernodes in
+    O(n) memory.  None off CPython, or when ``lu``'s fields do not read
+    back its shape, the (Stype, Dtype, Mtype, nrow, ncol) of L and U, its
+    permutations' addresses and ``lu.nnz``, or when a column j of a
+    supernode that starts at column f does not find row j at place j - f
+    of the supernode's rows.
+    """
+    if (_memory_view is None or type(lu).__basicsize__
+            < object.__basicsize__ + ctypes.sizeof(_SuperLUFields)):
+        return None
+    obj = _SuperLUFields.from_address(id(lu) + object.__basicsize__)
+    n = lu.shape[0]
+    if ((obj.m, obj.n) != lu.shape
+            or [(h.stype, h.dtype, h.mtype, h.nrow, h.ncol) for h in
+                (obj.L, obj.U)] != [t + (n, n) for t in _LU_TYPES]
+            or (obj.perm_r, obj.perm_c) != (lu.perm_r.ctypes.data,
+                                            lu.perm_c.ctypes.data)):
+        return None
+    L = _SCformat.from_address(obj.L.store)
+    # U's NCformat store starts with its nnz
+    if L.nnz + ctypes.c_int.from_address(obj.U.store).value != lu.nnz:
+        return None
+    nzval_colptr, rowind_colptr = (_view(a, ctypes.c_int, n + 1)
+                                   for a in (L.nzval_colptr, L.rowind_colptr))
+    column = np.arange(n)
+    try:
+        start = _view(L.sup_to_col, ctypes.c_int, L.nsuper + 2)[
+            _view(L.col_to_sup, ctypes.c_int, n)]
+        offset = column - start     # place of column j in its supernode
+        rows = _view(L.rowind, ctypes.c_int, int(rowind_colptr[n]))
+        if np.any(offset < 0) or np.any(
+                rows[rowind_colptr[start] + offset] != column):
+            return None
+        return _view(L.nzval, ctypes.c_double, int(nzval_colptr[n]))[
+            nzval_colptr[:n] + offset]
+    except IndexError:
+        return None
+
+
 def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
     """Number of negative pivots of ``factorize_spd`` of A - shift M.
 
@@ -148,34 +226,22 @@ def _negative_pivots(lu: scipy.sparse.linalg.SuperLU, shift: float) -> int:
     by Sylvester's law this counts the eigenvalues below the shift.  A
     factor that interchanged rows, or whose smallest pivot is at most
     ``_PIVOT_TOL`` times the largest, as on an eigenvalue, raises
-    SolverError.  Reading ``lu.U`` builds CSC copies of L and U, about 12
-    bytes per factor nonzero.
+    SolverError.  The pivots are read in place (``_u_diagonal``), else
+    from ``lu.U``, whose CSC copies of L and U take ~12 bytes per nonzero.
     """
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             f"factor at shift {shift:.9g} interchanged rows; its inertia "
             f"does not count the eigenvalues below the shift")
-    pivots = lu.U.diagonal()
+    pivots = _u_diagonal(lu)
+    if pivots is None:
+        pivots = lu.U.diagonal()
     ratio = np.min(np.abs(pivots)) / np.max(np.abs(pivots))
     if ratio <= _PIVOT_TOL:
         raise SolverError(
             f"shift {shift:.9g} lies on an eigenvalue (smallest pivot "
             f"{ratio:.3e} of the largest)")
     return int(np.count_nonzero(pivots < 0.0))
-
-
-def read_inertia(pairs: EigenPairSet) -> None:
-    """Place a window that ``solve_smallest`` returned: set ``first`` from
-    ``_negative_pivots`` of its held factor, then drop the factor, also
-    when SolverError is raised.  Pairs without a factor are left as they
-    are.  The pivot read's copies of L and U set a level's memory peak, so a
-    caller reads them once it has released what it no longer needs.
-    """
-    if pairs._factor is None:
-        return
-    (lu, shift), pairs._factor = pairs._factor, None
-    below = _negative_pivots(lu, shift)
-    pairs.first = below - int(np.count_nonzero(pairs.values < shift)) + 1
 
 
 def _shifted(A, M, shift: float):
@@ -208,15 +274,13 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     inside a numerically multiple eigenvalue roundoff still picks the basis
     (see ``rotate_multiple``).  A relative residual above ``tol``, a
     nonpositive eigenvalue or a loss of M-orthonormality raises
-    SolverError.  ``first`` is set at shift zero and on the dense path; a
-    window on the sparse path comes back with ``first`` None and its
-    factor held, for ``read_inertia``.
+    SolverError, and so does ``_negative_pivots``, which counts the
+    eigenvalues below a nonzero shift for ``first`` after the Lanczos run.
     """
     n = A.shape[0]
     if m < 1 or m > n:
         raise ValueError(f"cannot compute {m} pairs on a dimension-{n} problem")
 
-    held = None     # the factor of a window, for read_inertia
     if m > n - 2 or n < 5:
         dense_vals, dense_vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
         below = int(np.count_nonzero(dense_vals < shift))
@@ -236,9 +300,7 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
             raise SolverError(
                 f"Lanczos failed to converge for {m} pairs on dimension {n}: "
                 f"{exc}") from exc
-        below = 0       # at shift zero; read_inertia places a window
-        if shift != 0.0:
-            held = (lu, shift)
+        below = _negative_pivots(lu, shift) if shift != 0.0 else 0
         del lu, OPinv
         order = np.argsort(values)
         values = values[order]
@@ -256,11 +318,8 @@ def solve_smallest(A, M, m: int, tol: float = 1e-9, seed: int = 0,
     if np.max(np.abs(gram - np.eye(m))) > _ORTHO_TOL:
         raise SolverError("eigenvectors are not M-orthonormal to tolerance")
 
-    pairs = EigenPairSet(values=values, vectors=vectors, residuals=residuals,
-                         first=None if held else
-                         below - int(np.count_nonzero(values < shift)) + 1)
-    pairs._factor = held
-    return pairs
+    return EigenPairSet(values=values, vectors=vectors, residuals=residuals,
+                        first=below - int(np.count_nonzero(values < shift)) + 1)
 
 
 def _residuals(A, Mv: np.ndarray, values: np.ndarray,
@@ -288,9 +347,8 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
     subspace and the weight only; a rotated residual above ``tol`` raises
     SolverError.  A group whose moment gap (the smallest distance between
     eigenvalues of W, over the largest |weight|) is below
-    ``MOMENT_GAP_FLOOR`` is left as solved.  Returns (positions in
-    ``values``, moment gap) for every group within ``tol``: positions, so
-    that a window is rotated before ``read_inertia`` places it.
+    ``MOMENT_GAP_FLOOR`` is left as solved.  Returns (1-based spectrum
+    indices, moment gap) for every group within ``tol``.
     """
     scale = float(np.max(np.abs(weight)))
     out = []
@@ -302,7 +360,7 @@ def rotate_multiple(pairs: EigenPairSet, A, M, weight: np.ndarray,
         W = (weight[:, None] * V).T @ (M @ V)
         moments, Q = np.linalg.eigh(0.5 * (W + W.T))
         gap = float(np.min(np.diff(moments))) / scale
-        out.append((g, gap))
+        out.append(([i + pairs.first for i in g], gap))
         if gap < MOMENT_GAP_FLOOR:
             continue
         V = V @ Q

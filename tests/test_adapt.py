@@ -599,9 +599,7 @@ def test_edge_data_built_once_per_mesh(monkeypatch):
 
 def _record_solves(monkeypatch, move_shift=None):
     """Record (shift, first index or None when it raised) of every solve
-    the loop makes; a window's index is recorded, or its error raised,
-    where the loop reads its inertia.  ``move_shift(A, M)`` replaces each
-    nonzero shift."""
+    the loop makes.  ``move_shift(A, M)`` replaces each nonzero shift."""
     calls = []
 
     def solve(A, M, m, tol, seed, shift=0.0):
@@ -612,16 +610,10 @@ def _record_solves(monkeypatch, move_shift=None):
         except SolverError:
             calls.append((shift, None))
             raise
-        calls.append((shift, None if shift else pairs.first))
+        calls.append((shift, pairs.first))
         return pairs
 
-    def place(pairs):
-        # a window's inertia is read right after its solve, before the next
-        eigen.read_inertia(pairs)
-        calls[-1] = (calls[-1][0], pairs.first)
-
     monkeypatch.setattr(adapt, "solve_smallest", solve)
-    monkeypatch.setattr(adapt, "read_inertia", place)
     return calls
 
 
@@ -758,7 +750,6 @@ def test_windows_widened_to_a_twin_are_kept(monkeypatch):
 
     def solve(A, M, m, tol, seed, shift=0.0):
         pairs = solve_smallest(A, M, m, tol=tol, seed=seed, shift=shift)
-        eigen.read_inertia(pairs)
         calls.append((A.shape[0], m, pairs.first))
         return pairs
 
@@ -772,12 +763,13 @@ def test_windows_widened_to_a_twin_are_kept(monkeypatch):
 
 @pytest.mark.parametrize("kw, levels, assemblies", [
     # the rejected-window configurations of the installed-script checks
-    (dict(n=4, cluster_lo=5, cluster_hi=6), 8, 11),
-    (dict(domain="omega2", n=8, cluster_lo=2, cluster_hi=5), 4, 5)],
+    (dict(n=4, cluster_lo=5, cluster_hi=6), 8, 8),
+    (dict(domain="omega2", n=8, cluster_lo=2, cluster_hi=5), 4, 4)],
     ids=["unit_square-5..6", "omega2-2..5"])
 def test_assemblies_per_run(monkeypatch, kw, levels, assemblies):
-    """Each rejected window costs its level a second assembly: 3 of 7
-    windows are rejected on the unit square, level 1's on omega2."""
+    """Each level assembles once, also where its window is rejected and
+    the lowest pairs are solved on the same A and M: 3 of 7 windows are
+    rejected on the unit square, level 1's on omega2."""
     calls = []
     assemble_ = adapt.assemble
 
@@ -841,41 +833,26 @@ def test_the_loop_holds_one_level_at_a_time(monkeypatch, config):
 
 @pytest.mark.parametrize("config", [
     AdaptConfig(max_dof=3000), AdaptConfig(degree=2, max_dof=3000),
-    # 3 of this run's 7 windows are rejected, so those levels assemble again
+    # 3 of this run's 7 windows are rejected
     _small_config(n=4, cluster_lo=5, cluster_hi=6, max_dof=3000)],
     ids=["p1", "p2", "rejected"])
-def test_windows_read_their_pivots_after_the_level_drops_a_and_m(
-        monkeypatch, config):
-    """Reading a window's pivots builds CSC copies of L and U.  By then the
-    level's A and M are gone, freed by reference counting alone, and its
-    eigenvectors are still held."""
-    level = {}      # weak references to the current level's objects
-    at_read = []
-    assemble_, solve = adapt.assemble, adapt.solve_smallest
-    negative_pivots = eigen._negative_pivots
+def test_windows_read_their_pivots_in_place(monkeypatch, config):
+    """Every window's pivots are read in place from its factor's
+    supernodes, with no CSC copies of L and U."""
+    read = []
+    u_diagonal = eigen._u_diagonal
 
-    def assembling(space):
-        A, M = assemble_(space)
-        level.update(A=weakref.ref(A), M=weakref.ref(M))
-        return A, M
+    def reading(lu):
+        pivots = u_diagonal(lu)
+        read.append(pivots is not None and pivots.shape == lu.shape[:1])
+        return pivots
 
-    def solving(*args, **kwargs):
-        pairs = solve(*args, **kwargs)
-        level["vectors"] = weakref.ref(pairs.vectors)
-        return pairs
-
-    def reading(lu, shift):
-        at_read.append(sorted(k for k, r in level.items() if r() is not None))
-        return negative_pivots(lu, shift)
-
-    monkeypatch.setattr(adapt, "assemble", assembling)
-    monkeypatch.setattr(adapt, "solve_smallest", solving)
-    monkeypatch.setattr(eigen, "_negative_pivots", reading)
+    monkeypatch.setattr(eigen, "_u_diagonal", reading)
     history = run(config)
     assert history.stop_reason == "max_dof" and len(history.rows) >= 5
     # every level from the second solved a window
-    assert len(at_read) >= len(history.rows) - 2
-    assert at_read == [["vectors"]] * len(at_read)
+    assert len(read) >= len(history.rows) - 2
+    assert read == [True] * len(read)
 
 
 def test_edge_geometry_dies_with_its_level(monkeypatch):

@@ -15,7 +15,6 @@ import pathlib
 import pytest
 
 from eigenadapt import adapt, cli, geometry
-from eigenadapt.eigen import read_inertia
 
 _TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
@@ -58,7 +57,6 @@ def _traced_run(tmp_path, monkeypatch, **kw):
 
     def recording(*args, **kwargs):
         pairs = solve(*args, **kwargs)
-        read_inertia(pairs)
         firsts.append(pairs.first)
         return pairs
 

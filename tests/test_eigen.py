@@ -17,7 +17,6 @@ from eigenadapt.eigen import (
     EigenPairSet,
     factorize_spd,
     multiplicity_groups,
-    read_inertia,
     rotate_multiple,
     separation_diagnostic,
     solve_smallest,
@@ -226,9 +225,9 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     b.vectors[:, 1:3] = a.vectors[:, 1:3] @ np.array([[c, -s], [s, c]])
     for pairs in (a, b):
         values = pairs.values.copy()
-        # lambda_2 = lambda_3, at positions 1 and 2 of the values
+        # lambda_2 = lambda_3
         [(group, gap)] = rotate_multiple(pairs, A, M, weight, 1e-9)
-        assert group == [1, 2] and gap > MOMENT_GAP_FLOOR
+        assert group == [2, 3] and gap > MOMENT_GAP_FLOOR
         np.testing.assert_array_equal(pairs.values, values)
         assert np.all(pairs.residuals <= 1e-9)
         np.testing.assert_allclose(pairs.vectors.T @ M @ pairs.vectors,
@@ -237,7 +236,7 @@ def test_rotate_multiple_fixes_the_basis_of_a_double_eigenvalue():
     # equal moments cannot order a basis: the group is left as solved
     before = a.vectors.copy()
     [(group, gap)] = rotate_multiple(a, A, M, np.ones_like(weight), 1e-9)
-    assert group == [1, 2] and gap < MOMENT_GAP_FLOOR
+    assert group == [2, 3] and gap < MOMENT_GAP_FLOOR
     np.testing.assert_array_equal(a.vectors, before)
     # values that agree to the group tolerance but not to the solve's
     # are not rotated
@@ -306,7 +305,6 @@ def test_window_matches_lowest_pairs_at_inertia_index(degree, lo, hi):
     shift = 0.5 * (full.values[lo - 2] + full.values[hi])
     win = solve_smallest(A, M, hi - lo + 3, shift=shift)
     # first comes from the factor's inertia
-    read_inertia(win)
     assert (win.first, win.last) == (lo - 1, hi + 1)
     idx = full.positions(win.first, win.last)
     np.testing.assert_allclose(win.values, full.values[idx], rtol=1e-10, atol=0.0)
@@ -331,45 +329,32 @@ def test_window_on_the_dense_path():
 @pytest.mark.parametrize("rel", [0.0, 1e-15, 1e-13])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_shift_on_an_eigenvalue_is_a_solver_error(degree, rel):
-    # the Lanczos run on the near-singular factor succeeds; reading the
-    # inertia afterwards raises, and drops the factor
+    # the Lanczos run on the near-singular factor succeeds; the inertia
+    # read after it raises
     space = build_space(initial_mesh(builtin_domain("unit_square"), 8), degree)
     A, M = assemble(space)
     full = solve_smallest(A, M, 8)
-    pairs = solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
     with pytest.raises(SolverError, match="lies on an eigenvalue"):
-        read_inertia(pairs)
-    assert pairs._factor is None
+        solve_smallest(A, M, 4, shift=full.values[4] * (1.0 + rel))
 
 
 def test_factor_that_interchanged_rows_is_a_solver_error():
-    pairs = _pairs_from_values([1.0, 2.0])
-    pairs._factor = (SimpleNamespace(perm_r=np.array([1, 0]),
-                                     perm_c=np.array([0, 1])), 1.5)
+    lu = SimpleNamespace(perm_r=np.array([1, 0]), perm_c=np.array([0, 1]))
     with pytest.raises(SolverError, match="interchanged rows"):
-        read_inertia(pairs)
-    assert pairs._factor is None
+        eigen._negative_pivots(lu, 1.5)
 
 
-def test_window_holds_its_factor_until_its_inertia_is_read(square_ops):
+def test_window_returns_placed_and_holds_no_factor(square_ops):
     A, M = square_ops
     low = solve_smallest(A, M, 6)
     shift = 0.5 * (low.values[1] + low.values[4])
     pairs = solve_smallest(A, M, 4, shift=shift)
-    assert pairs._factor is not None
-    # an unplaced window has no spectrum index, and says so
-    assert pairs.first is None
-    with pytest.raises(TypeError):
-        pairs.last
-    with pytest.raises(TypeError):
-        pairs.positions(2, 5)
-    read_inertia(pairs)
-    assert pairs._factor is None and (pairs.first, pairs.last) == (2, 5)
-    read_inertia(pairs)     # placed pairs are left as they are
-    assert pairs.first == 2
-    # a copy of a placed window holds its index and no factor
-    copy = dataclasses.replace(pairs, vectors=None)
-    assert copy._factor is None and copy.first == 2
+    assert (pairs.first, pairs.last) == (2, 5)
+    np.testing.assert_array_equal(pairs.positions(2, 5), np.arange(4))
+    assert [f.name for f in dataclasses.fields(pairs)] == [
+        "values", "vectors", "residuals", "first"]
+    # a copy without the vectors keeps the index
+    assert dataclasses.replace(pairs, vectors=None).first == 2
 
 
 @pytest.fixture(scope="module")
@@ -395,23 +380,93 @@ def _window_factor(A, M, shift):
     return factors[0]
 
 
-def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
-        square32_p2_window):
-    # reading the pivots builds CSC copies of L and U (about 12 bytes per
-    # nonzero); they must not coexist with ARPACK's basis (20 vectors)
-    A, M, shift = square32_p2_window
-    n = A.shape[0]
-    copies = _window_factor(A, M, shift).nnz * 12
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc sees it
+    allocate, in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pairs = solve_smallest(A, M, 4, shift=shift)
-        read_inertia(pairs)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert (n, pairs.first) == (3969, 4)
-    assert peak < copies + 20 * n * 8
+
+
+def test_window_reads_its_inertia_after_the_lanczos_basis_is_freed(
+        square32_p2_window):
+    # the whole window solve, ARPACK's basis (20 vectors) and the pivot read
+    # included, peaks below the CSC copies of L and U (about 12 bytes per
+    # nonzero) that reading lu.U would build (measured 1.57 MB against
+    # 2.57 MB)
+    A, M, shift = square32_p2_window
+    copies = _window_factor(A, M, shift).nnz * 12
+    pairs, peak = _traced_peak(
+        lambda: solve_smallest(A, M, 4, shift=shift))
+    assert (A.shape[0], pairs.first) == (3969, 4)
+    assert peak < copies
+
+
+def test_pivot_read_allocates_little_beyond_the_diagonal(square32_p2_window):
+    # measured 41 bytes per dof; reading lu.U took 673
+    A, M, shift = square32_p2_window
+    lu = _window_factor(A, M, shift)
+    below, peak = _traced_peak(eigen._negative_pivots, lu, shift)
+    assert below == 6
+    assert peak <= 64 * A.shape[0]
+
+
+def test_pivot_reads_retain_no_memory():
+    # a ctypes array type per array size would stay in ctypes' type cache
+    # (about 5.6 kB each, four sizes per factor)
+    factors = [factorize_spd(assemble(build_space(
+        initial_mesh(builtin_domain("unit_square"), n), 1))[0])
+        for n in (6, 7, 8, 9)]
+    below = [eigen._negative_pivots(factors[0], 1.0)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        below += [eigen._negative_pivots(lu, 1.0) for lu in factors[1:]]
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert below == [0] * 4
+    assert retained < 1024
+
+
+@pytest.mark.parametrize("degree, shifted", [(1, True), (2, True), (2, False)],
+                         ids=["p1_window", "p2_window", "p2_shift_zero"])
+def test_u_diagonal_is_the_csc_diagonal_bit_for_bit(degree, shifted):
+    A, M = assemble(build_space(
+        initial_mesh(builtin_domain("unit_square"), 16), degree))
+    low = solve_smallest(A, M, 8)
+    shift = 0.5 * (low.values[3] + low.values[6])
+    lu = _window_factor(A, M, shift) if shifted else factorize_spd(A)
+    pivots = eigen._u_diagonal(lu)
+    assert pivots.dtype == np.float64 and pivots.base is None
+    assert pivots.tobytes() == lu.U.diagonal().tobytes()
+
+
+def test_pivots_from_the_csc_copy_where_the_layout_check_fails(
+        square32_p2_window, monkeypatch):
+    A, M, shift = square32_p2_window
+    lu = _window_factor(A, M, shift)
+    on_eigenvalue = factorize_spd(A - solve_smallest(A, M, 5).values[4] * M)
+    interchanged = SimpleNamespace(perm_r=np.array([1, 0]),
+                                   perm_c=np.array([0, 1]))
+    below = eigen._negative_pivots(lu, shift)
+    # an interpreter other than CPython, a SuperLU type whose L is not
+    # supernodal, and an object of another type
+    with monkeypatch.context() as mp:
+        mp.setattr(eigen, "_memory_view", None)
+        assert eigen._u_diagonal(lu) is None
+    monkeypatch.setattr(eigen, "_LU_TYPES", ((0, 1, 1), (0, 1, 4)))
+    assert eigen._u_diagonal(lu) is None
+    assert eigen._u_diagonal(SimpleNamespace(shape=lu.shape)) is None
+    assert eigen._negative_pivots(lu, shift) == below == 6
+    with pytest.raises(SolverError, match="lies on an eigenvalue"):
+        eigen._negative_pivots(on_eigenvalue, 1.0)
+    with pytest.raises(SolverError, match="interchanged rows"):
+        eigen._negative_pivots(interchanged, 1.5)
 
 
 def test_window_factor_keeps_the_element_pattern(square32_p2_window):
@@ -456,6 +511,8 @@ def test_factor_stores_no_relaxed_supernode_padding(square32_p2_window):
     A, M, shift = square32_p2_window
     lu = factorize_spd(A - shift * M)
     assert lu.nnz == lu.L.nnz + lu.U.nnz
+    # and its layout is the one the in-place pivot read knows
+    assert eigen._u_diagonal(lu) is not None
 
 
 def test_shift_zero_first_index_and_factor_reuse(square_ops):
