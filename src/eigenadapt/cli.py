@@ -45,17 +45,17 @@ def render_mesh_svg(tri, path) -> None:
 
     The viewBox is the mesh bounding box; a group transform flips the y axis
     so the picture matches mathematical orientation.  The paths are
-    formatted and written ``SVG_BLOCK`` triangles at a time, so the text of
-    the whole mesh is never held at once.
+    formatted and written ``SVG_BLOCK`` triangles at a time, each block with
+    only its own vertices, so the text of the whole mesh is never held at
+    once.
     """
+    import numpy as np
+
     xs = tri.coords[:, 0]
     ys = tri.coords[:, 1]
     x0, y0 = float(xs.min()), float(ys.min())
     w, h = float(xs.max()) - x0, float(ys.max()) - y0
     stroke = 0.002 * max(w, h)
-    # one % operation formats every vertex, once, and one more each block
-    pts = ("%.6g %.6g\n" * tri.n_vertices
-           % tuple(tri.coords.ravel().tolist())).split("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -65,9 +65,13 @@ def render_mesh_svg(tri, path) -> None:
             'fill="none" stroke="#000" stroke-width="%.6g" '
             'stroke-linejoin="round">\n' % (x0, y0, w, h, y0 + y0 + h, stroke))
         for start in range(0, tri.n_elements, SVG_BLOCK):
-            block = tri.tris[start:start + SVG_BLOCK]
-            fh.write('<path d="M%sL%sL%sZ"/>\n' * block.shape[0]
-                     % operator.itemgetter(*block.ravel().tolist())(pts))
+            # one % operation formats the block's own vertices, one its paths
+            used, corner = np.unique(tri.tris[start:start + SVG_BLOCK],
+                                     return_inverse=True)
+            pts = ("%.6g %.6g\n" * used.size
+                   % tuple(tri.coords[used].ravel().tolist())).split("\n")
+            fh.write('<path d="M%sL%sL%sZ"/>\n' * (corner.size // 3)
+                     % operator.itemgetter(*corner.ravel().tolist())(pts))
         fh.write("</g>\n</svg>\n")
 
 

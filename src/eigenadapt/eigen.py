@@ -12,6 +12,7 @@ basis inside each numerically multiple eigenvalue.
 from __future__ import annotations
 
 import ctypes
+import os
 import sys
 from dataclasses import dataclass
 
@@ -113,6 +114,26 @@ def _sign_normalize(vectors: np.ndarray) -> None:
             v *= -1.0
 
 
+# glibc's malloc_trim; None off POSIX and on a libc without it (musl, macOS)
+_malloc_trim = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if os.name == "posix" else None)
+if _malloc_trim is not None:
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+
+
+def _release_free_heap() -> None:
+    """Hand the whole free pages of the process's malloc heap back to the
+    OS, wherever they sit in it; a no-op without ``_malloc_trim``.
+
+    SuperLU's arrays get fresh pages from the OS, so without this a factor
+    adds its size on top of the heap pages that earlier levels freed but
+    that stay resident.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of an SPD matrix for repeated solves, in A's numbering.
 
@@ -125,11 +146,14 @@ def factorize_spd(A) -> scipy.sparse.linalg.SuperLU:
     the fill follows the caller's numbering (see ``fem.build_space``).  A
     CSR input is passed as its transpose, the same matrix, without a copy;
     one with unsorted or duplicate indices is copied first, because SuperLU
-    would sort it in place.  An exactly singular matrix raises SolverError.
+    would sort it in place.  The free heap is released first
+    (``_release_free_heap``).  An exactly singular matrix raises
+    SolverError.
     """
     csc = A.T if A.format == "csr" else A.tocsc()
     if not csc.has_canonical_format:
         csc = csc.copy()
+    _release_free_heap()
     try:
         return scipy.sparse.linalg.splu(
             csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

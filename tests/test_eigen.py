@@ -1,7 +1,12 @@
 """Generalized eigensolver and separation diagnostic tests."""
 
 import dataclasses
+import json
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +15,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+import eigenadapt
 from eigenadapt import eigen
 from eigenadapt.eigen import (
     MOMENT_GAP_FLOOR,
@@ -513,6 +519,48 @@ def test_factor_stores_no_relaxed_supernode_padding(square32_p2_window):
     assert lu.nnz == lu.L.nnz + lu.U.nnz
     # and its layout is the one the in-place pivot read knows
     assert eigen._u_diagonal(lu) is not None
+
+
+# 2,048 arrays of 32 KB, below every glibc mmap threshold, so they share the
+# brk heap; all but the last are freed, so the heap's top stays pinned and
+# free() alone cannot shrink it
+_FREED_HEAP = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np, scipy.sparse
+from eigenadapt import eigen
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmRSS:"))
+
+A = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(64, 64),
+                       format="csc")
+blocks = [np.ones(4096) for _ in range(2048)]
+freed = sum(b.nbytes for b in blocks[:-1])
+del blocks[:-1]
+before = rss()
+lu = eigen.factorize_spd(A)
+released = before - rss()
+eigen._malloc_trim = None
+plain = eigen.factorize_spd(A)
+print(json.dumps(dict(freed=freed, released=released, nnz=[lu.nnz, plain.nnz],
+                      same_perm=bool(np.array_equal(lu.perm_c, plain.perm_c)))))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the free heap is released through glibc")
+def test_factorization_hands_the_free_heap_back_to_the_os():
+    src = str(Path(eigenadapt.__file__).resolve().parents[1])
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _FREED_HEAP, src], check=True,
+        capture_output=True, text=True).stdout)
+    assert out["released"] >= 0.75 * out["freed"], out
+    # the release changes no factor
+    assert out["same_perm"] and out["nnz"][0] == out["nnz"][1], out
 
 
 def test_shift_zero_first_index_and_factor_reuse(square_ops):
